@@ -1,10 +1,10 @@
 """Qudit QFT arithmetic: build, simulate and cost adder/subtractor circuits.
 
 The package is organized bottom-up: digit/register/state primitives
-(`core`), gate matrices and their application (`gates`), the circuit IR
-with QFT builders (`circuit`), the arithmetic constructions (`adder`),
-execution and measurement (`simulator`), and gate-count analysis
-(`resources`).  `cli` wraps it all for the command line.
+(`core`), the circuit IR with QFT builders (`circuit`), one kernel per
+gate kind (`gates`), the arithmetic constructions (`adder`), execution
+and measurement (`simulator`), and gate-count analysis (`resources`).
+`cli` wraps it all for the command line.
 """
 
 from .adder import (
@@ -37,14 +37,6 @@ from .core import (
     to_integer,
     zero_state,
 )
-from .gates import (
-    GateMatrix,
-    apply_gate,
-    cphase_matrix,
-    hadamard_matrix,
-    shift_matrix,
-    swap_gate_apply,
-)
 from .resources import (
     ResourceReport,
     SweepRow,
@@ -69,7 +61,6 @@ __all__ = [
     "Circuit",
     "DigitString",
     "GateKind",
-    "GateMatrix",
     "GateOp",
     "Histogram",
     "Mode",
@@ -79,7 +70,6 @@ __all__ = [
     "StateVector",
     "SweepRow",
     "adder_layout",
-    "apply_gate",
     "basis_state",
     "build_adder_component",
     "build_full_adder",
@@ -91,18 +81,14 @@ __all__ = [
     "circuit_to_text",
     "classical_oracle",
     "concat",
-    "cphase_matrix",
     "execute",
     "from_integer",
     "gate_count_formula",
-    "hadamard_matrix",
     "histogram_to_json",
     "measure",
     "parse_digit_text",
     "required_ancillas",
     "resource_report",
-    "shift_matrix",
-    "swap_gate_apply",
     "sweep",
     "sweep_to_csv",
     "to_integer",

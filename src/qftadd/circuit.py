@@ -63,6 +63,8 @@ class GateOp:
             raise ValueError(f"qudit indices must be non-negative, got {self.qudits}")
         if (self.theta is not None) != (self.kind is GateKind.CPHASE):
             raise ValueError("theta is required for CPHASE and forbidden otherwise")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if (self.k is not None) != (self.kind is GateKind.SHIFT):
             raise ValueError("k is required for SHIFT and forbidden otherwise")
         if self.dagger and self.kind is not GateKind.HADAMARD:

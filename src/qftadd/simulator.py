@@ -14,16 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp
-from .core import DigitString, StateVector, from_integer, zero_state
-from .gates import (
-    GateMatrix,
-    apply_gate,
-    cphase_matrix,
-    hadamard_matrix,
-    shift_matrix,
-    swap_gate_apply,
-)
+from .circuit import Circuit
+from .core import StateVector, from_integer, parse_digit_text, to_integer, zero_state
+from .gates import apply_op
 
 FINAL_NORM_ATOL = 1e-9
 
@@ -63,17 +56,23 @@ class Histogram:
         total = sum(self.counts.values())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
-        widths = {len(key) for key in self.counts}
-        if len(widths) > 1:
-            raise ValueError(f"keys have mixed widths {sorted(widths)}")
+        widths = set()
         for key, count in self.counts.items():
             if count < 1:
                 raise ValueError(f"count for {key!r} must be >= 1, got {count}")
-            DigitString(self.base, tuple(int(ch) for ch in key))
+            widths.add(parse_digit_text(key, self.base).width)
+        if len(widths) > 1:
+            raise ValueError(f"keys have mixed widths {sorted(widths)}")
 
     def top_outcome(self) -> str:
-        """Most frequent key; ties break toward the smaller digit string."""
-        return min(self.counts, key=lambda key: (-self.counts[key], key))
+        """Most frequent key; ties break toward the smaller integer value."""
+        return min(
+            self.counts,
+            key=lambda key: (
+                -self.counts[key],
+                to_integer(parse_digit_text(key, self.base)),
+            ),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
@@ -83,25 +82,6 @@ class Histogram:
             and self.shots == other.shots
             and self.counts == other.counts
         )
-
-
-def _gate_matrix(op: GateOp, d: int, cache: dict) -> GateMatrix:
-    key = (op.kind, op.theta, op.k, op.dagger)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if op.kind is GateKind.HADAMARD:
-        matrix = hadamard_matrix(d)
-        if op.dagger:
-            matrix = matrix.dagger()
-    elif op.kind is GateKind.CPHASE:
-        matrix = cphase_matrix(d, op.theta)
-    elif op.kind is GateKind.SHIFT:
-        matrix = shift_matrix(d, op.k)
-    else:
-        raise AssertionError(f"no matrix for {op.kind}")
-    cache[key] = matrix
-    return matrix
 
 
 def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -124,14 +104,10 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
                 f"state has {state.num_qudits} qudits, "
                 f"circuit layout has {circuit.layout.total_qudits}"
             )
-    cache: dict = {}
     for op in circuit.ops:
-        if op.kind is GateKind.SWAP:
-            swap_gate_apply(state, op.qudits[0], op.qudits[1])
-        else:
-            apply_gate(state, _gate_matrix(op, circuit.base, cache), op.qudits)
+        apply_op(state, op)
     drift = state.norm_error()
-    if drift > FINAL_NORM_ATOL:
+    if not drift <= FINAL_NORM_ATOL:
         raise RuntimeError(f"final state norm off by {drift:.3e}")
     return state
 
@@ -173,7 +149,7 @@ def measure(
     d = state.base
     marginal = _marginal(state, qudits)
     total = float(marginal.sum())
-    if abs(total - 1.0) > FINAL_NORM_ATOL:
+    if not abs(total - 1.0) <= FINAL_NORM_ATOL:
         raise RuntimeError(f"marginal probabilities sum to {total!r}")
     marginal = marginal / total
 

@@ -36,6 +36,9 @@ def test_gate_op_validation():
         GateOp(GateKind.SHIFT, (0,))  # missing k
     with pytest.raises(ValueError):
         GateOp(GateKind.CPHASE, (0, 1), theta=0.1, dagger=True)
+    for theta in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="theta"):
+            GateOp(GateKind.CPHASE, (0, 1), theta=theta)
 
 
 def test_circuit_rejects_out_of_range_ops():

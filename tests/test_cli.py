@@ -38,6 +38,12 @@ def test_add_ququart_case_study(capsys, tmp_path):
     assert code == 0
     assert out.strip() == "result=20 value=8"
     assert out_file.read_bytes() == (GOLDEN / "case_ququart.json").read_bytes()
+    # above base 10 the digits are dash-separated
+    code, out, _ = run_cli(
+        ["add", "--base", "11", "--digits", "1", "--inputs", "3,4"], capsys
+    )
+    assert code == 0
+    assert out.strip().endswith("result=0-7 value=7")
 
 
 def test_sub_to_zero(capsys):
@@ -83,6 +89,13 @@ def test_noisy_majority(capsys):
     assert lines[-1].startswith("result=1000")
     payload = json.loads("\n".join(lines[:-1]))
     assert payload["counts"]["1000"] > 2048
+    # noisy base-12 keys such as "0-7" and "11-10" differ in length
+    code, out, _ = run_cli(
+        ["add", "--base", "12", "--digits", "1", "--inputs", "3,4", "--noise", "0.5"],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip().endswith("value=7")
 
 
 def test_validation_failures_name_the_flag(capsys):

@@ -59,6 +59,9 @@ def test_execute_norm_guard():
     bad = StateVector(2, 1, np.array([2.0, 0.0]))
     with pytest.raises(RuntimeError):
         execute(circ, bad)
+    nan_state = StateVector(2, 1, np.array([np.nan, 0.0]))
+    with pytest.raises(RuntimeError):
+        execute(circ, nan_state)
 
 
 def test_measure_deterministic_state():
@@ -88,6 +91,9 @@ def test_measure_validates_selection():
         measure(state, [5], shots=4)
     with pytest.raises(ValueError):
         measure(state, [0], shots=0)
+    nan_state = StateVector(2, 2, np.array([np.nan, 0.0, 0.0, 0.0]))
+    with pytest.raises(RuntimeError):
+        measure(nan_state, [0], shots=4)
 
 
 def test_measure_reproducible_for_seed():
@@ -159,11 +165,21 @@ def test_histogram_validation():
         Histogram(2, 10, {"02": 10})
     ok = Histogram(2, 10, {"01": 4, "10": 6})
     assert ok.top_outcome() == "10"
+    # above base 10 digits are dash-separated, so key lengths may differ
+    wide = Histogram(12, 10, {"1-11": 4, "10-2": 6})
+    assert wide.top_outcome() == "10-2"
+    with pytest.raises(ValueError):
+        Histogram(12, 10, {"1-2": 5, "1-2-3": 5})
+    with pytest.raises(ValueError):
+        Histogram(12, 10, {"1-12": 10})
 
 
 def test_top_outcome_tie_breaks_low():
     hist = Histogram(2, 10, {"11": 5, "00": 5})
     assert hist.top_outcome() == "00"
+    # by value, not by string: "2-0" < "10-0" in base 12
+    wide = Histogram(12, 10, {"10-0": 5, "2-0": 5})
+    assert wide.top_outcome() == "2-0"
 
 
 def test_histogram_json_sorted_keys():
