@@ -86,9 +86,15 @@ def _run_add_sub(args: argparse.Namespace) -> int:
         raise CliError(f"--noise: must be in [0, 1], got {args.noise}")
     if not 0 <= args.seed < 2**64:
         raise CliError(f"--seed: must fit in 64 unsigned bits, got {args.seed}")
-    state = execute(build_full_adder(spec))
+    try:
+        state = execute(build_full_adder(spec))
+    except ValueError as err:  # the state is over the amplitude limit
+        raise CliError(f"--digits/--inputs: {err}") from None
     noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
-    histogram = measure(state, range(spec.result_width), args.shots, noise)
+    try:
+        histogram = measure(state, range(spec.result_width), args.shots, noise)
+    except ValueError as err:  # the shots are over the digit limit
+        raise CliError(f"--shots: {err}") from None
     _write_artifact(histogram_to_json(histogram), args.output)
     top = histogram.top_outcome()
     value = to_integer(parse_digit_text(top, spec.base))

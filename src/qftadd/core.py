@@ -19,6 +19,21 @@ import numpy as np
 # this; a violation indicates a construction bug, not round-off.
 NORM_ATOL = 1e-9
 
+# Largest state that may be allocated: 2**26 complex128 amplitudes take
+# 1 GiB, and a gate briefly holds two states.  Sizes are checked before
+# any buffer exists, so an oversized request fails with a ValueError
+# instead of exhausting memory.
+MAX_AMPLITUDES = 2**26
+
+
+def _check_size(base: int, num_qudits: int) -> None:
+    """Raise ValueError if ``base**num_qudits`` exceeds MAX_AMPLITUDES."""
+    if base**num_qudits > MAX_AMPLITUDES:
+        raise ValueError(
+            f"{num_qudits} base-{base} qudits need {base}**{num_qudits} "
+            f"amplitudes, over the limit of {MAX_AMPLITUDES}"
+        )
+
 
 @dataclass(frozen=True)
 class DigitString:
@@ -187,6 +202,7 @@ def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> S
         for dig in ds.digits:
             index = index * layout.base + dig
     q = layout.total_qudits
+    _check_size(layout.base, q)
     amplitudes = np.zeros(layout.base**q, dtype=np.complex128)
     amplitudes[index] = 1.0
     return StateVector(layout.base, q, amplitudes)

@@ -73,3 +73,14 @@ def apply_op(state: StateVector, op: GateOp) -> None:
         else:  # SHIFT: |m> -> |(m + k) mod d>
             psi = np.roll(psi.reshape(lead, d, trail), op.k, axis=1)
     state.amplitudes = psi.reshape(-1)
+
+
+def _phase(state: StateVector, t: int, phases: np.ndarray) -> None:
+    """Scale, in place, the amplitudes with qudit ``t`` at level m by ``phases[m]``.
+
+    A CPHASE whose other end holds a known digit j is this one-qudit
+    diagonal with ``phases[m] = exp(i*theta*j*m)``.
+    """
+    d, q = state.base, state.num_qudits
+    view = state.amplitudes.reshape(d**t, d, d ** (q - t - 1))
+    view *= phases[:, None]

@@ -1,4 +1,4 @@
-"""Circuit execution on dense state vectors, plus shot-based measurement.
+"""Circuit execution into dense state vectors, plus shot-based measurement.
 
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
@@ -9,16 +9,30 @@ NoiseConfig, making every histogram reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit
-from .core import StateVector, from_integer, parse_digit_text, to_integer, zero_state
-from .gates import apply_op
+from .circuit import Circuit, GateKind, GateOp
+from .core import (
+    RegisterLayout,
+    StateVector,
+    _check_size,
+    from_integer,
+    parse_digit_text,
+    to_integer,
+    zero_state,
+)
+from .gates import _phase, apply_op
 
 FINAL_NORM_ATOL = 1e-9
+# the only kinds that take a qudit out of the computational basis
+_MIXING = frozenset((GateKind.HADAMARD, GateKind.SWAP))
+# Largest shots x width digit array ``measure`` may build.  With noise it
+# holds about four arrays of that shape, 8 bytes per entry: 512 MiB here.
+MAX_SHOT_DIGITS = 2**24
 
 
 @dataclass(frozen=True)
@@ -85,31 +99,73 @@ class Histogram:
 
 
 def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit's ops in order; returns the mutated state.
+    """Apply the circuit's ops in order; returns the final state.
 
-    The default initial state is all-zero on the circuit's layout.
-    Raises RuntimeError if the final norm drifts from 1 by more than
-    1e-9, which would mean a broken gate rather than user error.
+    The default initial state is all-zero on the circuit's layout.  From
+    there a qudit that no HADAMARD or SWAP touches never leaves the
+    computational basis, so it is tracked as a digit: a SHIFT adds to
+    it, and a CPHASE whose end holds digit j becomes the one-qudit phase
+    ``exp(i*theta*j*m)`` on its other end, or a global phase when both
+    ends hold digits.  The gate kernels run on a dense vector over the
+    remaining qudits, which is written into the full state at the end.
+    Given ``initial``, that state is updated and returned, and every
+    qudit is dense, so ``execute(circuit, zero_state(circuit.layout))``
+    is the dense reference for the default path.
+
+    Raises ValueError, before allocating, if the full state would exceed
+    ``core.MAX_AMPLITUDES``, and RuntimeError if the final norm drifts
+    from 1 by more than 1e-9, which would mean a broken gate rather than
+    user error.
     """
+    d, q = circuit.base, circuit.layout.total_qudits
     if initial is None:
-        state = zero_state(circuit.layout)
+        _check_size(d, q)
+        mixed = {qi for op in circuit.ops if op.kind in _MIXING for qi in op.qudits}
+        digits = {qi: 0 for qi in range(q) if qi not in mixed}
+        state = zero_state(RegisterLayout(d, (("dense", q - len(digits)),)))
     else:
         state = initial
-        if state.base != circuit.base:
+        if state.base != d:
+            raise ValueError(f"state base {state.base} != circuit base {d}")
+        if state.num_qudits != q:
             raise ValueError(
-                f"state base {state.base} != circuit base {circuit.base}"
+                f"state has {state.num_qudits} qudits, circuit layout has {q}"
             )
-        if state.num_qudits != circuit.layout.total_qudits:
-            raise ValueError(
-                f"state has {state.num_qudits} qudits, "
-                f"circuit layout has {circuit.layout.total_qudits}"
-            )
+        digits = {}
+    dense = [qi for qi in range(q) if qi not in digits]
+    axis = {qi: i for i, qi in enumerate(dense)}
     for op in circuit.ops:
-        apply_op(state, op)
+        known = [qi for qi in op.qudits if qi in digits]
+        if not known:
+            apply_op(state, _on_axes(op, axis))
+        elif op.kind is GateKind.SHIFT:
+            digits[op.qudits[0]] = (digits[op.qudits[0]] + op.k) % d
+        else:  # CPHASE with one or both digits known
+            j = math.prod(digits[qi] for qi in known)
+            if j == 0:
+                continue
+            if len(known) == 2:
+                state.amplitudes *= np.exp(1j * op.theta * j)
+            else:
+                (other,) = (qi for qi in op.qudits if qi not in digits)
+                _phase(state, axis[other], np.exp(1j * op.theta * (j * np.arange(d))))
     drift = state.norm_error()
     if not drift <= FINAL_NORM_ATOL:
         raise RuntimeError(f"final state norm off by {drift:.3e}")
+    if digits:
+        full = np.zeros(d**q, dtype=np.complex128)
+        index = tuple(digits.get(qi, slice(None)) for qi in range(q))
+        full.reshape((d,) * q)[index] = state.amplitudes.reshape((d,) * len(dense))
+        state = StateVector(d, q, full)
     return state
+
+
+def _on_axes(op: GateOp, axis: dict[int, int]) -> GateOp:
+    """``op`` with each qudit renumbered to its axis in the dense vector."""
+    qudits = tuple(axis[qi] for qi in op.qudits)
+    if qudits == op.qudits:
+        return op
+    return GateOp(op.kind, qudits, op.theta, op.k, op.dagger)
 
 
 def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:
@@ -143,6 +199,12 @@ def measure(
             raise IndexError(f"qudit {qi} out of range for {state.num_qudits}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    width = len(qudits)
+    if shots * width > MAX_SHOT_DIGITS:
+        raise ValueError(
+            f"{shots} shots of {width} digit(s) need {shots * width} digits, "
+            f"over the limit of {MAX_SHOT_DIGITS}"
+        )
     if noise is None:
         noise = NoiseConfig()
 
@@ -156,7 +218,6 @@ def measure(
     rng = np.random.default_rng(noise.seed)
     outcomes = rng.choice(marginal.size, size=shots, p=marginal)
 
-    width = len(qudits)
     digits = np.empty((shots, width), dtype=np.int64)
     rest = outcomes
     for pos in range(width - 1, -1, -1):
@@ -179,10 +240,14 @@ def measure(
 
 
 def histogram_to_json(histogram: Histogram) -> str:
-    """Serialize as {base, shots, counts} with keys in sorted order."""
+    """Serialize as {base, shots, counts} with keys in increasing value."""
+    d = histogram.base
+    keys = sorted(
+        histogram.counts, key=lambda key: to_integer(parse_digit_text(key, d))
+    )
     payload = {
-        "base": histogram.base,
+        "base": d,
         "shots": histogram.shots,
-        "counts": {key: histogram.counts[key] for key in sorted(histogram.counts)},
+        "counts": {key: histogram.counts[key] for key in keys},
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qftadd
 from qftadd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +114,10 @@ def test_validation_failures_name_the_flag(capsys):
          "--num-inputs"),
         (["sweep", "--bases", "2,zz", "--max-capacity", "16"], "--bases"),
         (["sweep", "--bases", "2", "--max-capacity", "0"], "--max-capacity"),
+        # over the size limits, rejected before the state or samples exist
+        (["add", "--base", "2", "--digits", "20", "--inputs", "1,2,3"], "--digits"),
+        (["add", "--base", "2", "--digits", "1", "--inputs", "1,1",
+          "--shots", str(2**24)], "--shots"),
     ]
     for args, flag in cases:
         code, _, err = run_cli(args, capsys)
@@ -203,11 +209,15 @@ def test_missing_required_flag_exits_two():
 
 
 def test_console_entry_point_runs():
+    # the child imports the same qftadd as the tests, installed or not
+    src = str(Path(qftadd.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "qftadd", "gate-count", "--base", "2",
          "--digits", "2", "--num-inputs", "4"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "formula=45"

@@ -21,6 +21,7 @@ from qftadd import (
     execute,
     histogram_to_json,
     measure,
+    required_ancillas,
     zero_state,
 )
 
@@ -189,6 +190,10 @@ def test_histogram_json_sorted_keys():
     assert payload["base"] == 2
     assert payload["shots"] == 6
     assert histogram_to_json(hist).endswith("\n")
+    # above base 10 keys sort by value, not as strings
+    wide = Histogram(12, 4, {"0-10": 1, "0-2": 1, "1-0": 1, "0-11": 1})
+    payload = json.loads(histogram_to_json(wide))
+    assert list(payload["counts"]) == ["0-2", "0-10", "0-11", "1-0"]
 
 
 def test_adder_histogram_with_noise_keeps_majority():
@@ -197,3 +202,69 @@ def test_adder_histogram_with_noise_keeps_majority():
     hist = measure(state, range(4), shots=4096, noise=NoiseConfig(0.05, seed=1))
     assert hist.top_outcome() == "1000"
     assert hist.counts["1000"] > 4096 // 2
+
+
+def _assert_matches_dense(circuit):
+    reduced = execute(circuit)
+    dense = execute(circuit, zero_state(circuit.layout))
+    assert reduced.num_qudits == circuit.layout.total_qudits
+    assert np.max(np.abs(reduced.amplitudes - dense.amplitudes)) <= 1e-12
+
+
+def test_execute_digit_tracking_matches_dense_on_adders():
+    # criterion 8's grid widened to d in 2..16, capped at 2**14 amplitudes
+    rng = np.random.default_rng(8)
+    checked = 0
+    for d in range(2, 17):
+        for n in range(1, 4):
+            for count in range(1, 6):
+                if d ** (required_ancillas(count, d) + count * n) > 2**14:
+                    continue
+                for mode in Mode:
+                    inputs = tuple(int(rng.integers(0, d**n)) for _ in range(count))
+                    spec = AdderSpec(d, n, count, mode, inputs)
+                    _assert_matches_dense(build_full_adder(spec))
+                    checked += 1
+    assert checked == 188
+
+
+def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
+    d = 3
+    layout = RegisterLayout(d, (("r", 6),))
+    # qudits 1, 3 and 5 never meet a HADAMARD or SWAP; qudit 2 starts as a
+    # SHIFT target but a SWAP makes it dense
+    ops = (
+        GateOp(GateKind.SHIFT, (3,), k=2),
+        GateOp(GateKind.SHIFT, (5,), k=1),
+        GateOp(GateKind.SHIFT, (2,), k=1),
+        GateOp(GateKind.HADAMARD, (0,)),
+        GateOp(GateKind.HADAMARD, (4,)),
+        GateOp(GateKind.CPHASE, (3, 5), theta=0.7),  # both known: global phase
+        GateOp(GateKind.CPHASE, (3, 0), theta=0.3),
+        GateOp(GateKind.CPHASE, (4, 5), theta=1.1),  # the known end listed second
+        GateOp(GateKind.CPHASE, (1, 4), theta=0.9),  # known digit 0: identity
+        GateOp(GateKind.SHIFT, (3,), k=2),  # after controlling CPHASEs
+        GateOp(GateKind.CPHASE, (3, 4), theta=0.4),
+        GateOp(GateKind.CPHASE, (0, 4), theta=0.2),
+        GateOp(GateKind.SWAP, (2, 4)),
+        GateOp(GateKind.CPHASE, (5, 2), theta=0.5),
+        GateOp(GateKind.HADAMARD, (0,), dagger=True),
+    )
+    circuit = Circuit(d, layout, ops)
+    _assert_matches_dense(circuit)
+    state = execute(circuit)
+    # the known digits (qudit 3 at 1, qudit 5 at 1) hold the whole weight
+    probs = state.probabilities().reshape((d,) * 6)
+    assert probs[:, 0, :, 1, :, 1].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_size_limits_fail_before_allocating():
+    # 62 qubits and 2**25 sampled digits are both rejected before any buffer
+    spec = AdderSpec(2, 20, 3, Mode.ADD, (1, 2, 3))
+    with pytest.raises(ValueError, match=r"2\*\*62 amplitudes"):
+        execute(build_full_adder(spec))
+    with pytest.raises(ValueError, match=r"2\*\*62 amplitudes"):
+        zero_state(spec.layout)
+    state = zero_state(RegisterLayout(2, (("r", 2),)))
+    with pytest.raises(ValueError, match=f"{2**25} digits"):
+        measure(state, [0, 1], shots=2**24)
