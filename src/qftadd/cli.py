@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
 from .circuit import circuit_to_json, circuit_to_qasm, circuit_to_text
-from .core import parse_digit_text, to_integer
+from .core import _check_size, parse_digit_text, to_integer
 from .resources import gate_count_formula, resource_report, sweep, sweep_to_csv
 from .simulator import NoiseConfig, execute, histogram_to_json, measure
 
@@ -86,10 +86,11 @@ def _run_add_sub(args: argparse.Namespace) -> int:
         raise CliError(f"--noise: must be in [0, 1], got {args.noise}")
     if not 0 <= args.seed < 2**64:
         raise CliError(f"--seed: must fit in 64 unsigned bits, got {args.seed}")
-    try:
-        state = execute(build_full_adder(spec))
+    try:  # before building, whose op count grows as digits squared
+        _check_size(spec.base, spec.layout.total_qudits)
     except ValueError as err:  # the state is over the amplitude limit
         raise CliError(f"--digits/--inputs: {err}") from None
+    state = execute(build_full_adder(spec))
     noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
     try:
         histogram = measure(state, range(spec.result_width), args.shots, noise)

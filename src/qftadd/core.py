@@ -1,4 +1,4 @@
-"""Qudit register primitives: digit strings, register layouts, dense state vectors.
+"""Qudit register primitives: digit strings, register layouts, state vectors.
 
 Conventions used throughout the package:
 
@@ -144,26 +144,58 @@ class RegisterLayout:
 
 @dataclass
 class StateVector:
-    """Dense vector of ``base**num_qudits`` complex amplitudes.
+    """A state of ``num_qudits`` base-``base`` qudits, some of them known digits.
 
-    The amplitude buffer is owned by exactly one caller at a time; gate
+    ``digits`` maps each qudit held in a known computational-basis level
+    to that level; ``dense`` holds the ``base**(num_qudits - len(digits))``
+    amplitudes of the other qudits, in increasing qudit order.  The full
+    state is their tensor product.  With no digits, ``dense`` is the whole
+    state.
+
+    ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
+    each read builds it anew, subject to ``MAX_AMPLITUDES``, and returns
+    it read-only.  Assigning it makes the state plain dense; gate
     application rebinds it in place.
     """
 
     base: int
     num_qudits: int
-    amplitudes: np.ndarray = field(repr=False)
+    dense: np.ndarray = field(repr=False)
+    digits: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        expected = self.base**self.num_qudits
-        if self.amplitudes.shape[0] != expected:
+        self.digits = {int(qi): int(level) for qi, level in self.digits.items()}
+        for qi, level in self.digits.items():
+            if not 0 <= qi < self.num_qudits:
+                raise ValueError(f"digit qudit {qi} out of range for {self.num_qudits}")
+            if not 0 <= level < self.base:
+                raise ValueError(f"digit {level} out of range for base {self.base}")
+        self.dense = np.asarray(self.dense, dtype=np.complex128).reshape(-1)
+        free = self.num_qudits - len(self.digits)
+        if self.dense.shape[0] != self.base**free:
             raise ValueError(
-                f"expected {expected} amplitudes for {self.num_qudits} "
-                f"base-{self.base} qudits, got {self.amplitudes.shape[0]}"
+                f"expected {self.base**free} amplitudes for {free} "
+                f"base-{self.base} qudits, got {self.dense.shape[0]}"
             )
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if not self.digits:
+            return self.dense
+        d, q = self.base, self.num_qudits
+        _check_size(d, q)
+        full = np.zeros(d**q, dtype=np.complex128)
+        index = tuple(self.digits.get(qi, slice(None)) for qi in range(q))
+        full.reshape((d,) * q)[index] = self.dense.reshape((d,) * (q - len(self.digits)))
+        full.flags.writeable = False
+        return full
+
+    @amplitudes.setter
+    def amplitudes(self, value: np.ndarray) -> None:
+        self.digits = {}
+        self.dense = value
 
     @property
     def dim(self) -> int:
@@ -174,10 +206,10 @@ class StateVector:
 
     def norm_error(self) -> float:
         """Absolute deviation of the squared-magnitude sum from 1."""
-        return abs(float(np.sum(self.probabilities())) - 1.0)
+        return abs(float(np.sum(np.abs(self.dense) ** 2)) - 1.0)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.base, self.num_qudits, self.amplitudes.copy())
+        return StateVector(self.base, self.num_qudits, self.dense.copy(), self.digits)
 
 
 def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> StateVector:

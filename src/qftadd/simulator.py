@@ -1,4 +1,4 @@
-"""Circuit execution into dense state vectors, plus shot-based measurement.
+"""Circuit execution into state vectors, plus shot-based measurement.
 
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
@@ -107,10 +107,11 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     it, and a CPHASE whose end holds digit j becomes the one-qudit phase
     ``exp(i*theta*j*m)`` on its other end, or a global phase when both
     ends hold digits.  The gate kernels run on a dense vector over the
-    remaining qudits, which is written into the full state at the end.
-    Given ``initial``, that state is updated and returned, and every
-    qudit is dense, so ``execute(circuit, zero_state(circuit.layout))``
-    is the dense reference for the default path.
+    remaining qudits, and the returned state is that vector plus the
+    digits.  Given ``initial``, that state is made plain dense if it has
+    digits, then updated and returned, and every qudit is dense, so
+    ``execute(circuit, zero_state(circuit.layout))`` is the dense
+    reference for the default path.
 
     Raises ValueError, before allocating, if the full state would exceed
     ``core.MAX_AMPLITUDES``, and RuntimeError if the final norm drifts
@@ -131,6 +132,8 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             raise ValueError(
                 f"state has {state.num_qudits} qudits, circuit layout has {q}"
             )
+        if state.digits:
+            state.amplitudes = state.amplitudes.copy()
         digits = {}
     dense = [qi for qi in range(q) if qi not in digits]
     axis = {qi: i for i, qi in enumerate(dense)}
@@ -153,10 +156,7 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     if not drift <= FINAL_NORM_ATOL:
         raise RuntimeError(f"final state norm off by {drift:.3e}")
     if digits:
-        full = np.zeros(d**q, dtype=np.complex128)
-        index = tuple(digits.get(qi, slice(None)) for qi in range(q))
-        full.reshape((d,) * q)[index] = state.amplitudes.reshape((d,) * len(dense))
-        state = StateVector(d, q, full)
+        state = StateVector(d, q, state.dense, digits)
     return state
 
 
@@ -169,12 +169,21 @@ def _on_axes(op: GateOp, axis: dict[int, int]) -> GateOp:
 
 
 def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:
-    """Exact outcome distribution of ``qudits`` in the given order."""
-    d, q = state.base, state.num_qudits
-    probs = state.probabilities().reshape((d,) * q)
-    kept = len(qudits)
-    moved = np.moveaxis(probs, qudits, range(kept))
-    return moved.reshape(d**kept, -1).sum(axis=1)
+    """Exact outcome distribution of ``qudits`` in the given order.
+
+    Sums squared magnitudes over the dense part only; a measured qudit
+    with a known digit always reads that level.
+    """
+    d, known = state.base, state.digits
+    dense = [qi for qi in range(state.num_qudits) if qi not in known]
+    free = [dense.index(qi) for qi in qudits if qi not in known]
+    probs = (np.abs(state.dense) ** 2).reshape((d,) * len(dense))
+    moved = np.moveaxis(probs, free, range(len(free)))
+    summed = moved.reshape(d ** len(free), -1).sum(axis=1)
+    marginal = np.zeros((d,) * len(qudits))
+    index = tuple(known.get(qi, slice(None)) for qi in qudits)
+    marginal[index] = summed.reshape((d,) * len(free))
+    return marginal.reshape(-1)
 
 
 def measure(

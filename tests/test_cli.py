@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qftadd
+from qftadd import (
+    AdderSpec,
+    Mode,
+    classical_oracle,
+    cli,
+    parse_digit_text,
+    required_ancillas,
+)
 from qftadd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -123,6 +135,56 @@ def test_validation_failures_name_the_flag(capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 2, args
         assert flag in err, (args, err)
+
+
+def test_size_checked_before_building(capsys, monkeypatch):
+    # building 2 inputs of 600 digits takes seconds; the guard must not wait
+    def refuse(spec):
+        raise AssertionError("the circuit was built")
+
+    monkeypatch.setattr(cli, "build_full_adder", refuse)
+    for command in ("add", "sub"):
+        code, _, err = run_cli(
+            [command, "--base", "2", "--digits", "600", "--inputs", "1,1"], capsys
+        )
+        assert code == 2
+        assert "--digits/--inputs" in err and "amplitudes" in err
+
+
+@st.composite
+def _small_specs(draw):
+    """An adder of d in 2..16, n in 1..3 and N in 1..5 with d**q <= 2**16."""
+    d = draw(st.integers(2, 16))
+    designs = [
+        (n, count)
+        for n in range(1, 4)
+        for count in range(1, 6)
+        if d ** (required_ancillas(count, d) + count * n) <= 2**16
+    ]
+    n, count = draw(st.sampled_from(designs))
+    mode = draw(st.sampled_from(Mode))
+    inputs = draw(st.lists(st.integers(0, d**n - 1), min_size=count, max_size=count))
+    return AdderSpec(d, n, count, mode, tuple(inputs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs())
+def test_add_sub_print_the_oracle_for_any_base(spec):
+    argv = [spec.mode.value, "--base", str(spec.base),
+            "--digits", str(spec.digits_per_input),
+            "--inputs", ",".join(map(str, spec.inputs)), "--shots", "32"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    *body, last = out.getvalue().strip().split("\n")
+    result, value = last.split()
+    assert value == f"value={classical_oracle(spec)}"
+    payload = json.loads("\n".join(body))
+    assert result.removeprefix("result=") in payload["counts"]
+    assert payload["base"] == spec.base
+    assert sum(payload["counts"].values()) == 32
+    for key in payload["counts"]:
+        assert parse_digit_text(key, spec.base).width == spec.result_width
 
 
 def test_gate_count_plain(capsys):

@@ -90,6 +90,28 @@ def test_state_vector_validation():
     assert state.norm_error() < 1e-12
 
 
+def test_state_vector_with_digits():
+    # three base-3 qudits: qudit 1 holds digit 2, qudits 0 and 2 are dense
+    dense = np.zeros(9)
+    dense[1 * 3 + 1] = 1  # qudits 0 and 2 at level 1
+    state = StateVector(3, 3, dense, {1: 2})
+    assert state.norm_error() < 1e-12
+    full = state.amplitudes
+    assert full.shape == (27,) and not full.flags.writeable
+    assert full[1 * 9 + 2 * 3 + 1] == 1 and np.count_nonzero(full) == 1
+    assert state.probabilities()[1 * 9 + 2 * 3 + 1] == 1
+    with pytest.raises(ValueError):
+        StateVector(3, 3, np.zeros(27), {1: 2})  # dense part sized for 3 qudits
+    with pytest.raises(ValueError):
+        StateVector(3, 3, dense, {3: 0})
+    with pytest.raises(ValueError):
+        StateVector(3, 3, dense, {1: 3})
+    # assigning the full vector makes the state plain dense
+    state.amplitudes = full.copy()
+    assert state.digits == {} and state.amplitudes.flags.writeable
+    assert state.dense.shape == (27,)
+
+
 def test_basis_state_indexing():
     layout = RegisterLayout(2, (("anc", 2), ("a0", 2)))
     state = basis_state(layout, [DigitString(2, (0, 1)), DigitString(2, (1, 0))])

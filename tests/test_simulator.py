@@ -19,6 +19,7 @@ from qftadd import (
     build_full_adder,
     build_qft,
     execute,
+    from_integer,
     histogram_to_json,
     measure,
     required_ancillas,
@@ -204,11 +205,38 @@ def test_adder_histogram_with_noise_keeps_majority():
     assert hist.counts["1000"] > 4096 // 2
 
 
-def _assert_matches_dense(circuit):
+def _assert_matches_dense(circuit, selections):
+    """The factored result of ``execute`` against the dense reference.
+
+    Returns the factored state after checking its full vector, its
+    histograms on each selection, ``copy`` and its use as ``initial``.
+    """
     reduced = execute(circuit)
     dense = execute(circuit, zero_state(circuit.layout))
     assert reduced.num_qudits == circuit.layout.total_qudits
+    full = reduced.amplitudes
+    assert np.max(np.abs(full - dense.amplitudes)) <= 1e-12
+    if reduced.digits:
+        assert not full.flags.writeable
+        assert reduced.amplitudes is not full  # built anew, not cached
+    noise = NoiseConfig(0.1, seed=3)
+    for qudits in selections:
+        assert measure(reduced, qudits, 64, noise) == measure(dense, qudits, 64, noise)
+    # a copy keeps the digits and shares nothing with the original
+    twin = reduced.copy()
+    digits = dict(reduced.digits)
+    assert twin.digits == digits
+    twin.dense[:] = 0
+    twin.digits.clear()
+    assert reduced.digits == digits
     assert np.max(np.abs(reduced.amplitudes - dense.amplitudes)) <= 1e-12
+    # a state with digits as ``initial`` is made dense, updated and returned
+    again = reduced.copy()
+    assert execute(circuit, again) is again
+    assert not again.digits
+    rerun = execute(circuit, dense.copy())
+    assert np.max(np.abs(again.amplitudes - rerun.amplitudes)) <= 1e-12
+    return reduced
 
 
 def test_execute_digit_tracking_matches_dense_on_adders():
@@ -223,7 +251,19 @@ def test_execute_digit_tracking_matches_dense_on_adders():
                 for mode in Mode:
                     inputs = tuple(int(rng.integers(0, d**n)) for _ in range(count))
                     spec = AdderSpec(d, n, count, mode, inputs)
-                    _assert_matches_dense(build_full_adder(spec))
+                    layout = spec.layout
+                    last = layout.total_qudits - 1
+                    selections = [range(spec.result_width), sorted({last, 0}, reverse=True)]
+                    if count > 1:
+                        selections.append(layout.register_named("a1"))
+                    state = _assert_matches_dense(build_full_adder(spec), selections)
+                    # the inputs a1.. are the tracked digits, the span is dense
+                    tracked = set(range(layout.register_start(2), last + 1))
+                    assert set(state.digits) == tracked
+                    if count > 1:
+                        a1 = measure(state, layout.register_named("a1"), 16)
+                        want = from_integer(inputs[1], d, n).to_string()
+                        assert a1.counts == {want: 16}
                     checked += 1
     assert checked == 188
 
@@ -251,11 +291,16 @@ def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
         GateOp(GateKind.HADAMARD, (0,), dagger=True),
     )
     circuit = Circuit(d, layout, ops)
-    _assert_matches_dense(circuit)
-    state = execute(circuit)
+    state = _assert_matches_dense(circuit, [[5, 0, 3], [2, 4], [3]])
     # the known digits (qudit 3 at 1, qudit 5 at 1) hold the whole weight
     probs = state.probabilities().reshape((d,) * 6)
     assert probs[:, 0, :, 1, :, 1].sum() == pytest.approx(1.0, abs=1e-12)
+    # as ``initial``, that state takes an in-place CPHASE as its first op
+    phase = Circuit(d, layout, (GateOp(GateKind.CPHASE, (0, 4), theta=0.6),))
+    again = execute(phase, state.copy())
+    want = execute(phase, StateVector(d, 6, state.amplitudes.copy()))
+    assert not again.digits
+    assert np.max(np.abs(again.amplitudes - want.amplitudes)) <= 1e-12
 
 
 def test_size_limits_fail_before_allocating():
