@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -153,9 +154,8 @@ class StateVector:
     state.
 
     ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
-    each read builds it anew, subject to ``MAX_AMPLITUDES``, and returns
-    it read-only.  Assigning it makes the state plain dense; gate
-    application rebinds it in place.
+    each read builds it anew with :meth:`widened`, and returns it
+    read-only.
     """
 
     base: int
@@ -184,18 +184,25 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         if not self.digits:
             return self.dense
-        d, q = self.base, self.num_qudits
-        _check_size(d, q)
-        full = np.zeros(d**q, dtype=np.complex128)
-        index = tuple(self.digits.get(qi, slice(None)) for qi in range(q))
-        full.reshape((d,) * q)[index] = self.dense.reshape((d,) * (q - len(self.digits)))
+        full = self.widened(self.digits)
         full.flags.writeable = False
         return full
 
-    @amplitudes.setter
-    def amplitudes(self, value: np.ndarray) -> None:
-        self.digits = {}
-        self.dense = value
+    def widened(self, qudits: Iterable[int]) -> np.ndarray:
+        """The dense buffer widened by the digit qudits ``qudits``, each at its digit.
+
+        With no ``qudits`` this is ``dense`` itself; otherwise a new buffer,
+        whose size is checked against ``MAX_AMPLITUDES`` before allocating.
+        """
+        d, placed = self.base, {qi: self.digits[qi] for qi in qudits}
+        if not placed:
+            return self.dense
+        kept = [qi for qi in range(self.num_qudits) if qi in placed or qi not in self.digits]
+        _check_size(d, len(kept))
+        full = np.zeros((d,) * len(kept), dtype=np.complex128)
+        index = tuple(placed.get(qi, slice(None)) for qi in kept)
+        full[index] = self.dense.reshape((d,) * (len(kept) - len(placed)))
+        return full.reshape(-1)
 
     @property
     def dim(self) -> int:

@@ -1,24 +1,26 @@
-"""Gate kernels for d-level systems: one state-vector update per gate kind.
+"""Gate kernels for d-level systems on bare amplitude arrays.
 
-The generalized Hadamard is the d-point discrete Fourier matrix with
-positive-exponent convention; the controlled phase gate is diagonal with
-entry ``exp(i*theta*j*m)`` for control level j and target level m.  Each
-kind updates the amplitude buffer through a reshaped view of at most
-five axes, never by forming the full ``d**q x d**q`` operator or a
-dense two-qudit matrix.  CPHASE multiplies in place; HADAMARD, SHIFT and
-SWAP write one new buffer, so a gate holds at most two states at once.
-
-Ops arrive checked: ``GateOp`` fixes arity and distinct qudits,
-``Circuit`` bounds them by its layout, and ``execute`` matches the state
-to the circuit.  The kernels repeat none of those checks.
+Each kernel takes ``psi``, the ``d**m`` amplitudes of ``m`` qudits in
+increasing qudit order (in ``execute``, the dense part of a state), and
+the positions of its targets in it; it repeats none of the checks that
+``GateOp``, ``Circuit`` and ``execute`` make.  Each works on a reshaped
+view of at most five axes, never on a ``d**m x d**m`` operator.
+:func:`phase` scales in place and covers every CPHASE, the diagonal
+``exp(i*theta*x*y)``, with two, one or no dense ends.  HADAMARD (the
+d-point DFT), SHIFT and SWAP return one new buffer, so a gate holds at
+most two vectors at once.  The Hadamard keeps two forms, picked from the
+shape: summed over every target at d=2, the batched ``d x d`` product
+alone took 2.8x as long as the pair on 2**20 amplitudes and 4.0x on
+2**14, and ``einsum`` 3.2x and 3.5x.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .circuit import GateKind, GateOp
-from .core import StateVector
 
 # Above this many columns the block-diagonal Hadamard costs more flops
 # than a batched d x d product saves in per-batch overhead (measured at
@@ -50,37 +52,31 @@ def _hadamard(psi: np.ndarray, d: int, lead: int, trail: int, dagger: bool) -> n
     return np.matmul(dft, psi.reshape(lead, d, trail))
 
 
-def apply_op(state: StateVector, op: GateOp) -> None:
-    """Apply one gate to ``state``, rebinding its amplitude buffer."""
-    d, q = state.base, state.num_qudits
-    psi = state.amplitudes
-    if op.kind is GateKind.CPHASE or op.kind is GateKind.SWAP:
-        a, b = sorted(op.qudits)
-        view = psi.reshape(d**a, d, d ** (b - a - 1), d, d ** (q - b - 1))
-        if op.kind is GateKind.SWAP:
-            psi = np.ascontiguousarray(view.swapaxes(1, 3))
-        else:
-            # exp(i*theta*j*m) is symmetric in (j, m): qudit order is free
-            levels = np.arange(d)
-            table = np.exp(1j * op.theta * np.outer(levels, levels))
-            view *= table[:, None, :, None]
-            psi = view
-    else:
-        (t,) = op.qudits
-        lead, trail = d**t, d ** (q - t - 1)
-        if op.kind is GateKind.HADAMARD:
-            psi = _hadamard(psi, d, lead, trail, op.dagger)
-        else:  # SHIFT: |m> -> |(m + k) mod d>
-            psi = np.roll(psi.reshape(lead, d, trail), op.k, axis=1)
-    state.amplitudes = psi.reshape(-1)
+def apply_op(psi: np.ndarray, d: int, m: int, op: GateOp, axes: Sequence[int]) -> np.ndarray:
+    """Apply a HADAMARD, SHIFT or SWAP on ``axes`` of psi; returns a new vector."""
+    if op.kind is GateKind.SWAP:
+        a, b = sorted(axes)
+        view = psi.reshape(d**a, d, d ** (b - a - 1), d, d ** (m - b - 1))
+        return np.ascontiguousarray(view.swapaxes(1, 3)).reshape(-1)
+    (t,) = axes
+    lead, trail = d**t, d ** (m - t - 1)
+    if op.kind is GateKind.HADAMARD:
+        return _hadamard(psi, d, lead, trail, op.dagger).reshape(-1)
+    # SHIFT: |j> -> |(j + k) mod d>
+    return np.roll(psi.reshape(lead, d, trail), op.k, axis=1).reshape(-1)
 
 
-def _phase(state: StateVector, t: int, phases: np.ndarray) -> None:
-    """Scale, in place, the amplitudes with qudit ``t`` at level m by ``phases[m]``.
+def phase(psi: np.ndarray, d: int, m: int, axes: Sequence[int], table: np.ndarray) -> None:
+    """Scale psi in place by ``table[x, y, ...]`` at levels x, y, ... on ``axes``.
 
-    A CPHASE whose other end holds a known digit j is this one-qudit
-    diagonal with ``phases[m] = exp(i*theta*j*m)``.
+    ``table`` holds ``d**len(axes)`` entries in any shape, one for a global
+    phase; with two axes it must be symmetric, as ``exp(i*theta*x*y)`` is.
+    psi is one-dimensional, so its reshape is a view at any stride and the
+    product writes through.
     """
-    d, q = state.base, state.num_qudits
-    view = state.amplitudes.reshape(d**t, d, d ** (q - t - 1))
-    view *= phases[:, None]
+    shape, start = [], 0
+    for ax in sorted(axes):
+        shape += [d ** (ax - start), d]
+        start = ax + 1
+    view = psi.reshape(*shape, d ** (m - start))
+    view *= table.reshape((d, 1) * len(axes))

@@ -9,23 +9,14 @@ NoiseConfig, making every histogram reproducible bit for bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp
-from .core import (
-    RegisterLayout,
-    StateVector,
-    _check_size,
-    from_integer,
-    parse_digit_text,
-    to_integer,
-    zero_state,
-)
-from .gates import _phase, apply_op
+from .circuit import Circuit, GateKind
+from .core import StateVector, _check_size, from_integer, parse_digit_text, to_integer
+from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
 # the only kinds that take a qudit out of the computational basis
@@ -99,73 +90,57 @@ class Histogram:
 
 
 def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit's ops in order; returns the final state.
+    """Apply the circuit's ops in order to ``initial``, updating and returning it.
 
-    The default initial state is all-zero on the circuit's layout.  From
-    there a qudit that no HADAMARD or SWAP touches never leaves the
-    computational basis, so it is tracked as a digit: a SHIFT adds to
-    it, and a CPHASE whose end holds digit j becomes the one-qudit phase
-    ``exp(i*theta*j*m)`` on its other end, or a global phase when both
-    ends hold digits.  The gate kernels run on a dense vector over the
-    remaining qudits, and the returned state is that vector plus the
-    digits.  Given ``initial``, that state is made plain dense if it has
-    digits, then updated and returned, and every qudit is dense, so
-    ``execute(circuit, zero_state(circuit.layout))`` is the dense
-    reference for the default path.
+    The default start is all-zero, held as one tracked digit per qudit.  A
+    digit stays tracked unless a HADAMARD or SWAP in the circuit touches
+    its qudit; those are widened into the dense part before the first op.
+    A SHIFT adds to a digit, and a CPHASE is the diagonal
+    ``exp(i*theta*x*y)`` with x or y fixed at each tracked end.  So for an
+    adder the kernels touch only the ``d**(t+n)`` amplitudes of the Fourier
+    span.  A dense ``initial`` such as ``zero_state(circuit.layout)`` keeps
+    every qudit dense: the tests' reference for the default start.
 
-    Raises ValueError, before allocating, if the full state would exceed
-    ``core.MAX_AMPLITUDES``, and RuntimeError if the final norm drifts
-    from 1 by more than 1e-9, which would mean a broken gate rather than
-    user error.
+    Raises ValueError, before allocating, if the default start's full
+    state or the widened dense part exceeds ``core.MAX_AMPLITUDES``, and
+    RuntimeError if the final norm drifts from 1 by more than 1e-9, which
+    would mean a broken gate rather than user error.
     """
     d, q = circuit.base, circuit.layout.total_qudits
     if initial is None:
         _check_size(d, q)
-        mixed = {qi for op in circuit.ops if op.kind in _MIXING for qi in op.qudits}
-        digits = {qi: 0 for qi in range(q) if qi not in mixed}
-        state = zero_state(RegisterLayout(d, (("dense", q - len(digits)),)))
-    else:
-        state = initial
-        if state.base != d:
-            raise ValueError(f"state base {state.base} != circuit base {d}")
-        if state.num_qudits != q:
-            raise ValueError(
-                f"state has {state.num_qudits} qudits, circuit layout has {q}"
-            )
-        if state.digits:
-            state.amplitudes = state.amplitudes.copy()
-        digits = {}
-    dense = [qi for qi in range(q) if qi not in digits]
-    axis = {qi: i for i, qi in enumerate(dense)}
+        initial = StateVector(d, q, np.ones(1), dict.fromkeys(range(q), 0))
+    state = initial
+    if state.base != d:
+        raise ValueError(f"state base {state.base} != circuit base {d}")
+    if state.num_qudits != q:
+        raise ValueError(f"state has {state.num_qudits} qudits, circuit layout has {q}")
+    mixed = {qi for op in circuit.ops if op.kind in _MIXING for qi in op.qudits}
+    # the state always holds the current vector, so a gate holds two at most
+    psi = state.dense = state.widened(mixed & state.digits.keys())
+    digits = state.digits = {qi: v for qi, v in state.digits.items() if qi not in mixed}
+    axis = {qi: i for i, qi in enumerate(qi for qi in range(q) if qi not in digits)}
+    m, levels = len(axis), np.arange(d)
+    column = levels[:, None]
     for op in circuit.ops:
-        known = [qi for qi in op.qudits if qi in digits]
-        if not known:
-            apply_op(state, _on_axes(op, axis))
-        elif op.kind is GateKind.SHIFT:
-            digits[op.qudits[0]] = (digits[op.qudits[0]] + op.k) % d
-        else:  # CPHASE with one or both digits known
-            j = math.prod(digits[qi] for qi in known)
-            if j == 0:
+        if op.kind is GateKind.CPHASE:
+            a, b = op.qudits
+            x, y = digits.get(a), digits.get(b)
+            if x == 0 or y == 0:  # a tracked end at level 0: identity
                 continue
-            if len(known) == 2:
-                state.amplitudes *= np.exp(1j * op.theta * j)
-            else:
-                (other,) = (qi for qi in op.qudits if qi not in digits)
-                _phase(state, axis[other], np.exp(1j * op.theta * (j * np.arange(d))))
+            # x*y broadcasts to the levels of each dense end
+            x = column if x is None else x
+            y = levels if y is None else y
+            axes = [axis[qi] for qi in op.qudits if qi in axis]
+            phase(psi, d, m, axes, np.exp(1j * op.theta * x * y))
+        elif op.qudits[0] in digits:  # a SHIFT on a tracked digit
+            digits[op.qudits[0]] = (digits[op.qudits[0]] + op.k) % d
+        else:
+            psi = state.dense = apply_op(psi, d, m, op, [axis[qi] for qi in op.qudits])
     drift = state.norm_error()
     if not drift <= FINAL_NORM_ATOL:
         raise RuntimeError(f"final state norm off by {drift:.3e}")
-    if digits:
-        state = StateVector(d, q, state.dense, digits)
     return state
-
-
-def _on_axes(op: GateOp, axis: dict[int, int]) -> GateOp:
-    """``op`` with each qudit renumbered to its axis in the dense vector."""
-    qudits = tuple(axis[qi] for qi in op.qudits)
-    if qudits == op.qudits:
-        return op
-    return GateOp(op.kind, qudits, op.theta, op.k, op.dagger)
 
 
 def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:

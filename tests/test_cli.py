@@ -151,6 +151,27 @@ def test_size_checked_before_building(capsys, monkeypatch):
         assert "--digits/--inputs" in err and "amplitudes" in err
 
 
+def test_op_count_checked_before_building(capsys, monkeypatch):
+    # 2 inputs of 300 digits make about 137k ops, over cli.MAX_OPS
+    def refuse(*args):
+        raise AssertionError("the circuit was built")
+
+    monkeypatch.setattr(cli, "build_full_adder", refuse)
+    monkeypatch.setattr(cli, "resource_report", refuse)
+    for args in (
+        ["export-circuit", "--base", "2", "--digits", "300", "--inputs", "1,1"],
+        ["gate-count", "--base", "2", "--digits", "300", "--num-inputs", "2", "--verify"],
+    ):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert "--digits" in err and f"limit of {cli.MAX_OPS}" in err, err
+    # without --verify the closed form alone runs, at any size
+    code, out, _ = run_cli(
+        ["gate-count", "--base", "2", "--digits", "300", "--num-inputs", "2"], capsys
+    )
+    assert code == 0 and out.startswith("formula=")
+
+
 @st.composite
 def _small_specs(draw):
     """An adder of d in 2..16, n in 1..3 and N in 1..5 with d**q <= 2**16."""

@@ -106,10 +106,11 @@ def test_state_vector_with_digits():
         StateVector(3, 3, dense, {3: 0})
     with pytest.raises(ValueError):
         StateVector(3, 3, dense, {1: 3})
-    # assigning the full vector makes the state plain dense
-    state.amplitudes = full.copy()
-    assert state.digits == {} and state.amplitudes.flags.writeable
-    assert state.dense.shape == (27,)
+    # widening builds a new buffer and leaves the state's digits as they are
+    wide = state.widened([1])
+    assert wide.flags.writeable and np.array_equal(wide, full)
+    assert state.widened([]) is state.dense
+    assert state.digits == {1: 2} and state.dense.shape == (9,)
 
 
 def test_basis_state_indexing():

@@ -230,10 +230,11 @@ def _assert_matches_dense(circuit, selections):
     twin.digits.clear()
     assert reduced.digits == digits
     assert np.max(np.abs(reduced.amplitudes - dense.amplitudes)) <= 1e-12
-    # a state with digits as ``initial`` is made dense, updated and returned
+    # a state with digits as ``initial`` is updated and returned; the
+    # circuit's HADAMARDs and SWAPs touch no digit of it, so all stay tracked
     again = reduced.copy()
     assert execute(circuit, again) is again
-    assert not again.digits
+    assert again.digits.keys() == digits.keys()
     rerun = execute(circuit, dense.copy())
     assert np.max(np.abs(again.amplitudes - rerun.amplitudes)) <= 1e-12
     return reduced
@@ -299,8 +300,44 @@ def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
     phase = Circuit(d, layout, (GateOp(GateKind.CPHASE, (0, 4), theta=0.6),))
     again = execute(phase, state.copy())
     want = execute(phase, StateVector(d, 6, state.amplitudes.copy()))
-    assert not again.digits
+    assert again.digits == state.digits
     assert np.max(np.abs(again.amplitudes - want.amplitudes)) <= 1e-12
+
+
+def test_execute_widens_only_the_digits_it_mixes():
+    # a factored ``initial``: qudits 1 and 3 dense, 0, 2 and 4 tracked
+    d = 3
+    layout = RegisterLayout(d, (("r", 5),))
+    rng = np.random.default_rng(5)
+    part = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    factored = StateVector(d, 5, part / np.linalg.norm(part), {0: 2, 2: 1, 4: 0})
+    dense = StateVector(d, 5, factored.amplitudes.copy())
+    ops = (
+        GateOp(GateKind.HADAMARD, (2,)),  # widens tracked qudit 2
+        GateOp(GateKind.CPHASE, (0, 2), theta=0.8),
+        GateOp(GateKind.CPHASE, (1, 4), theta=0.5),
+        GateOp(GateKind.SHIFT, (4,), k=2),
+        GateOp(GateKind.CPHASE, (3, 4), theta=1.3),
+        GateOp(GateKind.CPHASE, (0, 4), theta=0.4),  # both tracked: global phase
+        GateOp(GateKind.HADAMARD, (1,), dagger=True),
+    )
+    circuit = Circuit(d, layout, ops)
+    assert execute(circuit, factored) is factored
+    assert factored.digits == {0: 2, 4: 2}
+    assert factored.dense.shape == (d**3,)
+    want = execute(circuit, dense).amplitudes
+    assert np.max(np.abs(factored.amplitudes - want)) <= 1e-12
+
+
+def test_widening_over_the_limit_fails_before_allocating():
+    # 40 tracked qubits hold one amplitude; HADAMARDs on all of them would
+    # need 2**40
+    layout = RegisterLayout(2, (("r", 40),))
+    state = StateVector(2, 40, np.ones(1), dict.fromkeys(range(40), 0))
+    ops = tuple(GateOp(GateKind.HADAMARD, (qi,)) for qi in range(40))
+    with pytest.raises(ValueError, match=r"2\*\*40 amplitudes"):
+        execute(Circuit(2, layout, ops), state)
+    assert len(state.digits) == 40 and state.dense.shape == (1,)
 
 
 def test_size_limits_fail_before_allocating():
