@@ -3,13 +3,21 @@
 Thin shell over the library; every behavior here is reachable through
 plain function calls.  Exit codes: 0 success, 2 flag validation error
 (message names the offending flag), 1 internal failure.
+
+The library owns its checks.  The CLI re-raises a ValueError from a
+library call, or from ``int()`` on a token, as an error naming the flag
+or flags fed to that call.  It checks only what the library cannot: the
+``--inputs-base`` radix, ``--shots`` before simulating, and, before
+building, the span size and the op count, since building alone takes
+time that grows as digits squared.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
 from .circuit import circuit_to_json, circuit_to_qasm, circuit_to_text
@@ -18,14 +26,24 @@ from .resources import gate_count_formula, resource_report, sweep, sweep_to_csv
 from .simulator import NoiseConfig, execute, histogram_to_json, measure
 
 
-# Most ops ``export-circuit`` and ``gate-count --verify`` may build.  The op
-# count grows as digits squared: two 200-digit qubit inputs make 61,102 ops,
-# exported in 1.9 s and 117 MB.  The largest benchmarked export has 15,144.
+# Most ops ``add``, ``sub``, ``export-circuit`` and ``gate-count --verify``
+# may build.  The op count grows as digits squared: two 200-digit qubit
+# inputs make 61,102 ops, exported in 1.9 s and 117 MB.  The largest
+# benchmarked export has 15,144.
 MAX_OPS = 2**17
 
 
 class CliError(Exception):
     """Validation failure attributable to a specific flag."""
+
+
+@contextlib.contextmanager
+def _flag(name: str) -> Iterator[None]:
+    """Re-raise a library ValueError as a CliError naming ``name``."""
+    try:
+        yield
+    except ValueError as err:
+        raise CliError(f"{name}: {err}") from None
 
 
 def _write_artifact(text: str, output: str) -> None:
@@ -38,58 +56,25 @@ def _write_artifact(text: str, output: str) -> None:
 
 def _parse_inputs(args: argparse.Namespace) -> tuple[int, ...]:
     radix = args.inputs_base
-    if not 2 <= radix <= 36:
+    if not 2 <= radix <= 36:  # int() would read radix 0 as "guess"
         raise CliError(f"--inputs-base: must be in [2, 36], got {radix}")
-    tokens = [tok.strip() for tok in args.inputs.split(",") if tok.strip()]
-    if not tokens:
-        raise CliError("--inputs: at least one value required")
-    values = []
-    for tok in tokens:
-        try:
-            value = int(tok, radix)
-        except ValueError:
-            raise CliError(
-                f"--inputs: cannot parse {tok!r} as a base-{radix} integer"
-            ) from None
-        if value < 0:
-            raise CliError(f"--inputs: value {tok!r} is negative")
-        values.append(value)
-    return tuple(values)
-
-
-def _check_sizes(args: argparse.Namespace) -> None:
-    if args.base < 2:
-        raise CliError(f"--base: must be >= 2, got {args.base}")
-    if args.digits < 1:
-        raise CliError(f"--digits: must be >= 1, got {args.digits}")
+    with _flag("--inputs"):
+        return tuple(int(tok, radix) for tok in args.inputs.split(",") if tok.strip())
 
 
 def _check_ops(base: int, digits: int, num_inputs: int) -> None:
-    """Refuse, before building, a circuit that may hold over MAX_OPS ops."""
+    """Raise ValueError, before building, if the circuit may hold over MAX_OPS ops."""
     ops = gate_count_formula(digits, num_inputs, required_ancillas(num_inputs, base))
     # the formula leaves out SHIFTs, at most one per input digit
     ops += num_inputs * digits
     if ops > MAX_OPS:
-        raise CliError(f"--digits: the circuit may need {ops} ops, over the limit of {MAX_OPS}")
+        raise ValueError(f"the circuit may need {ops} ops, over the limit of {MAX_OPS}")
 
 
 def _build_spec(args: argparse.Namespace, mode: Mode) -> AdderSpec:
-    _check_sizes(args)
     inputs = _parse_inputs(args)
-    limit = args.base**args.digits
-    for value in inputs:
-        if value >= limit:
-            raise CliError(
-                f"--inputs: value {value} does not fit in {args.digits} "
-                f"base-{args.base} digit(s)"
-            )
-    return AdderSpec(
-        base=args.base,
-        digits_per_input=args.digits,
-        num_inputs=len(inputs),
-        mode=mode,
-        inputs=inputs,
-    )
+    with _flag("--base/--digits/--inputs"):
+        return AdderSpec(args.base, args.digits, len(inputs), mode, inputs)
 
 
 def _run_add_sub(args: argparse.Namespace) -> int:
@@ -97,20 +82,16 @@ def _run_add_sub(args: argparse.Namespace) -> int:
     spec = _build_spec(args, mode)
     if args.shots < 1:
         raise CliError(f"--shots: must be >= 1, got {args.shots}")
-    if not 0.0 <= args.noise <= 1.0:
-        raise CliError(f"--noise: must be in [0, 1], got {args.noise}")
-    if not 0 <= args.seed < 2**64:
-        raise CliError(f"--seed: must fit in 64 unsigned bits, got {args.seed}")
-    try:  # before building, whose op count grows as digits squared
-        _check_size(spec.base, spec.layout.total_qudits)
-    except ValueError as err:  # the state is over the amplitude limit
-        raise CliError(f"--digits/--inputs: {err}") from None
+    with _flag("--noise/--seed"):
+        noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
+    # before building, whose op count grows as digits squared; execute
+    # widens only the span, the measured register
+    with _flag("--digits/--inputs"):
+        _check_size(spec.base, spec.result_width)
+        _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
     state = execute(build_full_adder(spec))
-    noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
-    try:
+    with _flag("--shots"):
         histogram = measure(state, range(spec.result_width), args.shots, noise)
-    except ValueError as err:  # the shots are over the digit limit
-        raise CliError(f"--shots: {err}") from None
     _write_artifact(histogram_to_json(histogram), args.output)
     top = histogram.top_outcome()
     value = to_integer(parse_digit_text(top, spec.base))
@@ -119,13 +100,13 @@ def _run_add_sub(args: argparse.Namespace) -> int:
 
 
 def _run_gate_count(args: argparse.Namespace) -> int:
-    _check_sizes(args)
-    if args.num_inputs < 1:
-        raise CliError(f"--num-inputs: must be >= 1, got {args.num_inputs}")
-    t = required_ancillas(args.num_inputs, args.base)
-    formula = gate_count_formula(args.digits, args.num_inputs, t)
+    with _flag("--base/--num-inputs"):
+        t = required_ancillas(args.num_inputs, args.base)
+    with _flag("--digits"):
+        formula = gate_count_formula(args.digits, args.num_inputs, t)
     if args.verify:
-        _check_ops(args.base, args.digits, args.num_inputs)
+        with _flag("--digits/--num-inputs"):
+            _check_ops(args.base, args.digits, args.num_inputs)
         report = resource_report(args.base, args.digits, args.num_inputs)
         verdict = "MATCH" if report.reconciled else "MISMATCH"
         print(f"formula={formula} tally={report.tally_count} {verdict}")
@@ -135,17 +116,10 @@ def _run_gate_count(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    try:
+    with _flag("--bases"):
         bases = [int(tok) for tok in args.bases.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"--bases: cannot parse {args.bases!r}") from None
-    if not bases:
-        raise CliError("--bases: at least one base required")
-    if any(d < 2 for d in bases):
-        raise CliError(f"--bases: every base must be >= 2, got {args.bases!r}")
-    if args.max_capacity < 1:
-        raise CliError(f"--max-capacity: must be >= 1, got {args.max_capacity}")
-    rows = sweep(bases, args.max_capacity)
+    with _flag("--bases/--max-capacity"):
+        rows = sweep(bases, args.max_capacity)
     _write_artifact(sweep_to_csv(rows), args.output)
     return 0
 
@@ -153,14 +127,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_export_circuit(args: argparse.Namespace) -> int:
     mode = Mode.ADD if args.mode == "add" else Mode.SUB
     spec = _build_spec(args, mode)
-    _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
+    with _flag("--digits/--inputs"):
+        _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
     circuit = build_full_adder(spec)
     if args.format == "json":
         text = circuit_to_json(circuit)
     elif args.format == "qasm":
-        if spec.base != 2:
-            raise CliError(f"--format: qasm export requires --base 2, got {spec.base}")
-        text = circuit_to_qasm(circuit)
+        with _flag("--format"):
+            text = circuit_to_qasm(circuit)
     else:
         text = circuit_to_text(circuit)
     _write_artifact(text, args.output)

@@ -204,10 +204,6 @@ class StateVector:
         full[index] = self.dense.reshape((d,) * (len(kept) - len(placed)))
         return full.reshape(-1)
 
-    @property
-    def dim(self) -> int:
-        return self.base**self.num_qudits
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 

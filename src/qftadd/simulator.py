@@ -101,14 +101,14 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     span.  A dense ``initial`` such as ``zero_state(circuit.layout)`` keeps
     every qudit dense: the tests' reference for the default start.
 
-    Raises ValueError, before allocating, if the default start's full
-    state or the widened dense part exceeds ``core.MAX_AMPLITUDES``, and
+    Raises ValueError, before the first op and with the state unchanged,
+    if the widened dense part exceeds ``core.MAX_AMPLITUDES``: for an
+    adder's default start that is the span, not the ``d**q`` layout.  Raises
     RuntimeError if the final norm drifts from 1 by more than 1e-9, which
     would mean a broken gate rather than user error.
     """
     d, q = circuit.base, circuit.layout.total_qudits
     if initial is None:
-        _check_size(d, q)
         initial = StateVector(d, q, np.ones(1), dict.fromkeys(range(q), 0))
     state = initial
     if state.base != d:
@@ -172,6 +172,10 @@ def measure(
     Noise, when configured, independently corrupts each sampled digit
     after the ideal draw.  Identical (state, qudits, shots, noise) give
     identical histograms.
+
+    Raises ValueError, before allocating, if ``shots * len(qudits)``
+    exceeds ``MAX_SHOT_DIGITS`` or the ``d**len(qudits)`` marginal exceeds
+    ``core.MAX_AMPLITUDES``.
     """
     qudits = [int(x) for x in qudits]
     if not qudits:
@@ -189,6 +193,7 @@ def measure(
             f"{shots} shots of {width} digit(s) need {shots * width} digits, "
             f"over the limit of {MAX_SHOT_DIGITS}"
         )
+    _check_size(state.base, width)
     if noise is None:
         noise = NoiseConfig()
 

@@ -18,8 +18,10 @@ from qftadd import (
     cli,
     parse_digit_text,
     required_ancillas,
+    resources,
 )
 from qftadd.cli import main
+from qftadd.core import MAX_AMPLITUDES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -113,28 +115,70 @@ def test_noisy_majority(capsys):
 
 
 def test_validation_failures_name_the_flag(capsys):
+    # each case names its flag and the reason the library or int() gave
     cases = [
-        (["add", "--base", "2", "--digits", "2", "--inputs", "5,1"], "--inputs"),
-        (["add", "--base", "1", "--digits", "2", "--inputs", "0"], "--base"),
-        (["add", "--base", "2", "--digits", "0", "--inputs", "0"], "--digits"),
+        (["add", "--base", "2", "--digits", "2", "--inputs", "5,1"], "--inputs",
+         "input 0 is 5"),
+        (["add", "--base", "2", "--digits", "2", "--inputs", "1,-2"], "--inputs",
+         "input 1 is -2"),
+        (["add", "--base", "1", "--digits", "2", "--inputs", "0"], "--base",
+         "base must be"),
+        (["add", "--base", "2", "--digits", "0", "--inputs", "0"], "--digits",
+         "digits_per_input must be"),
         (["add", "--base", "2", "--digits", "1", "--inputs", "1", "--shots", "0"],
-         "--shots"),
+         "--shots", "must be >= 1"),
         (["add", "--base", "2", "--digits", "1", "--inputs", "1", "--noise", "1.5"],
-         "--noise"),
-        (["add", "--base", "2", "--digits", "1", "--inputs", "xy"], "--inputs"),
+         "--noise", "readout_flip_probability must be"),
+        (["add", "--base", "2", "--digits", "1", "--inputs", "1", "--seed", "-1"],
+         "--seed", "seed must fit"),
+        (["add", "--base", "2", "--digits", "1", "--inputs", "xy"], "--inputs",
+         "invalid literal"),
         (["gate-count", "--base", "2", "--digits", "1", "--num-inputs", "0"],
-         "--num-inputs"),
-        (["sweep", "--bases", "2,zz", "--max-capacity", "16"], "--bases"),
-        (["sweep", "--bases", "2", "--max-capacity", "0"], "--max-capacity"),
+         "--num-inputs", "num_inputs must be"),
+        (["sweep", "--bases", "2,zz", "--max-capacity", "16"], "--bases",
+         "invalid literal"),
+        (["sweep", "--bases", "1", "--max-capacity", "16"], "--bases",
+         "base must be >= 2"),
+        (["sweep", "--bases", "2", "--max-capacity", "0"], "--max-capacity",
+         "max_capacity must be"),
         # over the size limits, rejected before the state or samples exist
-        (["add", "--base", "2", "--digits", "20", "--inputs", "1,2,3"], "--digits"),
+        (["add", "--base", "2", "--digits", "30", "--inputs", "1,2,3"], "--digits",
+         "2**32 amplitudes"),
         (["add", "--base", "2", "--digits", "1", "--inputs", "1,1",
-          "--shots", str(2**24)], "--shots"),
+          "--shots", str(2**24)], "--shots", f"{2**25} digits"),
     ]
-    for args, flag in cases:
+    for args, flag, reason in cases:
         code, _, err = run_cli(args, capsys)
         assert code == 2, args
-        assert flag in err, (args, err)
+        assert flag in err and reason in err, (args, err)
+
+
+def test_add_bounds_the_span_not_the_layout(capsys):
+    # 17 base-4 inputs of 2 digits: 37 qudits, but a span of 4**5 amplitudes
+    inputs = tuple(range(16)) + (0,)
+    spec = AdderSpec(4, 2, 17, Mode.ADD, inputs)
+    assert 4**spec.layout.total_qudits > MAX_AMPLITUDES >= 4**spec.result_width
+    code, out, err = run_cli(
+        ["add", "--base", "4", "--digits", "2",
+         "--inputs", ",".join(map(str, inputs)), "--shots", "16"],
+        capsys,
+    )
+    assert code == 0, err
+    assert classical_oracle(spec) == 120
+    assert out.strip().endswith("value=120")
+
+
+def test_sweep_size_checked_before_any_row(capsys, monkeypatch):
+    # 2**40 at base 2 is about 2**40 rows
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(resources, "gate_count_formula", refuse)
+    code, _, err = run_cli(
+        ["sweep", "--bases", "2", "--max-capacity", str(2**40)], capsys
+    )
+    assert code == 2
+    assert "--max-capacity" in err and f"limit of {resources.MAX_SWEEP_ROWS}" in err
 
 
 def test_size_checked_before_building(capsys, monkeypatch):
@@ -172,15 +216,30 @@ def test_op_count_checked_before_building(capsys, monkeypatch):
     assert code == 0 and out.startswith("formula=")
 
 
+def test_add_sub_check_the_op_count_before_building(capsys, monkeypatch):
+    # 2**14 one-digit inputs: a 2**15 span, but about 262k ops
+    def refuse(spec):
+        raise AssertionError("the circuit was built")
+
+    monkeypatch.setattr(cli, "build_full_adder", refuse)
+    inputs = ",".join(["1"] * 2**14)
+    for command in ("add", "sub"):
+        code, _, err = run_cli(
+            [command, "--base", "2", "--digits", "1", "--inputs", inputs], capsys
+        )
+        assert code == 2
+        assert "--digits/--inputs" in err and f"limit of {cli.MAX_OPS}" in err, err
+
+
 @st.composite
 def _small_specs(draw):
-    """An adder of d in 2..16, n in 1..3 and N in 1..5 with d**q <= 2**16."""
+    """An adder of d in 2..16, n in 1..3 and N in 1..5 with a span d**(t+n) <= 2**16."""
     d = draw(st.integers(2, 16))
     designs = [
         (n, count)
         for n in range(1, 4)
         for count in range(1, 6)
-        if d ** (required_ancillas(count, d) + count * n) <= 2**16
+        if d ** (required_ancillas(count, d) + n) <= 2**16
     ]
     n, count = draw(st.sampled_from(designs))
     mode = draw(st.sampled_from(Mode))

@@ -86,7 +86,7 @@ def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector(2, 2, np.zeros(3))
     state = StateVector(2, 2, np.array([1, 0, 0, 0]))
-    assert state.dim == 4
+    assert state.dense.size == 4
     assert state.norm_error() < 1e-12
 
 
@@ -132,4 +132,4 @@ def test_zero_state():
     state = zero_state(layout)
     assert state.amplitudes[0] == 1
     assert np.count_nonzero(state.amplitudes) == 1
-    assert state.dim == 125
+    assert state.amplitudes.size == 125

@@ -8,6 +8,7 @@ from qftadd import (
     gate_count_formula,
     required_ancillas,
     resource_report,
+    resources,
     sweep,
     sweep_to_csv,
 )
@@ -110,6 +111,36 @@ def test_sweep_rejects_bad_bases():
         sweep([], 16)
     with pytest.raises(ValueError):
         sweep([1], 16)
+    with pytest.raises(ValueError, match="max_capacity must be"):
+        sweep([2], 0)
+
+
+def test_sweep_row_count_is_checked_before_any_row(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(resources, "gate_count_formula", refuse)
+    with pytest.raises(ValueError, match=f"limit of {resources.MAX_SWEEP_ROWS}"):
+        sweep([2], 2**40)
+    # the closed-form count at base 2, caps 2**16 and 2**20
+    monkeypatch.setattr(resources, "MAX_SWEEP_ROWS", 0)
+    with pytest.raises(ValueError, match="has 65519 rows"):
+        sweep([2], 2**16)
+    with pytest.raises(ValueError, match="has 1048555 rows"):
+        sweep([2], 2**20)
+
+
+@pytest.mark.parametrize("bases", [[2], [3], [2, 4], [2, 3, 5], [7, 16]])
+def test_sweep_row_count_matches_the_rows(bases, monkeypatch):
+    # the closed-form count is exact: the sweep builds at that limit, not below
+    for cap in [1, 2, 3, 4, 8, 9, 26, 27, 63, 64, 100, 256, 343, 1000, 4096]:
+        rows = len(sweep(bases, cap))
+        monkeypatch.setattr(resources, "MAX_SWEEP_ROWS", rows)
+        assert len(sweep(bases, cap)) == rows
+        monkeypatch.setattr(resources, "MAX_SWEEP_ROWS", rows - 1)
+        with pytest.raises(ValueError, match=f"has {rows} rows"):
+            sweep(bases, cap)
+        monkeypatch.undo()
 
 
 def test_csv_format():

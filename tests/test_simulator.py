@@ -341,12 +341,22 @@ def test_widening_over_the_limit_fails_before_allocating():
 
 
 def test_size_limits_fail_before_allocating():
-    # 62 qubits and 2**25 sampled digits are both rejected before any buffer
-    spec = AdderSpec(2, 20, 3, Mode.ADD, (1, 2, 3))
-    with pytest.raises(ValueError, match=r"2\*\*62 amplitudes"):
+    # a 2**32 span, 92 qubits and 2**25 sampled digits are all rejected
+    # before any buffer
+    spec = AdderSpec(2, 30, 3, Mode.ADD, (1, 2, 3))
+    with pytest.raises(ValueError, match=r"2\*\*32 amplitudes"):
         execute(build_full_adder(spec))
-    with pytest.raises(ValueError, match=r"2\*\*62 amplitudes"):
+    with pytest.raises(ValueError, match=r"2\*\*92 amplitudes"):
         zero_state(spec.layout)
     state = zero_state(RegisterLayout(2, (("r", 2),)))
     with pytest.raises(ValueError, match=f"{2**25} digits"):
         measure(state, [0, 1], shots=2**24)
+
+
+def test_marginal_over_the_limit_fails_before_allocating():
+    # 40 tracked qubits hold one amplitude; their marginal would need 2**40
+    state = StateVector(2, 40, np.ones(1), dict.fromkeys(range(40), 0))
+    with pytest.raises(ValueError, match=r"2\*\*40 amplitudes"):
+        measure(state, range(40), 1)
+    # a 2**20 marginal is within it
+    assert measure(state, range(20), 1).counts == {"0" * 20: 1}
