@@ -21,17 +21,18 @@ from .circuit import GateKind
 def gate_count_formula(n: int, N: int, t: int) -> int:
     """(N+1)*n*((n+1)/2 + t) + t**2 + 2t + n, minus one when t+n is odd.
 
+    n is the digits per input, N the number of inputs, t the ancillas.
     Evaluated in exact rational arithmetic; the half-integer term always
     cancels because n*(n+1) is even, and that is asserted rather than
     rounded away.  The parity correction reflects the lone swap saved
     when reversing an odd-width register.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"digits_per_input must be >= 1, got {n}")
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise ValueError(f"num_inputs must be >= 1, got {N}")
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise ValueError(f"ancillas must be >= 0, got {t}")
     total = (N + 1) * n * (Fraction(n + 1, 2) + t) + t * t + 2 * t + n
     if total.denominator != 1:
         raise ArithmeticError(f"gate count formula not integral: {total}")

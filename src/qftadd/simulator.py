@@ -15,14 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .core import StateVector, _check_size, from_integer, parse_digit_text, to_integer
+from .core import MAX_AMPLITUDES, StateVector, from_integer, parse_digit_text, to_integer
 from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
 # the only kinds that take a qudit out of the computational basis
 _MIXING = frozenset((GateKind.HADAMARD, GateKind.SWAP))
-# Largest shots x width digit array ``measure`` may build.  With noise it
-# holds about four arrays of that shape, 8 bytes per entry: 512 MiB here.
+# Most shots x width digits ``measure`` may sample.  Its arrays are of
+# marginal size, so this bounds the Python work of writing the keys.
 MAX_SHOT_DIGITS = 2**24
 
 
@@ -169,9 +169,11 @@ def measure(
 ) -> Histogram:
     """Sample ``shots`` digit strings from the marginal on ``qudits``.
 
-    Noise, when configured, independently corrupts each sampled digit
-    after the ideal draw.  Identical (state, qudits, shots, noise) give
-    identical histograms.
+    Noise, when configured, is the independent per-digit flip of
+    ``NoiseConfig``: a d x d stochastic matrix applied to the exact marginal
+    along each measured axis.  All shots are then one multinomial draw, so
+    the work is O(width * d**(width+1)) whatever ``shots`` is.  Identical
+    (state, qudits, shots, noise) give identical histograms.
 
     Raises ValueError, before allocating, if ``shots * len(qudits)``
     exceeds ``MAX_SHOT_DIGITS`` or the ``d**len(qudits)`` marginal exceeds
@@ -193,37 +195,32 @@ def measure(
             f"{shots} shots of {width} digit(s) need {shots * width} digits, "
             f"over the limit of {MAX_SHOT_DIGITS}"
         )
-    _check_size(state.base, width)
+    d = state.base
+    if d**width > MAX_AMPLITUDES:
+        raise ValueError(
+            f"{width} measured base-{d} qudits need a marginal the size of "
+            f"{d}**{width} amplitudes, over the limit of {MAX_AMPLITUDES}"
+        )
     if noise is None:
         noise = NoiseConfig()
 
-    d = state.base
     marginal = _marginal(state, qudits)
     total = float(marginal.sum())
     if not abs(total - 1.0) <= FINAL_NORM_ATOL:
         raise RuntimeError(f"marginal probabilities sum to {total!r}")
     marginal = marginal / total
-
-    rng = np.random.default_rng(noise.seed)
-    outcomes = rng.choice(marginal.size, size=shots, p=marginal)
-
-    digits = np.empty((shots, width), dtype=np.int64)
-    rest = outcomes
-    for pos in range(width - 1, -1, -1):
-        digits[:, pos] = rest % d
-        rest = rest // d
-
     p = noise.readout_flip_probability
     if p > 0.0:
-        flips = rng.random((shots, width)) < p
-        offsets = rng.integers(1, d, size=(shots, width))
-        digits = np.where(flips, (digits + offsets) % d, digits)
-
-    weights = d ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    values, tallies = np.unique(digits @ weights, return_counts=True)
+        channel = np.full((d, d), p / (d - 1))
+        np.fill_diagonal(channel, 1.0 - p)
+        probs = marginal.reshape((d,) * width)
+        for ax in range(width):
+            probs = np.moveaxis(np.tensordot(channel, probs, axes=(1, ax)), 0, ax)
+        marginal = probs.reshape(-1) / probs.sum()
+    tallies = np.random.default_rng(noise.seed).multinomial(shots, marginal)
     counts = {
-        from_integer(int(v), d, width).to_string(): int(c)
-        for v, c in zip(values, tallies)
+        from_integer(int(v), d, width).to_string(): int(tallies[v])
+        for v in np.flatnonzero(tallies)
     }
     return Histogram(base=d, shots=shots, counts=counts)
 

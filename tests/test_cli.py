@@ -135,6 +135,8 @@ def test_validation_failures_name_the_flag(capsys):
          "invalid literal"),
         (["gate-count", "--base", "2", "--digits", "1", "--num-inputs", "0"],
          "--num-inputs", "num_inputs must be"),
+        (["gate-count", "--base", "2", "--digits", "0", "--num-inputs", "2"],
+         "--digits", "digits_per_input must be >= 1, got 0"),
         (["sweep", "--bases", "2,zz", "--max-capacity", "16"], "--bases",
          "invalid literal"),
         (["sweep", "--bases", "1", "--max-capacity", "16"], "--bases",

@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +24,12 @@ from qftadd import (
     from_integer,
     histogram_to_json,
     measure,
+    parse_digit_text,
     required_ancillas,
+    to_integer,
     zero_state,
 )
+from qftadd.simulator import MAX_SHOT_DIGITS
 
 
 def test_execute_empty_circuit_keeps_state():
@@ -147,6 +152,60 @@ def test_noise_probability_one_always_flips():
     state = basis_state(layout, [DigitString(2, (0, 1))])
     hist = measure(state, range(2), shots=100, noise=NoiseConfig(1.0, seed=9))
     assert hist.counts == {"10": 100}
+
+
+def _noisy_reference(ideal, d, width, p):
+    """The per-digit flip model by brute force over ideal and observed strings."""
+    strings = list(itertools.product(range(d), repeat=width))
+    noisy = np.zeros(d**width)
+    for o, observed in enumerate(strings):
+        for i, sent in enumerate(strings):
+            weight = 1.0
+            for a, b in zip(sent, observed):
+                weight *= 1 - p if a == b else p / (d - 1)
+            noisy[o] += ideal[i] * weight
+    return noisy
+
+
+def _random_state(d, q, seed):
+    """A state whose every basis probability is at least 1/(3 * d**q)."""
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.5, 1.5, d**q)
+    phases = np.exp(2j * np.pi * rng.random(d**q))
+    return StateVector(d, q, np.sqrt(probs / probs.sum()) * phases)
+
+
+@pytest.mark.parametrize("d, width", [(2, 4), (3, 3), (12, 2)])
+def test_noisy_readout_matches_the_flip_model(d, width):
+    # one spare qudit is summed out, and the measured ones are read reversed
+    state = _random_state(d, width + 1, seed=d)
+    qudits = list(range(width, 0, -1))
+    probs = state.probabilities().reshape((d,) * (width + 1)).sum(axis=0)
+    ideal = probs.transpose(range(width - 1, -1, -1)).reshape(-1)
+    shots = 100_000
+    for seed, p in enumerate((0.05, 0.3, 1.0, (d - 1) / d)):
+        want = _noisy_reference(ideal, d, width, p)
+        hist = measure(state, qudits, shots, NoiseConfig(p, seed=seed))
+        observed = np.zeros(d**width)
+        for key, count in hist.counts.items():
+            observed[to_integer(parse_digit_text(key, d))] = count
+        _, p_value = stats.chisquare(observed, want * shots)
+        assert p_value > 0.001, (p, p_value)
+    # at p = (d-1)/d every digit reads each level with chance 1/d
+    assert np.allclose(want, 1 / d**width, rtol=0, atol=1e-12)
+
+
+def test_measure_at_the_shot_limit_holds_nothing_per_shot():
+    state = StateVector(3, 2, np.full(9, 1 / 3))
+    tracemalloc.start()
+    try:
+        hist = measure(state, [1], MAX_SHOT_DIGITS, NoiseConfig(0.3, seed=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(hist.counts.values()) == hist.shots == MAX_SHOT_DIGITS
+    assert set(hist.counts) == {"0", "1", "2"}
+    assert peak < 8 * 2**20
 
 
 def test_noise_config_validation():
