@@ -11,6 +11,7 @@ never overflows the span.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,7 +66,7 @@ class AdderSpec:
     inputs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(int(x) for x in self.inputs))
+        object.__setattr__(self, "inputs", tuple(map(operator.index, self.inputs)))
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         if self.digits_per_input < 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,7 +52,7 @@ class GateOp:
     dagger: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qudits", tuple(int(x) for x in self.qudits))
+        object.__setattr__(self, "qudits", tuple(map(operator.index, self.qudits)))
         arity = _ARITY[self.kind]
         if len(self.qudits) != arity:
             raise ValueError(
@@ -113,7 +114,7 @@ class Circuit:
 
 
 def _check_contiguous(targets: Sequence[int]) -> list[int]:
-    targets = [int(t) for t in targets]
+    targets = [operator.index(t) for t in targets]
     if not targets:
         raise ValueError("target range must be non-empty")
     lo = targets[0]

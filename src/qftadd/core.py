@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -46,7 +47,7 @@ class DigitString:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        object.__setattr__(self, "digits", tuple(int(x) for x in self.digits))
+        object.__setattr__(self, "digits", tuple(map(operator.index, self.digits)))
         for dig in self.digits:
             if not 0 <= dig < self.base:
                 raise ValueError(f"digit {dig} out of range for base {self.base}")
@@ -115,7 +116,7 @@ class RegisterLayout:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        regs = tuple((str(name), int(size)) for name, size in self.registers)
+        regs = tuple((str(name), operator.index(size)) for name, size in self.registers)
         object.__setattr__(self, "registers", regs)
         names = [name for name, _ in regs]
         if len(set(names)) != len(names):
@@ -135,12 +136,6 @@ class RegisterLayout:
     def register_range(self, index: int) -> range:
         start = self.register_start(index)
         return range(start, start + self.registers[index][1])
-
-    def register_named(self, name: str) -> range:
-        for i, (reg_name, _) in enumerate(self.registers):
-            if reg_name == name:
-                return self.register_range(i)
-        raise KeyError(f"no register named {name!r}")
 
 
 @dataclass
@@ -166,7 +161,9 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        self.digits = {int(qi): int(level) for qi, level in self.digits.items()}
+        self.digits = {
+            operator.index(qi): operator.index(level) for qi, level in self.digits.items()
+        }
         for qi, level in self.digits.items():
             if not 0 <= qi < self.num_qudits:
                 raise ValueError(f"digit qudit {qi} out of range for {self.num_qudits}")
@@ -210,9 +207,6 @@ class StateVector:
     def norm_error(self) -> float:
         """Absolute deviation of the squared-magnitude sum from 1."""
         return abs(float(np.sum(np.abs(self.dense) ** 2)) - 1.0)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.base, self.num_qudits, self.dense.copy(), self.digits)
 
 
 def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> StateVector:

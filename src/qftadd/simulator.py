@@ -4,25 +4,30 @@ Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
 All randomness flows through one numpy Generator (PCG64) seeded from
 NoiseConfig, making every histogram reproducible bit for bit.
+
+A histogram holds outcomes as integers; digit text is rendered only where
+text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .core import MAX_AMPLITUDES, StateVector, from_integer, parse_digit_text, to_integer
+from .core import MAX_AMPLITUDES, StateVector, from_integer
 from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
 # the only kinds that take a qudit out of the computational basis
 _MIXING = frozenset((GateKind.HADAMARD, GateKind.SWAP))
-# Most shots x width digits ``measure`` may sample.  Its arrays are of
-# marginal size, so this bounds the Python work of writing the keys.
+# Most shots x width digits ``measure`` may sample.  A histogram has at most
+# ``shots`` outcomes, so this bounds the digit text rendered from one.
 MAX_SHOT_DIGITS = 2**24
 
 
@@ -42,51 +47,54 @@ class NoiseConfig:
         p = self.readout_flip_probability
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"readout_flip_probability must be in [0,1], got {p}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Histogram:
-    """Shot counts keyed by measured digit strings, MSB first."""
+    """Shot counts of ``width`` measured base-``base`` digits.
+
+    ``tallies`` maps each drawn outcome, its digits read MSB first as an
+    integer, to its count; it is stored in increasing value.  ``counts``
+    is the same map keyed by digit text (``DigitString.to_string``).
+    """
 
     base: int
-    shots: int
-    counts: dict[str, int]
+    width: int
+    tallies: dict[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", dict(self.counts))
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
-        widths = set()
-        for key, count in self.counts.items():
+        if self.base < 2 or self.width < 1:
+            raise ValueError(f"need base >= 2 and width >= 1, got {self.base}, {self.width}")
+        tallies = {operator.index(v): operator.index(c) for v, c in self.tallies.items()}
+        if not tallies:
+            raise ValueError("a histogram needs at least one outcome")
+        size = self.base**self.width
+        for value, count in tallies.items():
+            if not 0 <= value < size:
+                raise ValueError(f"outcome {value} out of range [0, {size})")
             if count < 1:
-                raise ValueError(f"count for {key!r} must be >= 1, got {count}")
-            widths.add(parse_digit_text(key, self.base).width)
-        if len(widths) > 1:
-            raise ValueError(f"keys have mixed widths {sorted(widths)}")
+                raise ValueError(f"count for outcome {value} must be >= 1, got {count}")
+        object.__setattr__(self, "tallies", dict(sorted(tallies.items())))
+
+    @property
+    def shots(self) -> int:
+        return sum(self.tallies.values())
+
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        """The tallies keyed by digit text, in increasing value; rendered once."""
+        return {self._text(value): count for value, count in self.tallies.items()}
 
     def top_outcome(self) -> str:
-        """Most frequent key; ties break toward the smaller integer value."""
-        return min(
-            self.counts,
-            key=lambda key: (
-                -self.counts[key],
-                to_integer(parse_digit_text(key, self.base)),
-            ),
-        )
+        """Digit text of the most frequent outcome; ties break toward the smaller value."""
+        # max keeps the first of equal counts, and tallies run in increasing value
+        return self._text(max(self.tallies, key=self.tallies.__getitem__))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.shots == other.shots
-            and self.counts == other.counts
-        )
+    def _text(self, value: int) -> str:
+        return from_integer(value, self.base, self.width).to_string()
 
 
 def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -167,19 +175,20 @@ def measure(
     shots: int,
     noise: NoiseConfig | None = None,
 ) -> Histogram:
-    """Sample ``shots`` digit strings from the marginal on ``qudits``.
+    """Sample ``shots`` outcomes from the marginal on ``qudits``.
 
     Noise, when configured, is the independent per-digit flip of
     ``NoiseConfig``: a d x d stochastic matrix applied to the exact marginal
     along each measured axis.  All shots are then one multinomial draw, so
-    the work is O(width * d**(width+1)) whatever ``shots`` is.  Identical
-    (state, qudits, shots, noise) give identical histograms.
+    the work is O(width * d**(width+1)) whatever ``shots`` is, and the
+    histogram is keyed by outcome value, with no digit text built.
+    Identical (state, qudits, shots, noise) give identical histograms.
 
     Raises ValueError, before allocating, if ``shots * len(qudits)``
     exceeds ``MAX_SHOT_DIGITS`` or the ``d**len(qudits)`` marginal exceeds
     ``core.MAX_AMPLITUDES``.
     """
-    qudits = [int(x) for x in qudits]
+    qudits = [operator.index(x) for x in qudits]
     if not qudits:
         raise ValueError("must measure at least one qudit")
     if len(set(qudits)) != len(qudits):
@@ -187,6 +196,7 @@ def measure(
     for qi in qudits:
         if not 0 <= qi < state.num_qudits:
             raise IndexError(f"qudit {qi} out of range for {state.num_qudits}")
+    shots = operator.index(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     width = len(qudits)
@@ -218,22 +228,15 @@ def measure(
             probs = np.moveaxis(np.tensordot(channel, probs, axes=(1, ax)), 0, ax)
         marginal = probs.reshape(-1) / probs.sum()
     tallies = np.random.default_rng(noise.seed).multinomial(shots, marginal)
-    counts = {
-        from_integer(int(v), d, width).to_string(): int(tallies[v])
-        for v in np.flatnonzero(tallies)
-    }
-    return Histogram(base=d, shots=shots, counts=counts)
+    seen = np.flatnonzero(tallies)
+    return Histogram(d, width, dict(zip(seen.tolist(), tallies[seen].tolist())))
 
 
 def histogram_to_json(histogram: Histogram) -> str:
     """Serialize as {base, shots, counts} with keys in increasing value."""
-    d = histogram.base
-    keys = sorted(
-        histogram.counts, key=lambda key: to_integer(parse_digit_text(key, d))
-    )
     payload = {
-        "base": d,
+        "base": histogram.base,
         "shots": histogram.shots,
-        "counts": {key: histogram.counts[key] for key in keys},
+        "counts": histogram.counts,
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -62,6 +62,24 @@ def test_add_ququart_case_study(capsys, tmp_path):
     assert out.strip().endswith("result=0-7 value=7")
 
 
+@pytest.mark.parametrize(
+    "args, golden, summary",
+    [
+        (["--base", "2", "--digits", "3", "--inputs", "5,6,7", "--noise", "0.05",
+          "--seed", "7", "--shots", "4096"], "noisy_qubit.json", "result=10010 value=18"),
+        # dash-separated base-12 keys in value order: "1-0-9" before "1-0-10"
+        (["--base", "12", "--digits", "2", "--inputs", "100,43,7", "--noise", "0.1",
+          "--seed", "3", "--shots", "2048"], "noisy_d12.json", "result=1-0-6 value=150"),
+    ],
+)
+def test_add_seeded_noise_golden(args, golden, summary, capsys, tmp_path):
+    out_file = tmp_path / "hist.json"
+    code, out, _ = run_cli(["add", *args, "--output", str(out_file)], capsys)
+    assert code == 0
+    assert out.strip() == summary
+    assert out_file.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_sub_to_zero(capsys):
     code, out, _ = run_cli(
         ["sub", "--base", "2", "--digits", "2", "--inputs", "3,3"], capsys

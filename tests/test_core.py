@@ -4,15 +4,38 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qftadd import (
+    AdderSpec,
     DigitString,
+    GateKind,
+    GateOp,
+    Mode,
+    NoiseConfig,
     RegisterLayout,
     StateVector,
     basis_state,
+    build_qft,
     from_integer,
+    measure,
     parse_digit_text,
     to_integer,
     zero_state,
 )
+
+_PAIR = zero_state(RegisterLayout(2, (("r", 2),)))
+
+# each takes one integer argument, valid at 1
+_INTEGER_ARGUMENTS = {
+    "AdderSpec inputs": lambda x: AdderSpec(2, 2, 2, Mode.ADD, (x, 1)),
+    "DigitString digits": lambda x: DigitString(2, (x, 0)),
+    "GateOp qudits": lambda x: GateOp(GateKind.SHIFT, (x,), k=1),
+    "build_qft targets": lambda x: build_qft(RegisterLayout(2, (("r", 3),)), [x, 2]),
+    "RegisterLayout size": lambda x: RegisterLayout(2, (("r", x),)),
+    "StateVector digit qudit": lambda x: StateVector(2, 2, [1, 0], {x: 0}),
+    "StateVector digit level": lambda x: StateVector(2, 2, [1, 0], {0: x}),
+    "measure qudits": lambda x: measure(_PAIR, [x], 4),
+    "measure shots": lambda x: measure(_PAIR, [0], x),
+    "NoiseConfig seed": lambda x: NoiseConfig(seed=x),
+}
 
 
 def test_digit_string_basics():
@@ -60,13 +83,20 @@ def test_parse_digit_text_wide_base():
     assert parse_digit_text("11-0-3", 12) == ds
 
 
+@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def test_integer_arguments_reject_floats(name):
+    build = _INTEGER_ARGUMENTS[name]
+    build(np.int64(1))  # numpy integers pass
+    with pytest.raises(TypeError):
+        build(1.5)  # not truncated to 1
+
+
 def test_register_layout_indexing():
     layout = RegisterLayout(2, (("anc", 2), ("a0", 2), ("a1", 2)))
     assert layout.total_qudits == 6
     assert layout.register_start(0) == 0
     assert layout.register_start(2) == 4
     assert list(layout.register_range(1)) == [2, 3]
-    assert list(layout.register_named("a1")) == [4, 5]
 
 
 def test_register_layout_zero_width_register():

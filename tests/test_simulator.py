@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from qftadd import (
@@ -218,42 +220,67 @@ def test_noise_config_validation():
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
-        Histogram(2, 10, {"00": 9})
-    with pytest.raises(ValueError):
-        Histogram(2, 10, {"00": 5, "111": 5})
-    with pytest.raises(ValueError):
-        Histogram(2, 10, {"02": 10})
-    ok = Histogram(2, 10, {"01": 4, "10": 6})
+    for base, width, tallies in [
+        (1, 2, {0: 1}),  # base below 2
+        (2, 0, {0: 1}),  # no digits
+        (2, 2, {}),  # no outcome
+        (2, 2, {4: 10}),  # "100" does not fit in two digits
+        (2, 2, {-1: 10}),
+        (2, 2, {1: 0}),  # every count is at least 1
+        (12, 2, {144: 10}),  # "1-12" has a digit out of range
+    ]:
+        with pytest.raises(ValueError):
+            Histogram(base, width, tallies)
+    with pytest.raises(TypeError):
+        Histogram(2, 2, {"01": 4})  # keys are outcome values, not digit text
+    with pytest.raises(TypeError):
+        Histogram(2, 2, {1: 4.0})
+    ok = Histogram(2, 2, {2: 6, np.int64(1): 4})
+    assert ok.tallies == {1: 4, 2: 6} and list(ok.tallies) == [1, 2]
+    assert ok.shots == 10
+    assert ok.counts == {"01": 4, "10": 6}
+    assert ok.counts is ok.counts  # rendered once
     assert ok.top_outcome() == "10"
+    assert ok == Histogram(2, 2, {1: 4, 2: 6}) != Histogram(2, 3, {1: 4, 2: 6})
     # above base 10 digits are dash-separated, so key lengths may differ
-    wide = Histogram(12, 10, {"1-11": 4, "10-2": 6})
+    wide = Histogram(12, 2, {23: 4, 122: 6})
+    assert wide.counts == {"1-11": 4, "10-2": 6}
     assert wide.top_outcome() == "10-2"
-    with pytest.raises(ValueError):
-        Histogram(12, 10, {"1-2": 5, "1-2-3": 5})
-    with pytest.raises(ValueError):
-        Histogram(12, 10, {"1-12": 10})
 
 
 def test_top_outcome_tie_breaks_low():
-    hist = Histogram(2, 10, {"11": 5, "00": 5})
+    hist = Histogram(2, 2, {3: 5, 0: 5})
     assert hist.top_outcome() == "00"
     # by value, not by string: "2-0" < "10-0" in base 12
-    wide = Histogram(12, 10, {"10-0": 5, "2-0": 5})
+    wide = Histogram(12, 2, {120: 5, 24: 5})
     assert wide.top_outcome() == "2-0"
 
 
 def test_histogram_json_sorted_keys():
-    hist = Histogram(2, 6, {"10": 1, "01": 2, "00": 3})
+    hist = Histogram(2, 2, {2: 1, 1: 2, 0: 3})
     payload = json.loads(histogram_to_json(hist))
     assert list(payload["counts"]) == ["00", "01", "10"]
     assert payload["base"] == 2
     assert payload["shots"] == 6
     assert histogram_to_json(hist).endswith("\n")
     # above base 10 keys sort by value, not as strings
-    wide = Histogram(12, 4, {"0-10": 1, "0-2": 1, "1-0": 1, "0-11": 1})
+    wide = Histogram(12, 2, {10: 1, 2: 1, 12: 1, 11: 1})
     payload = json.loads(histogram_to_json(wide))
     assert list(payload["counts"]) == ["0-2", "0-10", "0-11", "1-0"]
+
+
+@given(st.integers(2, 16), st.integers(1, 4), st.data())
+def test_histogram_text_parses_back_to_tallies(d, width, data):
+    outcomes = st.integers(0, d**width - 1)
+    tallies = data.draw(st.dictionaries(outcomes, st.integers(1, 4), min_size=1))
+    hist = Histogram(d, width, tallies)
+    counts = json.loads(histogram_to_json(hist))["counts"]
+    parsed = [parse_digit_text(key, d) for key in counts]
+    assert {ds.width for ds in parsed} == {width}
+    assert list(zip(map(to_integer, parsed), counts.values())) == sorted(tallies.items())
+    # brute-force argmax, ties toward the smaller value
+    top = min(tallies, key=lambda v: (-tallies[v], v))
+    assert hist.top_outcome() == from_integer(top, d, width).to_string()
 
 
 def test_adder_histogram_with_noise_keeps_majority():
@@ -264,11 +291,15 @@ def test_adder_histogram_with_noise_keeps_majority():
     assert hist.counts["1000"] > 4096 // 2
 
 
+def _copy(state):
+    return StateVector(state.base, state.num_qudits, state.dense.copy(), state.digits)
+
+
 def _assert_matches_dense(circuit, selections):
     """The factored result of ``execute`` against the dense reference.
 
     Returns the factored state after checking its full vector, its
-    histograms on each selection, ``copy`` and its use as ``initial``.
+    histograms on each selection, a copy of it and its use as ``initial``.
     """
     reduced = execute(circuit)
     dense = execute(circuit, zero_state(circuit.layout))
@@ -282,7 +313,7 @@ def _assert_matches_dense(circuit, selections):
     for qudits in selections:
         assert measure(reduced, qudits, 64, noise) == measure(dense, qudits, 64, noise)
     # a copy keeps the digits and shares nothing with the original
-    twin = reduced.copy()
+    twin = _copy(reduced)
     digits = dict(reduced.digits)
     assert twin.digits == digits
     twin.dense[:] = 0
@@ -291,10 +322,10 @@ def _assert_matches_dense(circuit, selections):
     assert np.max(np.abs(reduced.amplitudes - dense.amplitudes)) <= 1e-12
     # a state with digits as ``initial`` is updated and returned; the
     # circuit's HADAMARDs and SWAPs touch no digit of it, so all stay tracked
-    again = reduced.copy()
+    again = _copy(reduced)
     assert execute(circuit, again) is again
     assert again.digits.keys() == digits.keys()
-    rerun = execute(circuit, dense.copy())
+    rerun = execute(circuit, _copy(dense))
     assert np.max(np.abs(again.amplitudes - rerun.amplitudes)) <= 1e-12
     return reduced
 
@@ -315,13 +346,13 @@ def test_execute_digit_tracking_matches_dense_on_adders():
                     last = layout.total_qudits - 1
                     selections = [range(spec.result_width), sorted({last, 0}, reverse=True)]
                     if count > 1:
-                        selections.append(layout.register_named("a1"))
+                        selections.append(layout.register_range(2))
                     state = _assert_matches_dense(build_full_adder(spec), selections)
                     # the inputs a1.. are the tracked digits, the span is dense
                     tracked = set(range(layout.register_start(2), last + 1))
                     assert set(state.digits) == tracked
                     if count > 1:
-                        a1 = measure(state, layout.register_named("a1"), 16)
+                        a1 = measure(state, layout.register_range(2), 16)
                         want = from_integer(inputs[1], d, n).to_string()
                         assert a1.counts == {want: 16}
                     checked += 1
@@ -357,7 +388,7 @@ def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
     assert probs[:, 0, :, 1, :, 1].sum() == pytest.approx(1.0, abs=1e-12)
     # as ``initial``, that state takes an in-place CPHASE as its first op
     phase = Circuit(d, layout, (GateOp(GateKind.CPHASE, (0, 4), theta=0.6),))
-    again = execute(phase, state.copy())
+    again = execute(phase, _copy(state))
     want = execute(phase, StateVector(d, 6, state.amplitudes.copy()))
     assert again.digits == state.digits
     assert np.max(np.abs(again.amplitudes - want.amplitudes)) <= 1e-12
