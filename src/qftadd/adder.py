@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, GateOp, build_iqft, build_qft, concat
+from .circuit import Circuit, GateKind, GateOp, build_iqft, build_qft
 from .core import RegisterLayout, from_integer
 
 
@@ -35,6 +35,7 @@ def required_ancillas(num_inputs: int, base: int) -> int:
     base**n fits in t+n digits.  Computed by integer search, never via
     floating-point logarithms.
     """
+    num_inputs, base = operator.index(num_inputs), operator.index(base)
     if num_inputs < 1:
         raise ValueError(f"num_inputs must be >= 1, got {num_inputs}")
     if base < 2:
@@ -66,6 +67,8 @@ class AdderSpec:
     inputs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("base", "digits_per_input", "num_inputs"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "inputs", tuple(map(operator.index, self.inputs)))
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
@@ -156,21 +159,18 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
     in SUB mode.  Registers 1..N-1 pass through unchanged.
     """
     layout = spec.layout
-    span = list(range(spec.result_width))
-    fragments = [
-        Circuit(spec.base, layout, tuple(_encoding_ops(layout, spec))).with_label(
-            "encode"
-        ),
-        build_qft(layout, span).with_label("qft"),
-    ]
+    span = range(spec.result_width)
+    parts = [("encode", _encoding_ops(layout, spec)), ("qft", build_qft(layout, span).ops)]
     for i in range(1, spec.num_inputs):
-        fragments.append(
-            build_adder_component(layout, i + 1, spec.mode.sign).with_label(
-                f"component a{i}"
-            )
-        )
-    fragments.append(build_iqft(layout, span).with_label("iqft"))
-    return concat(fragments)
+        fan = build_adder_component(layout, i + 1, spec.mode.sign)
+        parts.append((f"component a{i}", fan.ops))
+    parts.append(("iqft", build_iqft(layout, span).ops))
+    ops: list[GateOp] = []
+    labels = []
+    for name, part in parts:
+        labels.append((name, len(ops), len(ops) + len(part)))
+        ops.extend(part)
+    return Circuit(spec.base, layout, ops, labels)
 
 
 def classical_oracle(spec: AdderSpec) -> int:

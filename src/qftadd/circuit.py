@@ -53,6 +53,8 @@ class GateOp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qudits", tuple(map(operator.index, self.qudits)))
+        if self.k is not None:
+            object.__setattr__(self, "k", operator.index(self.k))
         arity = _ARITY[self.kind]
         if len(self.qudits) != arity:
             raise ValueError(
@@ -108,10 +110,6 @@ class Circuit:
         counts = Counter(op.kind for op in self.ops)
         return {kind: counts.get(kind, 0) for kind in GateKind}
 
-    def with_label(self, name: str) -> "Circuit":
-        """The same ops under a single label spanning the whole fragment."""
-        return Circuit(self.base, self.layout, self.ops, ((name, 0, len(self.ops)),))
-
 
 def _check_contiguous(targets: Sequence[int]) -> list[int]:
     targets = [operator.index(t) for t in targets]
@@ -123,6 +121,24 @@ def _check_contiguous(targets: Sequence[int]) -> list[int]:
     return targets
 
 
+def _qft_ladder(layout: RegisterLayout, targets: Sequence[int], sign: int) -> list[GateOp]:
+    """The QFT's ops for sign +1; for sign -1 the same ops reversed and conjugated."""
+    targets = _check_contiguous(targets)
+    d = layout.base
+    lo, width = targets[0], len(targets)
+    ops: list[GateOp] = []
+    for pos in range(width):
+        ops.append(GateOp(GateKind.HADAMARD, (lo + pos,), dagger=sign < 0))
+        for s in range(2, width - pos + 1):
+            theta = sign * (2.0 * math.pi / d**s)
+            ops.append(
+                GateOp(GateKind.CPHASE, (lo + pos + s - 1, lo + pos), theta=theta)
+            )
+    for i in range(width // 2):
+        ops.append(GateOp(GateKind.SWAP, (lo + i, lo + width - 1 - i)))
+    return ops if sign > 0 else ops[::-1]
+
+
 def build_qft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
     """QFT fragment on a contiguous qudit range.
 
@@ -132,20 +148,7 @@ def build_qft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
 
     Tally for a width-w range: w Hadamard, w*(w-1)/2 CPHASE, floor(w/2) SWAP.
     """
-    targets = _check_contiguous(targets)
-    d = layout.base
-    lo, width = targets[0], len(targets)
-    ops: list[GateOp] = []
-    for pos in range(width):
-        ops.append(GateOp(GateKind.HADAMARD, (lo + pos,)))
-        for s in range(2, width - pos + 1):
-            theta = 2.0 * math.pi / d**s
-            ops.append(
-                GateOp(GateKind.CPHASE, (lo + pos + s - 1, lo + pos), theta=theta)
-            )
-    for i in range(width // 2):
-        ops.append(GateOp(GateKind.SWAP, (lo + i, lo + width - 1 - i)))
-    return Circuit(d, layout, tuple(ops))
+    return Circuit(layout.base, layout, _qft_ladder(layout, targets, 1))
 
 
 def build_iqft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
@@ -154,16 +157,7 @@ def build_iqft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
     CPHASE angles are negated and Hadamards carry the dagger flag; SWAPs
     are self-inverse.  Composing with :func:`build_qft` gives the identity.
     """
-    qft = build_qft(layout, targets)
-    ops = []
-    for op in reversed(qft.ops):
-        if op.kind is GateKind.CPHASE:
-            ops.append(GateOp(GateKind.CPHASE, op.qudits, theta=-op.theta))
-        elif op.kind is GateKind.HADAMARD:
-            ops.append(GateOp(GateKind.HADAMARD, op.qudits, dagger=True))
-        else:
-            ops.append(op)
-    return Circuit(layout.base, layout, tuple(ops))
+    return Circuit(layout.base, layout, _qft_ladder(layout, targets, -1))
 
 
 def concat(circuits: Iterable[Circuit]) -> Circuit:

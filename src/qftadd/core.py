@@ -17,10 +17,6 @@ from typing import Iterable
 
 import numpy as np
 
-# Accumulated floating-point error over hundreds of gates stays well below
-# this; a violation indicates a construction bug, not round-off.
-NORM_ATOL = 1e-9
-
 # Largest state that may be allocated: 2**26 complex128 amplitudes take
 # 1 GiB, and a gate briefly holds two states.  Sizes are checked before
 # any buffer exists, so an oversized request fails with a ValueError
@@ -45,6 +41,7 @@ class DigitString:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", operator.index(self.base))
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         object.__setattr__(self, "digits", tuple(map(operator.index, self.digits)))
@@ -114,6 +111,7 @@ class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", operator.index(self.base))
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         regs = tuple((str(name), operator.index(size)) for name, size in self.registers)
@@ -159,6 +157,7 @@ class StateVector:
     digits: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.base, self.num_qudits = operator.index(self.base), operator.index(self.num_qudits)
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         self.digits = {
@@ -176,6 +175,8 @@ class StateVector:
                 f"expected {self.base**free} amplitudes for {free} "
                 f"base-{self.base} qudits, got {self.dense.shape[0]}"
             )
+        if not np.isfinite(self.dense).all():
+            raise ValueError("amplitudes must be finite, got NaN or infinity")
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -216,7 +217,6 @@ def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> S
             f"layout has {len(layout.registers)} register(s), "
             f"got {len(register_digits)} digit string(s)"
         )
-    index = 0
     for (name, size), ds in zip(layout.registers, register_digits):
         if ds.base != layout.base:
             raise ValueError(
@@ -228,13 +228,10 @@ def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> S
                 f"register {name!r} holds {size} qudit(s), "
                 f"got a width-{ds.width} digit string"
             )
-        for dig in ds.digits:
-            index = index * layout.base + dig
-    q = layout.total_qudits
-    _check_size(layout.base, q)
-    amplitudes = np.zeros(layout.base**q, dtype=np.complex128)
-    amplitudes[index] = 1.0
-    return StateVector(layout.base, q, amplitudes)
+    digits = [dig for ds in register_digits for dig in ds.digits]
+    q = len(digits)
+    tracked = StateVector(layout.base, q, np.ones(1), dict(enumerate(digits)))
+    return StateVector(layout.base, q, tracked.widened(range(q)))
 
 
 def zero_state(layout: RegisterLayout) -> StateVector:

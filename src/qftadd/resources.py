@@ -10,8 +10,8 @@ capacity with fewer digits means quadratically fewer phase gates.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
@@ -19,31 +19,27 @@ from .circuit import GateKind
 
 
 def gate_count_formula(n: int, N: int, t: int) -> int:
-    """(N+1)*n*((n+1)/2 + t) + t**2 + 2t + n, minus one when t+n is odd.
+    """(N+1)*(n*(n+1)/2 + n*t) + t**2 + 2t + n, minus one when t+n is odd.
 
-    n is the digits per input, N the number of inputs, t the ancillas.
-    Evaluated in exact rational arithmetic; the half-integer term always
-    cancels because n*(n+1) is even, and that is asserted rather than
-    rounded away.  The parity correction reflects the lone swap saved
-    when reversing an odd-width register.
+    n is the digits per input, N the number of inputs, t the ancillas;
+    each must be an integer (``operator.index``).  n*(n+1) is always
+    even, so the count is exact in integer arithmetic.  The parity
+    correction reflects the lone swap saved when reversing an odd-width
+    register.
     """
+    n, N, t = operator.index(n), operator.index(N), operator.index(t)
     if n < 1:
         raise ValueError(f"digits_per_input must be >= 1, got {n}")
     if N < 1:
         raise ValueError(f"num_inputs must be >= 1, got {N}")
     if t < 0:
         raise ValueError(f"ancillas must be >= 0, got {t}")
-    total = (N + 1) * n * (Fraction(n + 1, 2) + t) + t * t + 2 * t + n
-    if total.denominator != 1:
-        raise ArithmeticError(f"gate count formula not integral: {total}")
-    count = int(total)
-    if (t + n) % 2 == 1:
-        count -= 1
-    return count
+    return (N + 1) * (n * (n + 1) // 2 + n * t) + t * t + 2 * t + n - (t + n) % 2
 
 
 def capacity(n: int, t: int, d: int) -> int:
     """Number of distinct outputs the widened result register can hold."""
+    n, t, d = operator.index(n), operator.index(t), operator.index(d)
     if n < 1 or t < 0 or d < 2:
         raise ValueError(f"invalid sizes n={n}, t={t}, d={d}")
     return d ** (t + n)
@@ -129,11 +125,12 @@ def sweep(d_values: Sequence[int], max_capacity: int) -> list[SweepRow]:
     ``sum(d**j - 1 for j in 1..k-1)`` rows.  Raises ValueError if their
     total exceeds ``MAX_SWEEP_ROWS``, before any row is built.
     """
-    bases = sorted({int(d) for d in d_values})
+    bases = sorted({operator.index(d) for d in d_values})
     if not bases:
         raise ValueError("need at least one base to sweep")
     if bases[0] < 2:
         raise ValueError(f"base must be >= 2, got {bases[0]}")
+    max_capacity = operator.index(max_capacity)
     if max_capacity < 1:
         raise ValueError(f"max_capacity must be >= 1, got {max_capacity}")
     # the widest span k: d**(k+1) is the first power of d over the cap

@@ -15,7 +15,8 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,15 +58,18 @@ class Histogram:
     """Shot counts of ``width`` measured base-``base`` digits.
 
     ``tallies`` maps each drawn outcome, its digits read MSB first as an
-    integer, to its count; it is stored in increasing value.  ``counts``
-    is the same map keyed by digit text (``DigitString.to_string``).
+    integer, to its count; it is stored read-only, in increasing value, so
+    that ``counts`` (cached) and ``shots`` cannot disagree.  ``counts`` is
+    the same map keyed by digit text (``DigitString.to_string``).
     """
 
     base: int
     width: int
-    tallies: dict[int, int]
+    tallies: Mapping[int, int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", operator.index(self.base))
+        object.__setattr__(self, "width", operator.index(self.width))
         if self.base < 2 or self.width < 1:
             raise ValueError(f"need base >= 2 and width >= 1, got {self.base}, {self.width}")
         tallies = {operator.index(v): operator.index(c) for v, c in self.tallies.items()}
@@ -77,7 +81,7 @@ class Histogram:
                 raise ValueError(f"outcome {value} out of range [0, {size})")
             if count < 1:
                 raise ValueError(f"count for outcome {value} must be >= 1, got {count}")
-        object.__setattr__(self, "tallies", dict(sorted(tallies.items())))
+        object.__setattr__(self, "tallies", MappingProxyType(dict(sorted(tallies.items()))))
 
     @property
     def shots(self) -> int:
@@ -112,8 +116,9 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     Raises ValueError, before the first op and with the state unchanged,
     if the widened dense part exceeds ``core.MAX_AMPLITUDES``: for an
     adder's default start that is the span, not the ``d**q`` layout.  Raises
-    RuntimeError if the final norm drifts from 1 by more than 1e-9, which
-    would mean a broken gate rather than user error.
+    RuntimeError if the final norm drifts from 1 by more than 1e-9: an
+    ``initial`` that was not normalized, or a broken gate.  Non-finite
+    amplitudes never get this far; ``StateVector`` refuses them.
     """
     d, q = circuit.base, circuit.layout.total_qudits
     if initial is None:

@@ -149,6 +149,25 @@ def test_full_adder_ququart_case_study():
     assert result_probability(spec, state, 8) > 1 - 1e-9
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+@pytest.mark.parametrize("N", [1, 4])
+def test_full_adder_labels_tile_the_ops(d, N):
+    spec = AdderSpec(d, 2, N, Mode.SUB, tuple(d**2 - 1 - i for i in range(N)))
+    circ = build_full_adder(spec)
+    components = [f"component a{i}" for i in range(1, N)]
+    assert [name for name, _, _ in circ.labels] == ["encode", "qft", *components, "iqft"]
+    # contiguous spans that cover every op exactly once
+    ends = [0] + [hi for _, _, hi in circ.labels]
+    assert [lo for _, lo, _ in circ.labels] == ends[:-1] and ends[-1] == len(circ.ops)
+    parts = {name: circ.ops[lo:hi] for name, lo, hi in circ.labels}
+    layout, span = spec.layout, range(spec.result_width)
+    assert parts["encode"] and {op.kind for op in parts["encode"]} == {GateKind.SHIFT}
+    assert parts["qft"] == build_qft(layout, span).ops
+    for i in range(1, N):
+        assert parts[f"component a{i}"] == build_adder_component(layout, i + 1, -1).ops
+    assert parts["iqft"] == build_iqft(layout, span).ops
+
+
 def test_full_adder_single_input_is_identity_pipeline():
     spec = AdderSpec(base=3, digits_per_input=2, num_inputs=1, mode=Mode.ADD, inputs=(5,))
     circ = build_full_adder(spec)

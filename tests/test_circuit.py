@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -75,17 +76,18 @@ def test_iqft_inverts_qft():
 
 
 def test_iqft_is_gatewise_conjugate():
-    layout = qft_layout(3, 3)
-    qft = build_qft(layout, range(3))
-    iqft = build_iqft(layout, range(3))
-    assert len(qft.ops) == len(iqft.ops)
-    for fwd, rev in zip(qft.ops, reversed(iqft.ops)):
-        assert fwd.kind == rev.kind
-        assert fwd.qudits == rev.qudits
-        if fwd.kind is GateKind.CPHASE:
-            assert rev.theta == -fwd.theta
-        if fwd.kind is GateKind.HADAMARD:
-            assert rev.dagger and not fwd.dagger
+    # every d in 2..16 and width 1..6, on a range that starts at qudit 1
+    for d, w in itertools.product(range(2, 17), range(1, 7)):
+        layout = qft_layout(d, w + 1)
+        qft = build_qft(layout, range(1, w + 1))
+        iqft = build_iqft(layout, range(1, w + 1))
+        assert len(qft.ops) == len(iqft.ops)
+        for fwd, rev in zip(qft.ops, reversed(iqft.ops)):
+            assert fwd.kind == rev.kind
+            assert fwd.qudits == rev.qudits
+            if fwd.kind is GateKind.CPHASE:
+                assert rev.theta == -fwd.theta, (d, w)  # exact, not approximate
+            assert rev.dagger == (fwd.kind is GateKind.HADAMARD) and not fwd.dagger
 
 
 def test_qft_angles_follow_depth():
@@ -117,8 +119,9 @@ def test_concat_layout_mismatch():
 
 def test_concat_offsets_labels():
     layout = qft_layout(2, 2)
-    first = build_qft(layout, range(2)).with_label("qft")
-    second = build_iqft(layout, range(2)).with_label("iqft")
+    qft, iqft = build_qft(layout, range(2)).ops, build_iqft(layout, range(2)).ops
+    first = Circuit(2, layout, qft, labels=(("qft", 0, len(qft)),))
+    second = Circuit(2, layout, iqft, labels=(("iqft", 0, len(iqft)),))
     merged = concat([first, second])
     assert merged.labels == (
         ("qft", 0, len(first.ops)),
@@ -184,7 +187,8 @@ def test_qasm_export_contents():
 
 def test_text_export_mentions_labels():
     layout = qft_layout(2, 2)
-    circ = build_qft(layout, range(2)).with_label("qft")
+    ops = build_qft(layout, range(2)).ops
+    circ = Circuit(2, layout, ops, labels=(("qft", 0, len(ops)),))
     text = circuit_to_text(circ)
     assert "# qft" in text
     assert "hadamard q0" in text

@@ -8,15 +8,20 @@ from qftadd import (
     DigitString,
     GateKind,
     GateOp,
+    Histogram,
     Mode,
     NoiseConfig,
     RegisterLayout,
     StateVector,
     basis_state,
     build_qft,
+    capacity,
     from_integer,
+    gate_count_formula,
     measure,
     parse_digit_text,
+    required_ancillas,
+    sweep,
     to_integer,
     zero_state,
 )
@@ -25,11 +30,31 @@ _PAIR = zero_state(RegisterLayout(2, (("r", 2),)))
 
 # each takes one integer argument, valid at 1
 _INTEGER_ARGUMENTS = {
+    "AdderSpec base": lambda x: AdderSpec(x + 1, 2, 2, Mode.ADD, (1, 1)),
+    "AdderSpec digits_per_input": lambda x: AdderSpec(2, x, 2, Mode.ADD, (1, 1)),
+    "AdderSpec num_inputs": lambda x: AdderSpec(2, 2, x, Mode.ADD, (1,)),
     "AdderSpec inputs": lambda x: AdderSpec(2, 2, 2, Mode.ADD, (x, 1)),
+    "required_ancillas num_inputs": lambda x: required_ancillas(x + 1, 2),
+    "required_ancillas base": lambda x: required_ancillas(3, x + 1),
+    "gate_count_formula n": lambda x: gate_count_formula(x, 2, 1),
+    "gate_count_formula N": lambda x: gate_count_formula(1, x, 1),
+    "gate_count_formula t": lambda x: gate_count_formula(1, 2, x),
+    "capacity n": lambda x: capacity(x, 0, 2),
+    "capacity t": lambda x: capacity(1, x, 2),
+    "capacity d": lambda x: capacity(1, 0, x + 1),
+    "sweep bases": lambda x: sweep([x + 1], 16),
+    "sweep max_capacity": lambda x: sweep([2], 16 * x),
+    "DigitString base": lambda x: DigitString(x + 1, (1, 0)),
     "DigitString digits": lambda x: DigitString(2, (x, 0)),
+    "Histogram base": lambda x: Histogram(x + 1, 1, {1: 3}),
+    "Histogram width": lambda x: Histogram(2, x, {1: 3}),
     "GateOp qudits": lambda x: GateOp(GateKind.SHIFT, (x,), k=1),
+    "GateOp k": lambda x: GateOp(GateKind.SHIFT, (0,), k=x),
     "build_qft targets": lambda x: build_qft(RegisterLayout(2, (("r", 3),)), [x, 2]),
+    "RegisterLayout base": lambda x: RegisterLayout(x + 1, (("r", 1),)),
     "RegisterLayout size": lambda x: RegisterLayout(2, (("r", x),)),
+    "StateVector base": lambda x: StateVector(x + 1, 1, [1, 0]),
+    "StateVector num_qudits": lambda x: StateVector(2, x, [1, 0]),
     "StateVector digit qudit": lambda x: StateVector(2, 2, [1, 0], {x: 0}),
     "StateVector digit level": lambda x: StateVector(2, 2, [1, 0], {0: x}),
     "measure qudits": lambda x: measure(_PAIR, [x], 4),

@@ -31,7 +31,8 @@ def test_formula_rejects_bad_args():
 
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 30))
 def test_formula_always_integral(n, N, t):
-    # the (n+1)/2 half term cancels against n * (N+1); would raise otherwise
+    # n*(n+1) is even, so the half term is an integer; checked against the
+    # formula written out term by term
     value = gate_count_formula(n, N, t)
     base = (N + 1) * n * (n + 1) // 2 + (N + 1) * n * t + t * t + 2 * t + n
     assert value == base - (1 if (t + n) % 2 else 0)

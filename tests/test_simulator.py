@@ -68,9 +68,9 @@ def test_execute_norm_guard():
     bad = StateVector(2, 1, np.array([2.0, 0.0]))
     with pytest.raises(RuntimeError):
         execute(circ, bad)
-    nan_state = StateVector(2, 1, np.array([np.nan, 0.0]))
-    with pytest.raises(RuntimeError):
-        execute(circ, nan_state)
+    # a non-finite state is refused when it is built, naming the cause
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(2, 1, np.array([np.nan, 0.0]))
 
 
 def test_measure_deterministic_state():
@@ -100,9 +100,9 @@ def test_measure_validates_selection():
         measure(state, [5], shots=4)
     with pytest.raises(ValueError):
         measure(state, [0], shots=0)
-    nan_state = StateVector(2, 2, np.array([np.nan, 0.0, 0.0, 0.0]))
-    with pytest.raises(RuntimeError):
-        measure(nan_state, [0], shots=4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(2, 2, np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_measure_reproducible_for_seed():
@@ -240,6 +240,8 @@ def test_histogram_validation():
     assert ok.shots == 10
     assert ok.counts == {"01": 4, "10": 6}
     assert ok.counts is ok.counts  # rendered once
+    with pytest.raises(TypeError):
+        ok.tallies[3] = 5  # read-only, so the cached counts cannot go stale
     assert ok.top_outcome() == "10"
     assert ok == Histogram(2, 2, {1: 4, 2: 6}) != Histogram(2, 3, {1: 4, 2: 6})
     # above base 10 digits are dash-separated, so key lengths may differ
