@@ -78,7 +78,7 @@ class GateOp:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a layout, with optional labelled spans."""
+    """Ordered gate list over a layout; a label ``(name, lo, hi)`` names ``ops[lo:hi]``."""
 
     base: int
     layout: RegisterLayout
@@ -87,7 +87,13 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = [(name, operator.index(lo), operator.index(hi)) for name, lo, hi in self.labels]
+        object.__setattr__(self, "labels", tuple(labels))
+        for name, lo, hi in labels:
+            if not isinstance(name, str):
+                raise TypeError(f"label name must be a str, got {name!r}")
+            if not 0 <= lo <= hi <= len(self.ops):
+                raise ValueError(f"label {name!r} [{lo}, {hi}) is no span of {len(self.ops)} ops")
         if self.base != self.layout.base:
             raise ValueError(
                 f"circuit base {self.base} != layout base {self.layout.base}"
@@ -230,10 +236,11 @@ def circuit_to_text(circuit: Circuit) -> str:
     lines = [f"base {circuit.base}"]
     for name, size in circuit.layout.registers:
         lines.append(f"register {name}[{size}]")
-    starts = {lo: name for name, lo, hi in circuit.labels}
+    headers: dict[int, list[str]] = {}
+    for name, lo, _ in circuit.labels:
+        headers.setdefault(lo, []).append(f"# {name}")
     for i, op in enumerate(circuit.ops):
-        if i in starts:
-            lines.append(f"# {starts[i]}")
+        lines.extend(headers.get(i, ()))
         parts = [op.kind.value.lower()]
         if op.dagger:
             parts[0] += "+"
@@ -243,4 +250,5 @@ def circuit_to_text(circuit: Circuit) -> str:
             parts.append(f"k={op.k}")
         parts.append(" ".join(f"q{qi}" for qi in op.qudits))
         lines.append("  " + " ".join(parts))
+    lines.extend(headers.get(len(circuit.ops), ()))
     return "\n".join(lines) + "\n"

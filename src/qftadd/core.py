@@ -211,7 +211,10 @@ class StateVector:
 
 
 def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> StateVector:
-    """Computational-basis state with one digit string per layout register."""
+    """Computational-basis state with one digit string per layout register.
+
+    Held as its digits and a one-amplitude dense part: it allocates nothing.
+    """
     if len(register_digits) != len(layout.registers):
         raise ValueError(
             f"layout has {len(layout.registers)} register(s), "
@@ -229,14 +232,10 @@ def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> S
                 f"got a width-{ds.width} digit string"
             )
     digits = [dig for ds in register_digits for dig in ds.digits]
-    q = len(digits)
-    tracked = StateVector(layout.base, q, np.ones(1), dict(enumerate(digits)))
-    return StateVector(layout.base, q, tracked.widened(range(q)))
+    return StateVector(layout.base, len(digits), np.ones(1), dict(enumerate(digits)))
 
 
 def zero_state(layout: RegisterLayout) -> StateVector:
-    """All-zero computational-basis state for ``layout``."""
-    zeros = [
-        DigitString(layout.base, (0,) * size) for _, size in layout.registers
-    ]
-    return basis_state(layout, zeros)
+    """All-zero computational-basis state for ``layout``, held as digits."""
+    q = layout.total_qudits
+    return StateVector(layout.base, q, np.ones(1), dict.fromkeys(range(q), 0))

@@ -63,11 +63,7 @@ class ResourceReport:
     @property
     def tally_count(self) -> int:
         """H + CP + SWAP from the build; SHIFT encoding gates excluded."""
-        return (
-            self.tally.get(GateKind.HADAMARD, 0)
-            + self.tally.get(GateKind.CPHASE, 0)
-            + self.tally.get(GateKind.SWAP, 0)
-        )
+        return sum(self.tally.values()) - self.tally.get(GateKind.SHIFT, 0)
 
     @property
     def reconciled(self) -> bool:

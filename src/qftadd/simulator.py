@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .core import MAX_AMPLITUDES, StateVector, from_integer
+from .core import MAX_AMPLITUDES, StateVector, from_integer, zero_state
 from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
@@ -104,14 +104,13 @@ class Histogram:
 def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit's ops in order to ``initial``, updating and returning it.
 
-    The default start is all-zero, held as one tracked digit per qudit.  A
-    digit stays tracked unless a HADAMARD or SWAP in the circuit touches
-    its qudit; those are widened into the dense part before the first op.
-    A SHIFT adds to a digit, and a CPHASE is the diagonal
-    ``exp(i*theta*x*y)`` with x or y fixed at each tracked end.  So for an
-    adder the kernels touch only the ``d**(t+n)`` amplitudes of the Fourier
-    span.  A dense ``initial`` such as ``zero_state(circuit.layout)`` keeps
-    every qudit dense: the tests' reference for the default start.
+    The default start is ``zero_state(circuit.layout)``, one tracked digit
+    per qudit.  A digit stays tracked unless a HADAMARD or SWAP in the
+    circuit touches its qudit; those are widened into the dense part before
+    the first op.  A SHIFT adds to a digit; a CPHASE is ``exp(i*theta*x*y)``
+    with x or y fixed at each tracked end.  So an adder's kernels touch only
+    the ``d**(t+n)`` amplitudes of the Fourier span.  An ``initial`` with no
+    digits keeps every qudit dense: the tests' reference for the digit path.
 
     Raises ValueError, before the first op and with the state unchanged,
     if the widened dense part exceeds ``core.MAX_AMPLITUDES``: for an
@@ -121,9 +120,7 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     amplitudes never get this far; ``StateVector`` refuses them.
     """
     d, q = circuit.base, circuit.layout.total_qudits
-    if initial is None:
-        initial = StateVector(d, q, np.ones(1), dict.fromkeys(range(q), 0))
-    state = initial
+    state = zero_state(circuit.layout) if initial is None else initial
     if state.base != d:
         raise ValueError(f"state base {state.base} != circuit base {d}")
     if state.num_qudits != q:

@@ -11,6 +11,15 @@ def dft_matrix(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
 
 
+def as_dense(state: StateVector) -> StateVector:
+    """A copy of ``state`` with every qudit in the dense part and no digits.
+
+    ``execute`` runs it on the gate kernels alone: the reference for its
+    digit path, which every ``basis_state`` and ``zero_state`` takes.
+    """
+    return StateVector(state.base, state.num_qudits, np.array(state.amplitudes))
+
+
 def fragment_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a circuit, extracted through the real apply path.
 

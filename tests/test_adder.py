@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_dense
 from qftadd import (
     AdderSpec,
+    Circuit,
     DigitString,
     GateKind,
     Mode,
@@ -18,7 +20,12 @@ from qftadd import (
     classical_oracle,
     concat,
     execute,
+    from_integer,
+    measure,
+    parse_digit_text,
     required_ancillas,
+    to_integer,
+    zero_state,
 )
 
 
@@ -129,10 +136,45 @@ def test_component_shifts_fourier_state():
         for s_val in range(dim):
             for b_val in range(d**n):
                 joint = s_val * (d**n) + b_val
-                init = basis_state(layout, digit_rows(d, layout, joint))
-                state = execute(frag, init)
                 want = ((s_val + sign * b_val) % dim) * (d**n) + b_val
-                assert abs(state.amplitudes[want]) > 1 - 1e-9
+                # b held as digits, or every qudit dense on the gate kernels
+                init = basis_state(layout, digit_rows(d, layout, joint))
+                for start in (init, as_dense(init)):
+                    state = execute(frag, start)
+                    assert abs(state.amplitudes[want]) > 1 - 1e-9
+
+
+def test_full_adder_from_basis_state_holds_only_the_span():
+    # the inputs loaded as a basis state, without the encode span: only the
+    # Fourier span is ever dense, as on the default path
+    rng = np.random.default_rng(13)
+    for d in range(2, 17):
+        for n, count in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+            mode = Mode.ADD if (d + n + count) % 2 else Mode.SUB
+            inputs = tuple(int(rng.integers(0, d**n)) for _ in range(count))
+            spec = AdderSpec(d, n, count, mode, inputs)
+            layout, width = spec.layout, spec.result_width
+            adder = build_full_adder(spec)
+            name, _, hi = adder.labels[0]
+            assert name == "encode"
+            loaded = [from_integer(v, d, n) for v in inputs]
+            start = basis_state(layout, [from_integer(0, d, spec.ancillas), *loaded])
+            assert start.dense.size == 1
+            state = execute(Circuit(d, layout, adder.ops[hi:]), start)
+            assert state.dense.size == d**width
+            top = measure(state, range(width), 64).top_outcome()
+            assert to_integer(parse_digit_text(top, d)) == classical_oracle(spec)
+            # the default path: zero_state, then the encode span's SHIFTs
+            want = execute(adder)
+            assert state.digits == want.digits
+            assert np.max(np.abs(state.dense - want.dense)) <= 1e-12
+
+
+def test_zero_state_of_the_widest_design_allocates_nothing():
+    # 1030 qubits: d**q amplitudes would be 2**1030
+    state = zero_state(adder_layout(2, 16, 64))
+    assert state.num_qudits == 1030 and state.dense.size == 1
+    assert state.digits == dict.fromkeys(range(1030), 0)
 
 
 def test_full_adder_qubit_case_study():

@@ -7,10 +7,13 @@ import pytest
 
 from conftest import dft_matrix, fragment_unitary
 from qftadd import (
+    AdderSpec,
     Circuit,
     GateKind,
     GateOp,
+    Mode,
     RegisterLayout,
+    build_full_adder,
     build_iqft,
     build_qft,
     circuit_to_json,
@@ -46,6 +49,36 @@ def test_circuit_rejects_out_of_range_ops():
     layout = qft_layout(2, 2)
     with pytest.raises(ValueError):
         Circuit(2, layout, (GateOp(GateKind.HADAMARD, (2,)),))
+
+
+# each label is refused by Circuit; the circuit has two ops
+_BAD_LABELS = {
+    "lo above hi": (("x", 2, 1), ValueError),
+    "negative lo": (("y", -3, 1), ValueError),
+    "hi past the ops": (("y", 0, 99), ValueError),
+    "name not a str": ((7, 0, 2), TypeError),
+    "float lo": (("z", 1.5, 2), TypeError),
+    "float hi": (("z", 0, 2.0), TypeError),
+    "two fields": (("w", 0), ValueError),
+}
+
+
+@pytest.mark.parametrize("label, error", _BAD_LABELS.values(), ids=_BAD_LABELS)
+def test_circuit_rejects_bad_labels(label, error):
+    layout = qft_layout(2, 2)
+    ops = build_qft(layout, range(2)).ops[:2]
+    with pytest.raises(error):
+        Circuit(2, layout, ops, labels=(("ok", 0, 1), label))
+
+
+def test_circuit_labels_take_integer_bounds():
+    layout = qft_layout(2, 2)
+    ops = build_qft(layout, range(2)).ops
+    end = len(ops)
+    labels = (("empty", 0, 0), ("all", np.int64(0), np.int64(end)), ("end", end, end))
+    circ = Circuit(2, layout, ops, labels=labels)
+    assert circ.labels == (("empty", 0, 0), ("all", 0, end), ("end", end, end))
+    assert all(type(lo) is int and type(hi) is int for _, lo, hi in circ.labels)
 
 
 def test_qft_tally():
@@ -192,3 +225,15 @@ def test_text_export_mentions_labels():
     text = circuit_to_text(circ)
     assert "# qft" in text
     assert "hadamard q0" in text
+    # all-zero inputs leave the encode span empty; its header still shows,
+    # before the qft header that starts at the same op
+    adder = build_full_adder(AdderSpec(2, 1, 2, Mode.ADD, (0, 0)))
+    assert adder.labels[:2] == (("encode", 0, 0), ("qft", 0, len(ops)))
+    lines = circuit_to_text(adder).splitlines()
+    headers = [line[2:] for line in lines if line.startswith("# ")]
+    assert headers == [name for name, _, _ in adder.labels]
+    start = lines.index("# encode")
+    assert lines[start + 1 : start + 3] == ["# qft", "  hadamard q0"]
+    # a label that starts after the last op closes the listing
+    tail = Circuit(2, layout, ops, labels=(("qft", 0, len(ops)), ("done", len(ops), len(ops))))
+    assert circuit_to_text(tail).splitlines()[-1] == "# done"

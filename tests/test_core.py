@@ -171,6 +171,8 @@ def test_state_vector_with_digits():
 def test_basis_state_indexing():
     layout = RegisterLayout(2, (("anc", 2), ("a0", 2)))
     state = basis_state(layout, [DigitString(2, (0, 1)), DigitString(2, (1, 0))])
+    # held as its digits, one per qudit, and one amplitude
+    assert state.digits == {0: 0, 1: 1, 2: 1, 3: 0} and state.dense.size == 1
     # global digits 0,1,1,0 -> index 6, qudit 0 most significant
     assert np.argmax(np.abs(state.amplitudes)) == 6
     assert state.amplitudes[6] == 1
@@ -185,6 +187,7 @@ def test_basis_state_wrong_width():
 def test_zero_state():
     layout = RegisterLayout(5, (("r", 3),))
     state = zero_state(layout)
+    assert state.digits == {0: 0, 1: 0, 2: 0} and state.dense.size == 1
     assert state.amplitudes[0] == 1
     assert np.count_nonzero(state.amplitudes) == 1
     assert state.amplitudes.size == 125

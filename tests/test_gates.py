@@ -1,12 +1,14 @@
 """Each gate kind, run as a one-op circuit through ``execute``, against
 slow index-by-index and DFT references."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dft_matrix, fragment_unitary
+from conftest import as_dense, dft_matrix, fragment_unitary
 from qftadd import (
     Circuit,
     GateKind,
@@ -105,20 +107,24 @@ def test_cphase_symmetric_in_roles():
 
 
 def test_shift_adds_modulo_d():
+    # a basis state holds its digits, which a SHIFT adds to; its dense copy
+    # runs the np.roll kernel
     for d, q in SIZES:
         layout = RegisterLayout(d, (("r", q),))
         start = from_integer(d**q // 3, d, q)
-        for target in range(q):
-            for k in (1, d - 1):
-                state = execute(
-                    Circuit(d, layout, (GateOp(GateKind.SHIFT, (target,), k=k),)),
-                    initial=basis_state(layout, [start]),
-                )
-                digits = list(start.digits)
-                digits[target] = (digits[target] + k) % d
-                index = sum(x * d ** (q - 1 - g) for g, x in enumerate(digits))
-                assert state.amplitudes[index] == 1
-                assert np.count_nonzero(state.amplitudes) == 1
+        for target, k, dense in itertools.product(range(q), (1, d - 1), (False, True)):
+            initial = basis_state(layout, [start])
+            if dense:
+                initial = as_dense(initial)
+            assert len(initial.digits) == (0 if dense else q)
+            state = execute(
+                Circuit(d, layout, (GateOp(GateKind.SHIFT, (target,), k=k),)), initial
+            )
+            digits = list(start.digits)
+            digits[target] = (digits[target] + k) % d
+            index = sum(x * d ** (q - 1 - g) for g, x in enumerate(digits))
+            assert state.amplitudes[index] == 1
+            assert np.count_nonzero(state.amplitudes) == 1
 
 
 def test_shift_zero_is_identity():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import as_dense
 from qftadd import (
     AdderSpec,
     Circuit,
@@ -76,18 +77,18 @@ def test_execute_norm_guard():
 def test_measure_deterministic_state():
     layout = RegisterLayout(2, (("r", 3),))
     state = basis_state(layout, [DigitString(2, (1, 0, 1))])
-    hist = measure(state, range(3), shots=1024)
-    assert hist.counts == {"101": 1024}
-    assert hist.top_outcome() == "101"
+    for form in (state, as_dense(state)):  # digits read as known, or a dense marginal
+        hist = measure(form, range(3), shots=1024)
+        assert hist.counts == {"101": 1024}
+        assert hist.top_outcome() == "101"
 
 
 def test_measure_selected_qudits_only():
     layout = RegisterLayout(2, (("a", 2), ("b", 1)))
     state = basis_state(layout, [DigitString(2, (1, 0)), DigitString(2, (1,))])
-    hist = measure(state, [0, 1], shots=16)
-    assert hist.counts == {"10": 16}
-    tail = measure(state, [2], shots=16)
-    assert tail.counts == {"1": 16}
+    for form in (state, as_dense(state)):
+        assert measure(form, [0, 1], shots=16).counts == {"10": 16}
+        assert measure(form, [2], shots=16).counts == {"1": 16}
 
 
 def test_measure_validates_selection():
@@ -143,6 +144,7 @@ def test_noise_flips_digits_at_expected_rate():
     shots = 50_000
     p = 0.05
     hist = measure(state, range(4), shots=shots, noise=NoiseConfig(p, seed=5))
+    assert measure(as_dense(state), range(4), shots, NoiseConfig(p, seed=5)) == hist
     survival = hist.counts["0000"] / shots
     # each of 4 digits survives with probability 1-p
     assert survival == pytest.approx((1 - p) ** 4, abs=0.01)
@@ -152,8 +154,9 @@ def test_noise_probability_one_always_flips():
     # with p=1 and d=2 every digit inverts deterministically
     layout = RegisterLayout(2, (("r", 2),))
     state = basis_state(layout, [DigitString(2, (0, 1))])
-    hist = measure(state, range(2), shots=100, noise=NoiseConfig(1.0, seed=9))
-    assert hist.counts == {"10": 100}
+    for form in (state, as_dense(state)):
+        hist = measure(form, range(2), shots=100, noise=NoiseConfig(1.0, seed=9))
+        assert hist.counts == {"10": 100}
 
 
 def _noisy_reference(ideal, d, width, p):
@@ -300,11 +303,14 @@ def _copy(state):
 def _assert_matches_dense(circuit, selections):
     """The factored result of ``execute`` against the dense reference.
 
-    Returns the factored state after checking its full vector, its
-    histograms on each selection, a copy of it and its use as ``initial``.
+    The reference starts from ``as_dense(zero_state(...))``, which holds no
+    digits, so every op runs on the gate kernels.  Returns the factored
+    state after checking its full vector, its histograms on each
+    selection, a copy of it and its use as ``initial``.
     """
     reduced = execute(circuit)
-    dense = execute(circuit, zero_state(circuit.layout))
+    dense = execute(circuit, as_dense(zero_state(circuit.layout)))
+    assert not dense.digits
     assert reduced.num_qudits == circuit.layout.total_qudits
     full = reduced.amplitudes
     assert np.max(np.abs(full - dense.amplitudes)) <= 1e-12
@@ -391,7 +397,7 @@ def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
     # as ``initial``, that state takes an in-place CPHASE as its first op
     phase = Circuit(d, layout, (GateOp(GateKind.CPHASE, (0, 4), theta=0.6),))
     again = execute(phase, _copy(state))
-    want = execute(phase, StateVector(d, 6, state.amplitudes.copy()))
+    want = execute(phase, as_dense(state))
     assert again.digits == state.digits
     assert np.max(np.abs(again.amplitudes - want.amplitudes)) <= 1e-12
 
@@ -403,7 +409,7 @@ def test_execute_widens_only_the_digits_it_mixes():
     rng = np.random.default_rng(5)
     part = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
     factored = StateVector(d, 5, part / np.linalg.norm(part), {0: 2, 2: 1, 4: 0})
-    dense = StateVector(d, 5, factored.amplitudes.copy())
+    dense = as_dense(factored)
     ops = (
         GateOp(GateKind.HADAMARD, (2,)),  # widens tracked qudit 2
         GateOp(GateKind.CPHASE, (0, 2), theta=0.8),
@@ -433,13 +439,14 @@ def test_widening_over_the_limit_fails_before_allocating():
 
 
 def test_size_limits_fail_before_allocating():
-    # a 2**32 span, 92 qubits and 2**25 sampled digits are all rejected
-    # before any buffer
+    # a 2**32 span, the 2**92 vector of 92 qubits and 2**25 sampled digits
+    # are all rejected before any buffer
     spec = AdderSpec(2, 30, 3, Mode.ADD, (1, 2, 3))
     with pytest.raises(ValueError, match=r"2\*\*32 amplitudes"):
         execute(build_full_adder(spec))
+    wide = zero_state(spec.layout)  # its digits alone; the vector is built on read
     with pytest.raises(ValueError, match=r"2\*\*92 amplitudes"):
-        zero_state(spec.layout)
+        wide.amplitudes
     state = zero_state(RegisterLayout(2, (("r", 2),)))
     with pytest.raises(ValueError, match=f"{2**25} digits"):
         measure(state, [0, 1], shots=2**24)
