@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, GateOp, build_iqft, build_qft
+from .circuit import Circuit, GateKind, GateOp, _qft_ladder
 from .core import RegisterLayout, from_integer
 
 
@@ -159,12 +159,12 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
     in SUB mode.  Registers 1..N-1 pass through unchanged.
     """
     layout = spec.layout
-    span = range(spec.result_width)
-    parts = [("encode", _encoding_ops(layout, spec)), ("qft", build_qft(layout, span).ops)]
+    d, w = spec.base, spec.result_width
+    parts = [("encode", _encoding_ops(layout, spec)), ("qft", _qft_ladder(d, 0, w, 1))]
     for i in range(1, spec.num_inputs):
         fan = build_adder_component(layout, i + 1, spec.mode.sign)
         parts.append((f"component a{i}", fan.ops))
-    parts.append(("iqft", build_iqft(layout, span).ops))
+    parts.append(("iqft", _qft_ladder(d, 0, w, -1)))
     ops: list[GateOp] = []
     labels = []
     for name, part in parts:

@@ -4,11 +4,15 @@ A circuit is a flat, immutable op list against a fixed register layout.
 ``build_qft`` emits the textbook ladder (one Hadamard per position, then
 controlled phases from every deeper qudit, then a final swap reversal) so
 that the fragment's unitary literally equals the ``d**q``-point DFT matrix.
-``build_iqft`` is its exact reverse with conjugated gates.
+``build_iqft`` is its exact reverse with conjugated gates.  Each ladder is
+built once per ``(base, first qudit, width, sign)`` and cached, so every
+caller holds the same ops, and ``execute`` can recognize one by comparing
+ops and run it as an FFT.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -117,21 +121,22 @@ class Circuit:
         return {kind: counts.get(kind, 0) for kind in GateKind}
 
 
-def _check_contiguous(targets: Sequence[int]) -> list[int]:
+def _check_contiguous(targets: Sequence[int]) -> tuple[int, int]:
+    """``(lo, width)`` of a non-empty, contiguous, ascending qudit range."""
     targets = [operator.index(t) for t in targets]
     if not targets:
         raise ValueError("target range must be non-empty")
     lo = targets[0]
     if targets != list(range(lo, lo + len(targets))):
         raise ValueError(f"targets must be a contiguous ascending range, got {targets}")
-    return targets
+    return lo, len(targets)
 
 
-def _qft_ladder(layout: RegisterLayout, targets: Sequence[int], sign: int) -> list[GateOp]:
-    """The QFT's ops for sign +1; for sign -1 the same ops reversed and conjugated."""
-    targets = _check_contiguous(targets)
-    d = layout.base
-    lo, width = targets[0], len(targets)
+@functools.lru_cache(maxsize=256)
+def _qft_ladder(d: int, lo: int, width: int, sign: int) -> tuple[GateOp, ...]:
+    """The QFT's ops on qudits lo..lo+width-1 for sign +1; for sign -1 the
+    same ops reversed and conjugated.  Cached, so every caller of one
+    ladder holds the same ``GateOp`` objects."""
     ops: list[GateOp] = []
     for pos in range(width):
         ops.append(GateOp(GateKind.HADAMARD, (lo + pos,), dagger=sign < 0))
@@ -142,7 +147,28 @@ def _qft_ladder(layout: RegisterLayout, targets: Sequence[int], sign: int) -> li
             )
     for i in range(width // 2):
         ops.append(GateOp(GateKind.SWAP, (lo + i, lo + width - 1 - i)))
-    return ops if sign > 0 else ops[::-1]
+    return tuple(ops if sign > 0 else ops[::-1])
+
+
+def _ladder_match(d: int, ops: Sequence[GateOp]) -> tuple[int, int, int] | None:
+    """``(lo, width, sign)`` if ``ops`` equal ``_qft_ladder(d, lo, width, sign)``, else None.
+
+    A width-w ladder holds ``w*(w+1)//2 + w//2`` ops, and its forward
+    Hadamard on ``lo`` comes first for sign +1 and last for sign -1, so no
+    other span builds a candidate.
+    """
+    n = len(ops)
+    width = (math.isqrt(8 * n + 1) - 1) // 2
+    if n == 0 or n != width * (width + 1) // 2 + width // 2:
+        return None
+    first, last = ops[0], ops[-1]
+    if first.kind is GateKind.HADAMARD and not first.dagger:
+        lo, sign = first.qudits[0], 1
+    elif last.kind is GateKind.HADAMARD and last.dagger:
+        lo, sign = last.qudits[0], -1
+    else:
+        return None
+    return (lo, width, sign) if tuple(ops) == _qft_ladder(d, lo, width, sign) else None
 
 
 def build_qft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
@@ -154,7 +180,7 @@ def build_qft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
 
     Tally for a width-w range: w Hadamard, w*(w-1)/2 CPHASE, floor(w/2) SWAP.
     """
-    return Circuit(layout.base, layout, _qft_ladder(layout, targets, 1))
+    return Circuit(layout.base, layout, _qft_ladder(layout.base, *_check_contiguous(targets), 1))
 
 
 def build_iqft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
@@ -163,7 +189,7 @@ def build_iqft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
     CPHASE angles are negated and Hadamards carry the dagger flag; SWAPs
     are self-inverse.  Composing with :func:`build_qft` gives the identity.
     """
-    return Circuit(layout.base, layout, _qft_ladder(layout, targets, -1))
+    return Circuit(layout.base, layout, _qft_ladder(layout.base, *_check_contiguous(targets), -1))
 
 
 def concat(circuits: Iterable[Circuit]) -> Circuit:

@@ -144,7 +144,7 @@ class StateVector:
     to that level; ``dense`` holds the ``base**(num_qudits - len(digits))``
     amplitudes of the other qudits, in increasing qudit order.  The full
     state is their tensor product.  With no digits, ``dense`` is the whole
-    state.
+    state.  The state takes a copy of the ``dense`` it is given.
 
     ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
     each read builds it anew with :meth:`widened`, and returns it
@@ -168,7 +168,8 @@ class StateVector:
                 raise ValueError(f"digit qudit {qi} out of range for {self.num_qudits}")
             if not 0 <= level < self.base:
                 raise ValueError(f"digit {level} out of range for base {self.base}")
-        self.dense = np.asarray(self.dense, dtype=np.complex128).reshape(-1)
+        # its own writable copy: the caller's array may be read-only, or another state's
+        self.dense = np.array(self.dense, dtype=np.complex128).reshape(-1)
         free = self.num_qudits - len(self.digits)
         if self.dense.shape[0] != self.base**free:
             raise ValueError(

@@ -1,5 +1,10 @@
 """Circuit execution into state vectors, plus shot-based measurement.
 
+``execute`` runs an adder in a few numpy calls: its QFT and IQFT spans
+each as one FFT, and each classical addend's controlled phases folded
+into one diagonal pass per span qudit (Draper's phi-ADD).  Every other op
+runs on its gate kernel in ``gates``.
+
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
 All randomness flows through one numpy Generator (PCG64) seeded from
@@ -12,6 +17,7 @@ text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,11 +26,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
+from .circuit import Circuit, GateKind, _ladder_match
 from .core import MAX_AMPLITUDES, StateVector, from_integer, zero_state
-from .gates import apply_op, phase
+from .gates import apply_op, fourier, phase
 
 FINAL_NORM_ATOL = 1e-9
+_TAU = 2.0 * math.pi
 # the only kinds that take a qudit out of the computational basis
 _MIXING = frozenset((GateKind.HADAMARD, GateKind.SWAP))
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
@@ -109,8 +116,16 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     circuit touches its qudit; those are widened into the dense part before
     the first op.  A SHIFT adds to a digit; a CPHASE is ``exp(i*theta*x*y)``
     with x or y fixed at each tracked end.  So an adder's kernels touch only
-    the ``d**(t+n)`` amplitudes of the Fourier span.  An ``initial`` with no
-    digits keeps every qudit dense: the tests' reference for the digit path.
+    the ``d**(t+n)`` amplitudes of the Fourier span.
+
+    Two shortcuts keep an adder to a few numpy calls.  A labelled span
+    whose ops equal a ``build_qft`` or ``build_iqft`` ladder (compared op
+    by op, whatever its name) runs as one ``d**w``-point FFT.  A CPHASE
+    with one tracked end at level x adds ``theta*x`` (mod 2*pi) to an angle
+    kept for its dense end's axis; those angles are applied, one ``phase``
+    pass per axis, before the next HADAMARD, SWAP, dense SHIFT or FFT and
+    at the end.  A circuit without labels from an ``initial`` without
+    digits runs every op on its gate kernel: the tests' reference.
 
     Raises ValueError, before the first op and with the state unchanged,
     if the widened dense part exceeds ``core.MAX_AMPLITUDES``: for an
@@ -132,25 +147,54 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     axis = {qi: i for i, qi in enumerate(qi for qi in range(q) if qi not in digits)}
     m, levels = len(axis), np.arange(d)
     column = levels[:, None]
-    for op in circuit.ops:
+    # label spans that are a QFT or IQFT ladder: start -> (stop, lo, width, sign)
+    ffts = {}
+    for _, lo, hi in circuit.labels:
+        match = _ladder_match(d, circuit.ops[lo:hi])
+        if match is not None:
+            ffts.setdefault(lo, (hi, *match))
+    # folded one-dense-end CPHASEs: dense axis -> c, for exp(i*c*level) on it
+    angles: dict[int, float] = {}
+    ops, i = circuit.ops, 0
+    while i < len(ops):
+        if i in ffts:
+            i, lo, width, sign = ffts[i]
+            _flush(psi, d, m, angles)
+            psi = state.dense = fourier(psi, d, axis[lo], width, sign)
+            continue
+        op = ops[i]
+        i += 1
         if op.kind is GateKind.CPHASE:
             a, b = op.qudits
             x, y = digits.get(a), digits.get(b)
             if x == 0 or y == 0:  # a tracked end at level 0: identity
                 continue
-            # x*y broadcasts to the levels of each dense end
-            x = column if x is None else x
-            y = levels if y is None else y
+            if (x is None) != (y is None):  # one dense end: fold its angle
+                ax, level = (axis[a], y) if x is None else (axis[b], x)
+                angles[ax] = (angles.get(ax, 0.0) + op.theta * level) % _TAU
+                continue
+            if x is None:  # both ends dense: x*y broadcasts to their levels
+                x, y = column, levels
             axes = [axis[qi] for qi in op.qudits if qi in axis]
             phase(psi, d, m, axes, np.exp(1j * op.theta * x * y))
         elif op.qudits[0] in digits:  # a SHIFT on a tracked digit
             digits[op.qudits[0]] = (digits[op.qudits[0]] + op.k) % d
         else:
+            _flush(psi, d, m, angles)
             psi = state.dense = apply_op(psi, d, m, op, [axis[qi] for qi in op.qudits])
+    _flush(psi, d, m, angles)
     drift = state.norm_error()
     if not drift <= FINAL_NORM_ATOL:
         raise RuntimeError(f"final state norm off by {drift:.3e}")
     return state
+
+
+def _flush(psi: np.ndarray, d: int, m: int, angles: dict[int, float]) -> None:
+    """Apply and forget the folded angles: ``exp(i*c*level)`` on each axis."""
+    levels = np.arange(d)
+    for ax, c in angles.items():
+        phase(psi, d, m, [ax], np.exp(1j * c * levels))
+    angles.clear()
 
 
 def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:

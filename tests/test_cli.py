@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,6 +187,21 @@ def test_add_bounds_the_span_not_the_layout(capsys):
     assert code == 0, err
     assert classical_oracle(spec) == 120
     assert out.strip().endswith("value=120")
+
+
+def test_add_runs_the_1030_qudit_design(capsys):
+    # 64 inputs of 16 bits: 1030 qubits and a 2**22 span, whose QFT and
+    # IQFT each run as one FFT and whose 63 fans fold into one phase per axis
+    rng = np.random.default_rng(1030)
+    inputs = tuple(int(v) for v in rng.integers(0, 2**16, 64))
+    spec = AdderSpec(2, 16, 64, Mode.ADD, inputs)
+    assert spec.layout.total_qudits == 1030 and spec.result_width == 22
+    code, out, err = run_cli(
+        ["add", "--base", "2", "--digits", "16", "--inputs", ",".join(map(str, inputs))],
+        capsys,
+    )
+    assert code == 0, err
+    assert out.strip().endswith(f"value={classical_oracle(spec)}")
 
 
 def test_sweep_size_checked_before_any_row(capsys, monkeypatch):

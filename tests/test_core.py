@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qftadd import (
     AdderSpec,
+    Circuit,
     DigitString,
     GateKind,
     GateOp,
@@ -16,6 +17,7 @@ from qftadd import (
     basis_state,
     build_qft,
     capacity,
+    execute,
     from_integer,
     gate_count_formula,
     measure,
@@ -166,6 +168,27 @@ def test_state_vector_with_digits():
     assert wide.flags.writeable and np.array_equal(wide, full)
     assert state.widened([]) is state.dense
     assert state.digits == {1: 2} and state.dense.shape == (9,)
+
+
+def test_state_vector_from_read_only_amplitudes_runs():
+    # a state with digits hands out its full vector read-only
+    layout = RegisterLayout(2, (("r", 2),))
+    source = zero_state(layout).amplitudes
+    assert not source.flags.writeable
+    state = StateVector(2, 2, source)
+    phased = execute(Circuit(2, layout, (GateOp(GateKind.CPHASE, (0, 1), theta=0.5),)), state)
+    assert phased.dense.flags.writeable
+    assert np.array_equal(phased.dense, [1, 0, 0, 0])
+
+
+def test_state_vector_shares_no_buffer_with_its_source():
+    layout = RegisterLayout(2, (("r", 2),))
+    other = StateVector(2, 2, np.array([0, 0, 0, 1]))  # no digits: amplitudes is dense
+    twin = StateVector(2, 2, other.amplitudes)
+    assert not np.shares_memory(twin.dense, other.dense)
+    execute(Circuit(2, layout, (GateOp(GateKind.CPHASE, (0, 1), theta=np.pi),)), twin)
+    assert np.allclose(twin.dense, [0, 0, 0, -1])
+    assert np.array_equal(other.dense, [0, 0, 0, 1])
 
 
 def test_basis_state_indexing():

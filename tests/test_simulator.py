@@ -22,6 +22,7 @@ from qftadd import (
     StateVector,
     basis_state,
     build_full_adder,
+    build_iqft,
     build_qft,
     execute,
     from_integer,
@@ -32,6 +33,7 @@ from qftadd import (
     to_integer,
     zero_state,
 )
+from qftadd import simulator
 from qftadd.simulator import MAX_SHOT_DIGITS
 
 
@@ -304,12 +306,14 @@ def _assert_matches_dense(circuit, selections):
     """The factored result of ``execute`` against the dense reference.
 
     The reference starts from ``as_dense(zero_state(...))``, which holds no
-    digits, so every op runs on the gate kernels.  Returns the factored
+    digits, and runs the circuit stripped of its labels, so no span runs as
+    an FFT and every op runs on the gate kernels.  Returns the factored
     state after checking its full vector, its histograms on each
     selection, a copy of it and its use as ``initial``.
     """
     reduced = execute(circuit)
-    dense = execute(circuit, as_dense(zero_state(circuit.layout)))
+    gatewise = Circuit(circuit.base, circuit.layout, circuit.ops)
+    dense = execute(gatewise, as_dense(zero_state(circuit.layout)))
     assert not dense.digits
     assert reduced.num_qudits == circuit.layout.total_qudits
     full = reduced.amplitudes
@@ -400,6 +404,104 @@ def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
     want = execute(phase, as_dense(state))
     assert again.digits == state.digits
     assert np.max(np.abs(again.amplitudes - want.amplitudes)) <= 1e-12
+
+
+def _random_dense(d, q, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=d**q) + 1j * rng.normal(size=d**q)
+    return StateVector(d, q, amps / np.linalg.norm(amps))
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments after ``psi, d`` of every call to ``simulator.<name>``."""
+    calls, real = [], getattr(simulator, name)
+
+    def spy(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(simulator, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("d, w", [(2, 10), (3, 6), (4, 5), (5, 4), (11, 3), (16, 3)])
+@pytest.mark.parametrize("build, sign", [(build_qft, 1), (build_iqft, -1)])
+def test_fft_span_equals_its_gate_ladder(d, w, build, sign, monkeypatch):
+    # one qudit on either side: the span has d leading and d trailing indices
+    layout = RegisterLayout(d, (("lead", 1), ("span", w), ("rest", 1)))
+    ops = build(layout, range(1, w + 1)).ops
+    start = _random_dense(d, w + 2, seed=d * w)
+    ffts = _spy(monkeypatch, "fourier")
+    fast = execute(Circuit(d, layout, ops, (("span", 0, len(ops)),)), as_dense(start))
+    assert ffts == [(1, w, sign)]
+    slow = execute(Circuit(d, layout, ops), as_dense(start))
+    assert len(ffts) == 1  # an unlabelled circuit runs gate by gate
+    assert np.max(np.abs(fast.dense - slow.dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("edit", ["theta", "targets"])
+def test_ladder_length_span_that_differs_runs_gate_by_gate(sign, edit, monkeypatch):
+    d, w = 3, 4
+    layout = RegisterLayout(d, (("lead", 1), ("span", w), ("rest", 1)))
+    build = build_qft if sign > 0 else build_iqft
+    ops = list(build(layout, range(1, w + 1)).ops)
+    if edit == "theta":
+        i = next(i for i, op in enumerate(ops) if op.kind is GateKind.CPHASE)
+        ops[i] = GateOp(GateKind.CPHASE, ops[i].qudits, theta=ops[i].theta * 1.5)
+    else:  # span qudits 2 and 3 trade places; the forward Hadamard on 1 stays put
+        swap = {2: 3, 3: 2}
+        ops = [
+            GateOp(op.kind, tuple(swap.get(qi, qi) for qi in op.qudits),
+                   theta=op.theta, k=op.k, dagger=op.dagger)
+            for op in ops
+        ]
+    start = _random_dense(d, w + 2, seed=7)
+    ffts = _spy(monkeypatch, "fourier")
+    got = execute(Circuit(d, layout, ops, (("span", 0, len(ops)),)), as_dense(start))
+    assert ffts == []
+    want = execute(Circuit(d, layout, ops), as_dense(start))
+    assert np.max(np.abs(got.dense - want.dense)) <= 1e-12
+    ladder = execute(Circuit(d, layout, build(layout, range(1, w + 1)).ops), as_dense(start))
+    assert np.max(np.abs(got.dense - ladder.dense)) > 1e-3  # the edit matters
+
+
+def test_folded_phases_match_the_gate_path(monkeypatch):
+    # qudits 0 and 1 dense; 2 and 3 tracked digits that control phase fans
+    d = 3
+    layout = RegisterLayout(d, (("span", 2), ("src", 2)))
+    rng = np.random.default_rng(11)
+    fan = [
+        GateOp(GateKind.CPHASE, pair, theta=float(theta))
+        for pair, theta in zip(
+            itertools.cycle([(2, 0), (1, 3), (3, 0), (1, 2)]), rng.uniform(3.0, 4.0, 2000)
+        )
+    ]
+    ops = [
+        GateOp(GateKind.SHIFT, (2,), k=2),
+        GateOp(GateKind.SHIFT, (3,), k=1),
+        GateOp(GateKind.HADAMARD, (0,)),
+        GateOp(GateKind.HADAMARD, (1,)),
+        *fan[:10],
+        GateOp(GateKind.HADAMARD, (0,)),  # folded angles on qudit 0 must land first
+        *fan[10:20],
+        GateOp(GateKind.CPHASE, (0, 1), theta=0.9),  # two dense ends: no flush needed
+        GateOp(GateKind.SHIFT, (3,), k=1),  # a tracked digit moves: later fans read 2
+        *fan[20:30],
+        GateOp(GateKind.SHIFT, (1,), k=1),  # a dense SHIFT flushes too
+        GateOp(GateKind.SWAP, (0, 1)),
+        *fan[30:],  # each angle is 3..4 at level 2: over 2*pi*10**3 per dense end
+        GateOp(GateKind.HADAMARD, (1,), dagger=True),
+    ]
+    for end in (0, 1):
+        assert sum(2 * op.theta for op in fan[30:] if end in op.qudits) > 2 * np.pi * 1e3
+    circuit = Circuit(d, layout, ops)
+    phases = _spy(monkeypatch, "phase")
+    folded = execute(circuit)
+    assert folded.digits == {2: 2, 3: 2}
+    assert len(phases) <= 10  # one per axis at each flush, not one per CPHASE
+    want = execute(circuit, as_dense(zero_state(layout)))
+    assert np.max(np.abs(folded.amplitudes - want.amplitudes)) <= 1e-12
 
 
 def test_execute_widens_only_the_digits_it_mixes():
