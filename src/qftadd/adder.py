@@ -10,6 +10,7 @@ never overflows the span.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -106,6 +107,34 @@ class AdderSpec:
         return adder_layout(self.base, self.digits_per_input, self.num_inputs)
 
 
+def _fan(d: int, q_f: int, source: range, sign: int) -> list[GateOp]:
+    """The CPHASE fan adding the digits on ``source`` into span qudits 0..q_f-1."""
+    width = len(source)
+    ops = []
+    for offset, control in enumerate(source):
+        j = width - 1 - offset
+        for l in range(j + 1, q_f + 1):
+            theta = sign * 2.0 * math.pi * d ** (j - l)
+            ops.append(GateOp(GateKind.CPHASE, (control, l - 1), theta=theta))
+    return ops
+
+
+@functools.lru_cache(maxsize=16)
+def _design_fans(d: int, n: int, num_inputs: int, sign: int) -> tuple[GateOp, ...]:
+    """The fans of registers 2..num_inputs of one adder design, in order.
+
+    Each fan holds ``n*t + n*(n+1)//2`` ops.  Cached per design, so every
+    adder of one design holds the same ``GateOp`` objects; at most 16
+    designs' fans are kept.
+    """
+    layout = adder_layout(d, n, num_inputs)
+    q_f = layout.register_start(2)
+    ops: list[GateOp] = []
+    for register in range(2, num_inputs + 1):
+        ops.extend(_fan(d, q_f, layout.register_range(register), sign))
+    return tuple(ops)
+
+
 def build_adder_component(
     layout: RegisterLayout, source_register: int, sign: int
 ) -> Circuit:
@@ -125,19 +154,11 @@ def build_adder_component(
         raise ValueError(
             "source register overlaps the Fourier span (registers 0 and 1)"
         )
-    q_f = layout.register_start(2)
     source = layout.register_range(source_register)
     if len(source) == 0:
         raise ValueError(f"source register {source_register} is empty")
-    d = layout.base
-    width = len(source)
-    ops = []
-    for offset, control in enumerate(source):
-        j = width - 1 - offset
-        for l in range(j + 1, q_f + 1):
-            theta = sign * 2.0 * math.pi * d ** (j - l)
-            ops.append(GateOp(GateKind.CPHASE, (control, l - 1), theta=theta))
-    return Circuit(d, layout, tuple(ops))
+    ops = _fan(layout.base, layout.register_start(2), source, sign)
+    return Circuit(layout.base, layout, tuple(ops))
 
 
 def _encoding_ops(layout: RegisterLayout, spec: AdderSpec) -> list[GateOp]:
@@ -156,14 +177,17 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
 
     Measuring the span (qudits 0..t+n-1) afterwards yields the sum of
     all inputs in ADD mode, or inputs[0] minus the rest modulo d**(t+n)
-    in SUB mode.  Registers 1..N-1 pass through unchanged.
+    in SUB mode.  Registers 1..N-1 pass through unchanged.  The QFT, IQFT
+    and fans are cached per design, so two adders of one design share
+    every op but the encoding shifts.
     """
     layout = spec.layout
-    d, w = spec.base, spec.result_width
+    d, n, w = spec.base, spec.digits_per_input, spec.result_width
     parts = [("encode", _encoding_ops(layout, spec)), ("qft", _qft_ladder(d, 0, w, 1))]
+    fans = _design_fans(d, n, spec.num_inputs, spec.mode.sign)
+    size = n * (w - n) + n * (n + 1) // 2  # ops per fan: n*t + n*(n+1)/2
     for i in range(1, spec.num_inputs):
-        fan = build_adder_component(layout, i + 1, spec.mode.sign)
-        parts.append((f"component a{i}", fan.ops))
+        parts.append((f"component a{i}", fans[(i - 1) * size : i * size]))
     parts.append(("iqft", _qft_ladder(d, 0, w, -1)))
     ops: list[GateOp] = []
     labels = []

@@ -47,6 +47,7 @@ class GateOp:
     in the two roles, the ordering is kept for circuit readability.  The
     ``dagger`` flag marks the conjugate-transposed Hadamard used by the
     inverse QFT (for base 2 it is a no-op since H is self-inverse).
+    ``theta`` may be any finite real number and is stored as a ``float``.
     """
 
     kind: GateKind
@@ -70,8 +71,10 @@ class GateOp:
             raise ValueError(f"qudit indices must be non-negative, got {self.qudits}")
         if (self.theta is not None) != (self.kind is GateKind.CPHASE):
             raise ValueError("theta is required for CPHASE and forbidden otherwise")
-        if self.theta is not None and not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        if self.theta is not None:
+            if not math.isfinite(self.theta):
+                raise ValueError(f"theta must be finite, got {self.theta}")
+            object.__setattr__(self, "theta", float(self.theta))
         if (self.k is not None) != (self.kind is GateKind.SHIFT):
             raise ValueError("k is required for SHIFT and forbidden otherwise")
         if self.dagger and self.kind is not GateKind.HADAMARD:
@@ -209,26 +212,40 @@ def concat(circuits: Iterable[Circuit]) -> Circuit:
     return Circuit(first.base, first.layout, tuple(ops), tuple(labels))
 
 
+# what json.dumps(indent=2) writes for an op in the op list up to its first
+# qudit; GateOp fixes each kind's arity and parameter, so one template per
+# kind spells every op
+_OP_HEAD = {
+    kind: f'    {{\n      "kind": "{kind.value}",\n      "qudits": [\n        '
+    for kind in GateKind
+}
+
+
+def _op_to_json(op: GateOp) -> str:
+    q, kind = op.qudits, op.kind
+    head = _OP_HEAD[kind]
+    if kind is GateKind.CPHASE:
+        return f'{head}{q[0]},\n        {q[1]}\n      ],\n      "theta": {op.theta!r}\n    }}'
+    if kind is GateKind.SWAP:
+        return f'{head}{q[0]},\n        {q[1]}\n      ]\n    }}'
+    if kind is GateKind.SHIFT:
+        return f'{head}{q[0]}\n      ],\n      "k": {op.k}\n    }}'
+    dagger = ',\n      "dagger": true' if op.dagger else ""
+    return f'{head}{q[0]}\n      ]{dagger}\n    }}'
+
+
 def circuit_to_json(circuit: Circuit) -> str:
-    """Serialize as {base, registers, ops}; angles are IEEE doubles."""
-    ops = []
-    for op in circuit.ops:
-        entry: dict = {"kind": op.kind.value, "qudits": list(op.qudits)}
-        if op.theta is not None:
-            entry["theta"] = op.theta
-        if op.k is not None:
-            entry["k"] = op.k
-        if op.dagger:
-            entry["dagger"] = True
-        ops.append(entry)
-    payload = {
-        "base": circuit.base,
-        "registers": [
-            {"name": name, "size": size} for name, size in circuit.layout.registers
-        ],
-        "ops": ops,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Serialize as {base, registers, ops}; angles are IEEE doubles.
+
+    The bytes are those of ``json.dumps(payload, indent=2) + "\\n"``.  Only
+    the header goes through ``json``; the op list, whose fields are ints,
+    finite floats and fixed ASCII names, is written op by op.
+    """
+    registers = [{"name": name, "size": size} for name, size in circuit.layout.registers]
+    header = json.dumps({"base": circuit.base, "registers": registers}, indent=2)
+    ops = ",\n".join(map(_op_to_json, circuit.ops))
+    ops = f"[\n{ops}\n  ]" if ops else "[]"
+    return f'{header[:-2]},\n  "ops": {ops}\n}}\n'
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:

@@ -27,6 +27,7 @@ from qftadd import (
     to_integer,
     zero_state,
 )
+from qftadd.adder import _design_fans
 
 
 def result_probability(spec, state, value):
@@ -208,6 +209,28 @@ def test_full_adder_labels_tile_the_ops(d, N):
     for i in range(1, N):
         assert parts[f"component a{i}"] == build_adder_component(layout, i + 1, -1).ops
     assert parts["iqft"] == build_iqft(layout, span).ops
+
+
+def test_fans_are_built_once_per_design():
+    d, n = 3, 2
+
+    def fans(N, mode, inputs):
+        circ = build_full_adder(AdderSpec(d, n, N, mode, inputs))
+        return circ, [op for name, lo, hi in circ.labels if name.startswith("component")
+                      for op in circ.ops[lo:hi]]
+
+    circ, first = fans(3, Mode.ADD, (1, 2, 3))
+    _, again = fans(3, Mode.ADD, (8, 0, 5))
+    assert first and all(a is b for a, b in zip(first, again, strict=True))
+    # the cache is keyed by the whole design: mode and input count matter
+    _, sub = fans(3, Mode.SUB, (1, 2, 3))
+    _, wider = fans(4, Mode.ADD, (1, 2, 3, 4))
+    assert not {id(op) for op in first} & {id(op) for op in sub}
+    assert not {id(op) for op in first} & {id(op) for op in wider}
+    spans = {name: circ.ops[lo:hi] for name, lo, hi in circ.labels}
+    for i in (2, 3):
+        assert build_adder_component(circ.layout, i, +1).ops == spans[f"component a{i - 1}"]
+    assert _design_fans.cache_info().maxsize == 16
 
 
 def test_full_adder_single_input_is_identity_pipeline():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from qftadd import (
     circuit_to_qasm,
     circuit_to_text,
     concat,
+    execute,
+    zero_state,
 )
 from qftadd.circuit import _ladder_match
 
@@ -207,6 +210,75 @@ def test_json_round_trip_fields():
     assert payload["ops"][2]["theta"] == pytest.approx(math.pi / 2)
     assert payload["ops"][3]["dagger"] is True
     assert circuit_to_json(circ).endswith("\n")
+
+
+def reference_json(circuit):
+    """The writer circuit_to_json replaced: one json.dumps(indent=2) of it all."""
+    ops = []
+    for op in circuit.ops:
+        entry: dict = {"kind": op.kind.value, "qudits": list(op.qudits)}
+        if op.theta is not None:
+            entry["theta"] = op.theta
+        if op.k is not None:
+            entry["k"] = op.k
+        if op.dagger:
+            entry["dagger"] = True
+        ops.append(entry)
+    payload = {
+        "base": circuit.base,
+        "registers": [
+            {"name": name, "size": size} for name, size in circuit.layout.registers
+        ],
+        "ops": ops,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_matches_the_reference_writer_on_adders():
+    for d, n, N, mode in itertools.product(range(2, 17), (1, 2, 3), (1, 2, 3, 5), Mode):
+        inputs = tuple((7 * i + 3) % d**n for i in range(N))
+        circ = build_full_adder(AdderSpec(d, n, N, mode, inputs))
+        assert circuit_to_json(circ) == reference_json(circ), (d, n, N, mode)
+
+
+def test_json_matches_the_reference_writer_on_edge_cases():
+    odd = RegisterLayout(3, (("q\"uo\\te", 2), ("empty", 0), ("dé\u2603", 1)))
+    thetas = (-0.0, 2.0, 1e-300, 1e16)
+    ops = (
+        GateOp(GateKind.SHIFT, (0,), k=7),  # k >= d
+        GateOp(GateKind.HADAMARD, (1,), dagger=True),
+        GateOp(GateKind.SWAP, (0, 2)),
+        *(GateOp(GateKind.CPHASE, (2, 0), theta=theta) for theta in thetas),
+    )
+    circuits = [Circuit(3, odd, ()), Circuit(3, odd, ops)]
+    for circ in circuits:
+        assert circuit_to_json(circ) == reference_json(circ)
+    payload = json.loads(circuit_to_json(circuits[1]))
+    assert [reg["name"] for reg in payload["registers"]] == ["q\"uo\\te", "empty", "dé\u2603"]
+    assert [op["theta"] for op in payload["ops"][3:]] == list(thetas)
+    assert math.copysign(1, payload["ops"][3]["theta"]) == -1
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [1, True, np.float32(0.5), Fraction(1, 2), np.float64(0.25)],
+    ids=["int", "bool", "float32", "Fraction", "float64"],
+)
+def test_theta_is_stored_as_a_float(theta):
+    layout = RegisterLayout(2, (("a", 2),))
+    hadamards = (GateOp(GateKind.HADAMARD, (0,)), GateOp(GateKind.HADAMARD, (1,)))
+
+    def circuit(angle):
+        return Circuit(2, layout, (*hadamards, GateOp(GateKind.CPHASE, (0, 1), theta=angle)))
+
+    circ = circuit(theta)
+    assert type(circ.ops[-1].theta) is float and circ.ops[-1].theta == float(theta)
+    written = json.loads(circuit_to_json(circ))["ops"][-1]["theta"]
+    assert type(written) is float and written == float(theta)
+    assert circuit_to_qasm(circ) == circuit_to_qasm(circuit(float(theta)))
+    got = execute(circ, zero_state(layout)).amplitudes
+    want = execute(circuit(float(theta)), zero_state(layout)).amplitudes
+    assert np.array_equal(got, want)
 
 
 def test_qasm_export_base_two_only():
