@@ -161,11 +161,12 @@ def build_adder_component(
     return Circuit(layout.base, layout, tuple(ops))
 
 
-def _encoding_ops(layout: RegisterLayout, spec: AdderSpec) -> list[GateOp]:
+def _encoding_ops(spec: AdderSpec) -> list[GateOp]:
     ops = []
+    t, n = spec.ancillas, spec.digits_per_input
     for i, value in enumerate(spec.inputs):
-        digits = from_integer(value, spec.base, spec.digits_per_input)
-        start = layout.register_start(i + 1)
+        digits = from_integer(value, spec.base, n)
+        start = t + i * n  # of register i + 1, after t ancillas and i inputs
         for offset, dig in enumerate(digits.digits):
             if dig != 0:
                 ops.append(GateOp(GateKind.SHIFT, (start + offset,), k=dig))
@@ -183,7 +184,7 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
     """
     layout = spec.layout
     d, n, w = spec.base, spec.digits_per_input, spec.result_width
-    parts = [("encode", _encoding_ops(layout, spec)), ("qft", _qft_ladder(d, 0, w, 1))]
+    parts = [("encode", _encoding_ops(spec)), ("qft", _qft_ladder(d, 0, w, 1))]
     fans = _design_fans(d, n, spec.num_inputs, spec.mode.sign)
     size = n * (w - n) + n * (n + 1) // 2  # ops per fan: n*t + n*(n+1)/2
     for i in range(1, spec.num_inputs):

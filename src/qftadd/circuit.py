@@ -5,9 +5,8 @@ A circuit is a flat, immutable op list against a fixed register layout.
 controlled phases from every deeper qudit, then a final swap reversal) so
 that the fragment's unitary literally equals the ``d**q``-point DFT matrix.
 ``build_iqft`` is its exact reverse with conjugated gates.  Each ladder is
-built once per ``(base, first qudit, width, sign)`` and cached, so every
-caller holds the same ops, and ``execute`` can recognize one by comparing
-ops and run it as an FFT.
+built once per ``(base, first qudit, width, sign)`` and cached, only so
+that building adders is fast; every caller holds the same ops.
 """
 
 from __future__ import annotations
@@ -138,8 +137,8 @@ def _check_contiguous(targets: Sequence[int]) -> tuple[int, int]:
 @functools.lru_cache(maxsize=256)
 def _qft_ladder(d: int, lo: int, width: int, sign: int) -> tuple[GateOp, ...]:
     """The QFT's ops on qudits lo..lo+width-1 for sign +1; for sign -1 the
-    same ops reversed and conjugated.  Cached, so every caller of one
-    ladder holds the same ``GateOp`` objects."""
+    same ops reversed and conjugated.  Cached only to make building fast;
+    every caller of one ladder holds the same ``GateOp`` objects."""
     ops: list[GateOp] = []
     for pos in range(width):
         ops.append(GateOp(GateKind.HADAMARD, (lo + pos,), dagger=sign < 0))
@@ -151,27 +150,6 @@ def _qft_ladder(d: int, lo: int, width: int, sign: int) -> tuple[GateOp, ...]:
     for i in range(width // 2):
         ops.append(GateOp(GateKind.SWAP, (lo + i, lo + width - 1 - i)))
     return tuple(ops if sign > 0 else ops[::-1])
-
-
-def _ladder_match(d: int, ops: Sequence[GateOp]) -> tuple[int, int, int] | None:
-    """``(lo, width, sign)`` if ``ops`` equal ``_qft_ladder(d, lo, width, sign)``, else None.
-
-    A width-w ladder holds ``w*(w+1)//2 + w//2`` ops, and its forward
-    Hadamard on ``lo`` comes first for sign +1 and last for sign -1, so no
-    other span builds a candidate.
-    """
-    n = len(ops)
-    width = (math.isqrt(8 * n + 1) - 1) // 2
-    if n == 0 or n != width * (width + 1) // 2 + width // 2:
-        return None
-    first, last = ops[0], ops[-1]
-    if first.kind is GateKind.HADAMARD and not first.dagger:
-        lo, sign = first.qudits[0], 1
-    elif last.kind is GateKind.HADAMARD and last.dagger:
-        lo, sign = last.qudits[0], -1
-    else:
-        return None
-    return (lo, width, sign) if tuple(ops) == _qft_ladder(d, lo, width, sign) else None
 
 
 def build_qft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:

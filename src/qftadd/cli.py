@@ -85,8 +85,8 @@ def _run_add_sub(args: argparse.Namespace) -> int:
         raise CliError(f"--shots: must be >= 1, got {args.shots}")
     with _flag("--noise/--seed"):
         noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
-    # before building, whose op count grows as digits squared; execute
-    # widens only the span, the measured register
+    # before building, whose op count grows as digits squared; the span is
+    # the measured register, so its size bounds measure's marginal
     with _flag("--digits/--inputs"):
         _check_size(spec.base, spec.result_width)
         _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)

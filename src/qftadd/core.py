@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -148,7 +147,8 @@ class StateVector:
 
     ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
     each read builds it anew with :meth:`widened`, and returns it
-    read-only.
+    read-only.  ``execute`` may hold further qudits as factors while it
+    runs, but a state it returns has only digits and a dense part.
     """
 
     base: int
@@ -181,26 +181,24 @@ class StateVector:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        if not self.digits:
-            return self.dense
-        full = self.widened(self.digits)
-        full.flags.writeable = False
+        full = self.widened()
+        if self.digits:
+            full.flags.writeable = False
         return full
 
-    def widened(self, qudits: Iterable[int]) -> np.ndarray:
-        """The dense buffer widened by the digit qudits ``qudits``, each at its digit.
+    def widened(self) -> np.ndarray:
+        """The full ``base**num_qudits`` vector, each digit qudit at its digit.
 
-        With no ``qudits`` this is ``dense`` itself; otherwise a new buffer,
+        With no digits this is ``dense`` itself; otherwise a new buffer,
         whose size is checked against ``MAX_AMPLITUDES`` before allocating.
         """
-        d, placed = self.base, {qi: self.digits[qi] for qi in qudits}
-        if not placed:
+        d, q = self.base, self.num_qudits
+        if not self.digits:
             return self.dense
-        kept = [qi for qi in range(self.num_qudits) if qi in placed or qi not in self.digits]
-        _check_size(d, len(kept))
-        full = np.zeros((d,) * len(kept), dtype=np.complex128)
-        index = tuple(placed.get(qi, slice(None)) for qi in kept)
-        full[index] = self.dense.reshape((d,) * (len(kept) - len(placed)))
+        _check_size(d, q)
+        full = np.zeros((d,) * q, dtype=np.complex128)
+        index = tuple(self.digits.get(qi, slice(None)) for qi in range(q))
+        full[index] = self.dense.reshape((d,) * (q - len(self.digits)))
         return full.reshape(-1)
 
     def probabilities(self) -> np.ndarray:

@@ -5,14 +5,12 @@ increasing qudit order (in ``execute``, the dense part of a state), and
 the positions of its targets in it; it repeats none of the checks that
 ``GateOp``, ``Circuit`` and ``execute`` make.  Each works on a reshaped
 view of at most five axes, never on a ``d**m x d**m`` operator.
-:func:`phase` scales in place and covers every CPHASE, the diagonal
-``exp(i*theta*x*y)``, with two, one or no dense ends, and the folded
-one-axis phases of ``execute``.  HADAMARD (the d-point DFT), SHIFT and
+:func:`phase` scales in place and covers every CPHASE that reaches the
+dense part, the diagonal ``exp(i*theta*x*y)`` with two dense ends or with
+one and the other's level fixed.  HADAMARD (the d-point DFT), SHIFT and
 SWAP return one new buffer, so a gate holds at most two vectors at once.
-:func:`fourier` runs a whole QFT or IQFT span as one ``np.fft`` call and
-also returns a new buffer.  ``execute`` uses the per-gate kernels for
-every op outside a recognized QFT or IQFT span, so for every op of an
-unlabelled circuit.  The Hadamard keeps two forms, picked from the
+``execute`` runs every op that touches the dense part here, so every op
+of a state without digits.  The Hadamard keeps two forms, picked from the
 shape: summed over every target at d=2, the batched ``d x d`` product
 alone took 2.8x as long as the pair on 2**20 amplitudes and 4.0x on
 2**14, and ``einsum`` 3.2x and 3.5x.
@@ -20,6 +18,7 @@ alone took 2.8x as long as the pair on 2**20 amplitudes and 4.0x on
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +31,14 @@ from .circuit import GateKind, GateOp
 _BLOCK_HADAMARD_MAX = 64
 
 
+@functools.lru_cache(maxsize=64)
 def _dft(d: int, dagger: bool) -> np.ndarray:
-    """d-level Hadamard: entry (m, j) = exp(2*pi*i*j*m/d) / sqrt(d)."""
+    """d-level Hadamard: entry (m, j) = exp(2*pi*i*j*m/d) / sqrt(d); cached, read-only."""
     levels = np.arange(d)
     sign = -1.0 if dagger else 1.0
-    return np.exp(sign * 2j * np.pi * np.outer(levels, levels) / d) / np.sqrt(d)
+    dft = np.exp(sign * 2j * np.pi * np.outer(levels, levels) / d) / np.sqrt(d)
+    dft.flags.writeable = False
+    return dft
 
 
 def _hadamard(psi: np.ndarray, d: int, lead: int, trail: int, dagger: bool) -> np.ndarray:
@@ -70,21 +72,11 @@ def apply_op(psi: np.ndarray, d: int, m: int, op: GateOp, axes: Sequence[int]) -
     return np.roll(psi.reshape(lead, d, trail), op.k, axis=1).reshape(-1)
 
 
-def fourier(psi: np.ndarray, d: int, axis: int, width: int, sign: int) -> np.ndarray:
-    """The ``d**width``-point DFT on ``width`` adjacent axes from ``axis``; a new vector.
-
-    Sign +1 is what ``build_qft`` on those qudits does, ``exp(+2*pi*i*j*k/N)``,
-    and sign -1 what ``build_iqft`` does; both are unitary ("ortho").
-    """
-    transform = np.fft.ifft if sign > 0 else np.fft.fft
-    return transform(psi.reshape(d**axis, d**width, -1), axis=1, norm="ortho").reshape(-1)
-
-
 def phase(psi: np.ndarray, d: int, m: int, axes: Sequence[int], table: np.ndarray) -> None:
     """Scale psi in place by ``table[x, y, ...]`` at levels x, y, ... on ``axes``.
 
-    ``table`` holds ``d**len(axes)`` entries in any shape, one for a global
-    phase; with two axes it must be symmetric, as ``exp(i*theta*x*y)`` is.
+    ``table`` holds ``d**len(axes)`` entries in any shape, for one or two
+    axes; with two it must be symmetric, as ``exp(i*theta*x*y)`` is.
     psi is one-dimensional, so its reshape is a view at any stride and the
     product writes through.
     """

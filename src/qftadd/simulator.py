@@ -1,9 +1,9 @@
 """Circuit execution into state vectors, plus shot-based measurement.
 
-``execute`` runs an adder in a few numpy calls: its QFT and IQFT spans
-each as one FFT, and each classical addend's controlled phases folded
-into one diagonal pass per span qudit (Draper's phi-ADD).  Every other op
-runs on its gate kernel in ``gates``.
+``execute`` holds each qudit as a digit, a one-qudit factor or an axis of
+the dense part, so an adder run from digits (Draper's phi-ADD on a
+product state) never builds its Fourier span.  Ops on the dense part run
+on the gate kernels in ``gates``.
 
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
@@ -16,24 +16,25 @@ text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, _ladder_match
-from .core import MAX_AMPLITUDES, StateVector, from_integer, zero_state
-from .gates import apply_op, fourier, phase
+from .circuit import Circuit, GateKind
+from .core import MAX_AMPLITUDES, StateVector, _check_size, from_integer, zero_state
+from .gates import _dft, apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
 _TAU = 2.0 * math.pi
-# the only kinds that take a qudit out of the computational basis
-_MIXING = frozenset((GateKind.HADAMARD, GateKind.SWAP))
+# Largest magnitude a factor may have at every level but one and still snap
+# back to a digit at that level.
+_SNAP_ATOL = 1e-12
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
 # ``shots`` outcomes, so this bounds the digit text rendered from one.
 MAX_SHOT_DIGITS = 2**24
@@ -94,7 +95,7 @@ class Histogram:
     def shots(self) -> int:
         return sum(self.tallies.values())
 
-    @cached_property
+    @functools.cached_property
     def counts(self) -> dict[str, int]:
         """The tallies keyed by digit text, in increasing value; rendered once."""
         return {self._text(value): count for value, count in self.tallies.items()}
@@ -111,28 +112,28 @@ class Histogram:
 def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit's ops in order to ``initial``, updating and returning it.
 
-    The default start is ``zero_state(circuit.layout)``, one tracked digit
-    per qudit.  A digit stays tracked unless a HADAMARD or SWAP in the
-    circuit touches its qudit; those are widened into the dense part before
-    the first op.  A SHIFT adds to a digit; a CPHASE is ``exp(i*theta*x*y)``
-    with x or y fixed at each tracked end.  So an adder's kernels touch only
-    the ``d**(t+n)`` amplitudes of the Fourier span.
+    The default start is ``zero_state(circuit.layout)``.  While it runs,
+    each qudit is a digit, a factor (a d-vector in tensor product with the
+    rest) or an axis of the dense part.  A HADAMARD turns a digit into a
+    DFT column, or multiplies a factor by the DFT; a factor whose every
+    other level is at most ``_SNAP_ATOL`` then snaps back to a digit, its
+    amplitude moved into a global scalar.  A SHIFT adds to a digit or rolls
+    a factor, and a SWAP of two qudits that are not dense exchanges them.
+    A CPHASE between two digits scales the scalar; with a digit end at
+    level x and a factor end, it adds ``theta*x`` (mod 2*pi) to an angle
+    applied to the factor before its next use.  Every other op first
+    widens its factors, and for a SWAP its digits, into the dense part and
+    runs its gate kernel; a CPHASE kernel reads a digit end as its level.
+    Factors left at the end are widened the same way.  So an adder run
+    from digits ends all digits, and one without digits runs every op on
+    its kernel: the tests' reference.
 
-    Two shortcuts keep an adder to a few numpy calls.  A labelled span
-    whose ops equal a ``build_qft`` or ``build_iqft`` ladder (compared op
-    by op, whatever its name) runs as one ``d**w``-point FFT.  A CPHASE
-    with one tracked end at level x adds ``theta*x`` (mod 2*pi) to an angle
-    kept for its dense end's axis; those angles are applied, one ``phase``
-    pass per axis, before the next HADAMARD, SWAP, dense SHIFT or FFT and
-    at the end.  A circuit without labels from an ``initial`` without
-    digits runs every op on its gate kernel: the tests' reference.
-
-    Raises ValueError, before the first op and with the state unchanged,
-    if the widened dense part exceeds ``core.MAX_AMPLITUDES``: for an
-    adder's default start that is the span, not the ``d**q`` layout.  Raises
-    RuntimeError if the final norm drifts from 1 by more than 1e-9: an
-    ``initial`` that was not normalized, or a broken gate.  Non-finite
-    amplitudes never get this far; ``StateVector`` refuses them.
+    Raises ValueError, before allocating, if a widening would exceed
+    ``core.MAX_AMPLITUDES``.  ``initial`` is then unchanged if no op had
+    reached its dense part; otherwise its ``digits`` are as given and its
+    ``dense`` is the dense part at the refused op: no longer one state.
+    Raises RuntimeError if the final norm drifts from 1 by more than 1e-9:
+    an ``initial`` that was not normalized, or a broken gate.
     """
     d, q = circuit.base, circuit.layout.total_qudits
     state = zero_state(circuit.layout) if initial is None else initial
@@ -140,61 +141,90 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         raise ValueError(f"state base {state.base} != circuit base {d}")
     if state.num_qudits != q:
         raise ValueError(f"state has {state.num_qudits} qudits, circuit layout has {q}")
-    mixed = {qi for op in circuit.ops if op.kind in _MIXING for qi in op.qudits}
-    # the state always holds the current vector, so a gate holds two at most
-    psi = state.dense = state.widened(mixed & state.digits.keys())
-    digits = state.digits = {qi: v for qi, v in state.digits.items() if qi not in mixed}
-    axis = {qi: i for i, qi in enumerate(qi for qi in range(q) if qi not in digits)}
-    m, levels = len(axis), np.arange(d)
-    column = levels[:, None]
-    # label spans that are a QFT or IQFT ladder: start -> (stop, lo, width, sign)
-    ffts = {}
-    for _, lo, hi in circuit.labels:
-        match = _ladder_match(d, circuit.ops[lo:hi])
-        if match is not None:
-            ffts.setdefault(lo, (hi, *match))
-    # folded one-dense-end CPHASEs: dense axis -> c, for exp(i*c*level) on it
-    angles: dict[int, float] = {}
-    ops, i = circuit.ops, 0
-    while i < len(ops):
-        if i in ffts:
-            i, lo, width, sign = ffts[i]
-            _flush(psi, d, m, angles)
-            psi = state.dense = fourier(psi, d, axis[lo], width, sign)
+    digits = dict(state.digits)
+    dense = [qi for qi in range(q) if qi not in digits]  # the axes of psi, in order
+    factors: dict[int, np.ndarray] = {}
+    angles: dict[int, float] = {}  # factor qudit -> c, for exp(i*c*level) on it
+    psi, scalar, levels = state.dense, 1.0, np.arange(d)
+
+    def settle(qi: int) -> np.ndarray:
+        """Take the factor on ``qi`` out, with its pending angle applied."""
+        c, f = angles.pop(qi, 0.0), factors.pop(qi)
+        return f * np.exp(1j * c * levels) if c else f
+
+    for op in circuit.ops:
+        kind, qs, t = op.kind, op.qudits, op.qudits[0]
+        if kind is GateKind.CPHASE:
+            x, y = digits.get(t), digits.get(qs[1])
+            if x == 0 or y == 0:  # a digit end at level 0: identity
+                continue
+            if x is not None and y is not None:
+                scalar *= np.exp(1j * op.theta * x * y)
+                continue
+            end, level = (t, y) if x is None else (qs[1], x)
+            if level is not None and end in factors:
+                angles[end] = (angles.get(end, 0.0) + op.theta * level) % _TAU
+                continue
+        elif kind is GateKind.SWAP:
+            if all(qi in digits or qi in factors for qi in qs):
+                for held in (digits, factors, angles):  # each entry to the other qudit
+                    held.update({qs[qi == t]: held.pop(qi) for qi in qs if qi in held})
+                continue
+        elif t in digits:
+            if kind is GateKind.SHIFT:
+                digits[t] = (digits[t] + op.k) % d
+            else:
+                factors[t] = _dft(d, op.dagger)[:, digits.pop(t)]
             continue
-        op = ops[i]
-        i += 1
-        if op.kind is GateKind.CPHASE:
-            a, b = op.qudits
-            x, y = digits.get(a), digits.get(b)
-            if x == 0 or y == 0:  # a tracked end at level 0: identity
+        elif t in factors:
+            if kind is GateKind.SHIFT:
+                factors[t] = np.roll(settle(t), op.k)
                 continue
-            if (x is None) != (y is None):  # one dense end: fold its angle
-                ax, level = (axis[a], y) if x is None else (axis[b], x)
-                angles[ax] = (angles.get(ax, 0.0) + op.theta * level) % _TAU
-                continue
-            if x is None:  # both ends dense: x*y broadcasts to their levels
-                x, y = column, levels
-            axes = [axis[qi] for qi in op.qudits if qi in axis]
-            phase(psi, d, m, axes, np.exp(1j * op.theta * x * y))
-        elif op.qudits[0] in digits:  # a SHIFT on a tracked digit
-            digits[op.qudits[0]] = (digits[op.qudits[0]] + op.k) % d
+            f = _dft(d, op.dagger) @ settle(t)
+            mags = np.abs(f)
+            x = int(mags.argmax())
+            mags[x] = 0.0
+            if mags.max() <= _SNAP_ATOL:
+                digits[t], scalar = x, scalar * f[x]
+            else:
+                factors[t] = f
+            continue
+        # the kernel, on the dense part widened by this op's factors and, for
+        # a SWAP, its digits (one-hot at their level)
+        wide = {qi: settle(qi) for qi in qs if qi in factors}
+        if kind is GateKind.SWAP:
+            wide.update((qi, levels == digits.pop(qi)) for qi in qs if qi in digits)
+        if wide:
+            # the state always holds the current vector, so a gate holds two at most
+            psi, dense = _widen(psi, d, dense, wide)
+            state.dense = psi
+        axes = [dense.index(qi) for qi in qs if qi not in digits]
+        if kind is GateKind.CPHASE:
+            # a dense end ranges over the levels, the first along a column
+            x, y = digits.get(t, levels[:, None]), digits.get(qs[1], levels)
+            phase(psi, d, len(dense), axes, np.exp(1j * op.theta * x * y))
         else:
-            _flush(psi, d, m, angles)
-            psi = state.dense = apply_op(psi, d, m, op, [axis[qi] for qi in op.qudits])
-    _flush(psi, d, m, angles)
+            psi = state.dense = apply_op(psi, d, len(dense), op, axes)
+    if factors:
+        psi, dense = _widen(psi, d, dense, {qi: settle(qi) for qi in list(factors)})
+    if scalar != 1.0:
+        psi *= scalar
+    state.dense, state.digits = psi, digits
     drift = state.norm_error()
     if not drift <= FINAL_NORM_ATOL:
         raise RuntimeError(f"final state norm off by {drift:.3e}")
     return state
 
 
-def _flush(psi: np.ndarray, d: int, m: int, angles: dict[int, float]) -> None:
-    """Apply and forget the folded angles: ``exp(i*c*level)`` on each axis."""
-    levels = np.arange(d)
-    for ax, c in angles.items():
-        phase(psi, d, m, [ax], np.exp(1j * c * levels))
-    angles.clear()
+def _widen(psi: np.ndarray, d: int, dense: list[int], vectors: dict) -> tuple:
+    """``psi`` over the qudits ``dense`` times a d-vector per qudit in ``vectors``,
+    and its qudits in order; the size is checked before anything is allocated."""
+    kept = sorted([*dense, *vectors])
+    _check_size(d, len(kept))
+    outer = functools.reduce(np.multiply.outer, [vectors[qi] for qi in kept if qi in vectors])
+    part = psi.reshape([1 if qi in vectors else d for qi in kept])
+    spread = outer.reshape([d if qi in vectors else 1 for qi in kept])
+    return (part * spread).reshape(-1), kept
 
 
 def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:

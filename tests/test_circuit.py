@@ -24,7 +24,6 @@ from qftadd import (
     execute,
     zero_state,
 )
-from qftadd.circuit import _ladder_match
 
 
 def qft_layout(d, q):
@@ -127,25 +126,15 @@ def test_iqft_is_gatewise_conjugate():
             assert rev.dagger == (fwd.kind is GateKind.HADAMARD) and not fwd.dagger
 
 
-def test_qft_ladder_is_built_once_and_matched_by_its_ops():
+def test_qft_ladder_is_built_once():
     spec = AdderSpec(3, 2, 3, Mode.ADD, (1, 2, 3))
     circuit = build_full_adder(spec)
     spans = {name: circuit.ops[lo:hi] for name, lo, hi in circuit.labels}
     w = spec.result_width
     # every builder of one ladder holds the same GateOp objects
-    for build, name, sign in ((build_qft, "qft", 1), (build_iqft, "iqft", -1)):
+    for build, name in ((build_qft, "qft"), (build_iqft, "iqft")):
         ops = build(spec.layout, range(w)).ops
         assert all(a is b for a, b in zip(ops, spans[name], strict=True))
-        assert _ladder_match(3, spans[name]) == (0, w, sign)
-    for name in ("encode", "component a1", "component a2"):
-        assert _ladder_match(3, spans[name]) is None
-    for d, w, lo in itertools.product((2, 3, 5), range(1, 9), (0, 2)):
-        layout = qft_layout(d, lo + w)
-        assert _ladder_match(d, build_qft(layout, range(lo, lo + w)).ops) == (lo, w, 1)
-        assert _ladder_match(d, build_iqft(layout, range(lo, lo + w)).ops) == (lo, w, -1)
-        # at another base only the width-1 ladder, one Hadamard, is the same
-        other = _ladder_match(d + 1, build_qft(layout, range(lo, lo + w)).ops)
-        assert other == ((lo, w, 1) if w == 1 else None)
 
 
 def test_qft_angles_follow_depth():

@@ -190,8 +190,8 @@ def test_add_bounds_the_span_not_the_layout(capsys):
 
 
 def test_add_runs_the_1030_qudit_design(capsys):
-    # 64 inputs of 16 bits: 1030 qubits and a 2**22 span, whose QFT and
-    # IQFT each run as one FFT and whose 63 fans fold into one phase per axis
+    # 64 inputs of 16 bits: 1030 qubits and a 2**22 span, which ``execute``
+    # holds as digits and one-qudit factors, never as a dense part
     rng = np.random.default_rng(1030)
     inputs = tuple(int(v) for v in rng.integers(0, 2**16, 64))
     spec = AdderSpec(2, 16, 64, Mode.ADD, inputs)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -22,8 +23,8 @@ from qftadd import (
     StateVector,
     basis_state,
     build_full_adder,
-    build_iqft,
     build_qft,
+    classical_oracle,
     execute,
     from_integer,
     histogram_to_json,
@@ -34,6 +35,7 @@ from qftadd import (
     zero_state,
 )
 from qftadd import simulator
+from qftadd.core import MAX_AMPLITUDES
 from qftadd.simulator import MAX_SHOT_DIGITS
 
 
@@ -306,10 +308,10 @@ def _assert_matches_dense(circuit, selections):
     """The factored result of ``execute`` against the dense reference.
 
     The reference starts from ``as_dense(zero_state(...))``, which holds no
-    digits, and runs the circuit stripped of its labels, so no span runs as
-    an FFT and every op runs on the gate kernels.  Returns the factored
-    state after checking its full vector, its histograms on each
-    selection, a copy of it and its use as ``initial``.
+    digits, and runs the circuit stripped of its labels, so every op runs
+    on the gate kernels.  Returns the factored state after checking its
+    full vector, its histograms on each selection, a copy of it and its use
+    as ``initial``.
     """
     reduced = execute(circuit)
     gatewise = Circuit(circuit.base, circuit.layout, circuit.ops)
@@ -332,8 +334,8 @@ def _assert_matches_dense(circuit, selections):
     twin.digits.clear()
     assert reduced.digits == digits
     assert np.max(np.abs(reduced.amplitudes - dense.amplitudes)) <= 1e-12
-    # a state with digits as ``initial`` is updated and returned; the
-    # circuit's HADAMARDs and SWAPs touch no digit of it, so all stay tracked
+    # a state with digits as ``initial`` is updated and returned, and ends
+    # with the same qudits as digits
     again = _copy(reduced)
     assert execute(circuit, again) is again
     assert again.digits.keys() == digits.keys()
@@ -360,9 +362,9 @@ def test_execute_digit_tracking_matches_dense_on_adders():
                     if count > 1:
                         selections.append(layout.register_range(2))
                     state = _assert_matches_dense(build_full_adder(spec), selections)
-                    # the inputs a1.. are the tracked digits, the span is dense
-                    tracked = set(range(layout.register_start(2), last + 1))
-                    assert set(state.digits) == tracked
+                    # every qudit ends as a digit, the Fourier span's too
+                    assert set(state.digits) == set(range(last + 1))
+                    assert state.dense.size == 1
                     if count > 1:
                         a1 = measure(state, layout.register_range(2), 16)
                         want = from_integer(inputs[1], d, n).to_string()
@@ -406,12 +408,6 @@ def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
     assert np.max(np.abs(again.amplitudes - want.amplitudes)) <= 1e-12
 
 
-def _random_dense(d, q, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=d**q) + 1j * rng.normal(size=d**q)
-    return StateVector(d, q, amps / np.linalg.norm(amps))
-
-
 def _spy(monkeypatch, name):
     """Record the arguments after ``psi, d`` of every call to ``simulator.<name>``."""
     calls, real = [], getattr(simulator, name)
@@ -424,57 +420,15 @@ def _spy(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("d, w", [(2, 10), (3, 6), (4, 5), (5, 4), (11, 3), (16, 3)])
-@pytest.mark.parametrize("build, sign", [(build_qft, 1), (build_iqft, -1)])
-def test_fft_span_equals_its_gate_ladder(d, w, build, sign, monkeypatch):
-    # one qudit on either side: the span has d leading and d trailing indices
-    layout = RegisterLayout(d, (("lead", 1), ("span", w), ("rest", 1)))
-    ops = build(layout, range(1, w + 1)).ops
-    start = _random_dense(d, w + 2, seed=d * w)
-    ffts = _spy(monkeypatch, "fourier")
-    fast = execute(Circuit(d, layout, ops, (("span", 0, len(ops)),)), as_dense(start))
-    assert ffts == [(1, w, sign)]
-    slow = execute(Circuit(d, layout, ops), as_dense(start))
-    assert len(ffts) == 1  # an unlabelled circuit runs gate by gate
-    assert np.max(np.abs(fast.dense - slow.dense)) <= 1e-12
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("edit", ["theta", "targets"])
-def test_ladder_length_span_that_differs_runs_gate_by_gate(sign, edit, monkeypatch):
-    d, w = 3, 4
-    layout = RegisterLayout(d, (("lead", 1), ("span", w), ("rest", 1)))
-    build = build_qft if sign > 0 else build_iqft
-    ops = list(build(layout, range(1, w + 1)).ops)
-    if edit == "theta":
-        i = next(i for i, op in enumerate(ops) if op.kind is GateKind.CPHASE)
-        ops[i] = GateOp(GateKind.CPHASE, ops[i].qudits, theta=ops[i].theta * 1.5)
-    else:  # span qudits 2 and 3 trade places; the forward Hadamard on 1 stays put
-        swap = {2: 3, 3: 2}
-        ops = [
-            GateOp(op.kind, tuple(swap.get(qi, qi) for qi in op.qudits),
-                   theta=op.theta, k=op.k, dagger=op.dagger)
-            for op in ops
-        ]
-    start = _random_dense(d, w + 2, seed=7)
-    ffts = _spy(monkeypatch, "fourier")
-    got = execute(Circuit(d, layout, ops, (("span", 0, len(ops)),)), as_dense(start))
-    assert ffts == []
-    want = execute(Circuit(d, layout, ops), as_dense(start))
-    assert np.max(np.abs(got.dense - want.dense)) <= 1e-12
-    ladder = execute(Circuit(d, layout, build(layout, range(1, w + 1)).ops), as_dense(start))
-    assert np.max(np.abs(got.dense - ladder.dense)) > 1e-3  # the edit matters
-
-
 def test_folded_phases_match_the_gate_path(monkeypatch):
-    # qudits 0 and 1 dense; 2 and 3 tracked digits that control phase fans
+    # qudits 0 and 1 factors, then dense; 2 and 3 digits that control phase fans
     d = 3
     layout = RegisterLayout(d, (("span", 2), ("src", 2)))
     rng = np.random.default_rng(11)
     fan = [
         GateOp(GateKind.CPHASE, pair, theta=float(theta))
         for pair, theta in zip(
-            itertools.cycle([(2, 0), (1, 3), (3, 0), (1, 2)]), rng.uniform(3.0, 4.0, 2000)
+            itertools.cycle([(2, 0), (1, 3), (3, 0), (1, 2)]), rng.uniform(3.0, 4.0, 2010)
         )
     ]
     ops = [
@@ -485,21 +439,24 @@ def test_folded_phases_match_the_gate_path(monkeypatch):
         *fan[:10],
         GateOp(GateKind.HADAMARD, (0,)),  # folded angles on qudit 0 must land first
         *fan[10:20],
-        GateOp(GateKind.CPHASE, (0, 1), theta=0.9),  # two dense ends: no flush needed
-        GateOp(GateKind.SHIFT, (3,), k=1),  # a tracked digit moves: later fans read 2
-        *fan[20:30],
-        GateOp(GateKind.SHIFT, (1,), k=1),  # a dense SHIFT flushes too
-        GateOp(GateKind.SWAP, (0, 1)),
-        *fan[30:],  # each angle is 3..4 at level 2: over 2*pi*10**3 per dense end
+        GateOp(GateKind.SHIFT, (3,), k=1),  # a digit moves: later fans read 2
+        *fan[20:1990],  # each angle is 3..4 at level 2: over 2*pi*10**3 per factor
+        GateOp(GateKind.SHIFT, (1,), k=1),  # rolls a factor after its angle lands
+        GateOp(GateKind.SWAP, (0, 1)),  # two factors trade places, angles with them
+        *fan[1990:2000],
+        GateOp(GateKind.CPHASE, (0, 1), theta=0.9),  # two factor ends: both widened
+        *fan[2000:],  # a digit end and a dense end: one phase pass each
         GateOp(GateKind.HADAMARD, (1,), dagger=True),
     ]
     for end in (0, 1):
-        assert sum(2 * op.theta for op in fan[30:] if end in op.qudits) > 2 * np.pi * 1e3
+        assert sum(2 * op.theta for op in fan[20:1990] if end in op.qudits) > 2 * np.pi * 1e3
     circuit = Circuit(d, layout, ops)
     phases = _spy(monkeypatch, "phase")
     folded = execute(circuit)
     assert folded.digits == {2: 2, 3: 2}
-    assert len(phases) <= 10  # one per axis at each flush, not one per CPHASE
+    assert folded.dense.size == d * d
+    # the 2000 fan CPHASEs on factors fold into their angles, with no pass
+    assert [axes for _, axes, _ in phases] == [[0, 1]] + [[0], [1]] * 5
     want = execute(circuit, as_dense(zero_state(layout)))
     assert np.max(np.abs(folded.amplitudes - want.amplitudes)) <= 1e-12
 
@@ -541,17 +498,57 @@ def test_widening_over_the_limit_fails_before_allocating():
 
 
 def test_size_limits_fail_before_allocating():
-    # a 2**32 span, the 2**92 vector of 92 qubits and 2**25 sampled digits
-    # are all rejected before any buffer
-    spec = AdderSpec(2, 30, 3, Mode.ADD, (1, 2, 3))
+    # 32 HADAMARDs on digits leave 32 factors, which need a 2**32 dense part
+    # at the end; the 2**92 vector of 92 qubits and 2**25 sampled digits are
+    # all rejected before any buffer
+    layout = RegisterLayout(2, (("r", 32),))
+    ops = tuple(GateOp(GateKind.HADAMARD, (qi,)) for qi in range(32))
     with pytest.raises(ValueError, match=r"2\*\*32 amplitudes"):
-        execute(build_full_adder(spec))
+        execute(Circuit(2, layout, ops))
+    spec = AdderSpec(2, 30, 3, Mode.ADD, (1, 2, 3))
     wide = zero_state(spec.layout)  # its digits alone; the vector is built on read
     with pytest.raises(ValueError, match=r"2\*\*92 amplitudes"):
         wide.amplitudes
     state = zero_state(RegisterLayout(2, (("r", 2),)))
     with pytest.raises(ValueError, match=f"{2**25} digits"):
         measure(state, [0, 1], shots=2**24)
+
+
+@pytest.mark.parametrize("d, n, count", [(2, 30, 3), (7, 30, 9), (37, 5, 5)])
+@pytest.mark.parametrize("mode", Mode)
+def test_adder_beyond_the_dense_cap_matches_the_oracle(d, n, count, mode):
+    # each span, d**(t+n), is over the dense limit; from digits none is held
+    rng = random.Random(d * n * count)
+    spec = AdderSpec(d, n, count, mode, tuple(rng.randrange(d**n) for _ in range(count)))
+    assert d**spec.result_width > MAX_AMPLITUDES
+    state = execute(build_full_adder(spec))
+    assert set(state.digits) == set(range(spec.layout.total_qudits))
+    assert state.dense.size == 1
+    span = DigitString(d, tuple(state.digits[qi] for qi in range(spec.result_width)))
+    assert to_integer(span) == classical_oracle(spec)
+
+
+@pytest.mark.parametrize("delta, snaps", [(1e-9, False), (1e-14, True)])
+def test_a_factor_snaps_to_a_digit_only_within_the_tolerance(delta, snaps):
+    # H, a phase of 2*pi/3 + delta on level 1 from a digit control, a roll
+    # and H+: qudit 0 ends at |1> times exp(-2*pi*i/3), and about
+    # 0.58*delta off it at each other level
+    d = 3
+    layout = RegisterLayout(d, (("r", 2),))
+    ops = (
+        GateOp(GateKind.SHIFT, (1,), k=1),
+        GateOp(GateKind.HADAMARD, (0,)),
+        GateOp(GateKind.CPHASE, (1, 0), theta=2 * np.pi / 3 + delta),
+        GateOp(GateKind.SHIFT, (0,), k=1),
+        GateOp(GateKind.HADAMARD, (0,), dagger=True),
+    )
+    circuit = Circuit(d, layout, ops)
+    state = execute(circuit)
+    assert state.digits == ({0: 1, 1: 1} if snaps else {1: 1})
+    assert state.dense.size == (1 if snaps else d)
+    want = execute(circuit, as_dense(zero_state(layout)))
+    assert abs(want.amplitudes[d + 1] - np.exp(-2j * np.pi / 3)) <= 1e-8
+    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
 
 
 def test_marginal_over_the_limit_fails_before_allocating():
