@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, GateKind, GateOp, _qft_ladder
-from .core import RegisterLayout, from_integer
+from .core import RegisterLayout
 
 
 class Mode(Enum):
@@ -162,14 +162,18 @@ def build_adder_component(
 
 
 def _encoding_ops(spec: AdderSpec) -> list[GateOp]:
+    """One SHIFT per nonzero input digit, MSB first; ``spec`` checked every input."""
     ops = []
-    t, n = spec.ancillas, spec.digits_per_input
+    d, t, n = spec.base, spec.ancillas, spec.digits_per_input
     for i, value in enumerate(spec.inputs):
-        digits = from_integer(value, spec.base, n)
+        digits = []
+        for _ in range(n):
+            value, digit = divmod(value, d)
+            digits.append(digit)
         start = t + i * n  # of register i + 1, after t ancillas and i inputs
-        for offset, dig in enumerate(digits.digits):
-            if dig != 0:
-                ops.append(GateOp(GateKind.SHIFT, (start + offset,), k=dig))
+        for offset, digit in enumerate(reversed(digits)):
+            if digit:
+                ops.append(GateOp(GateKind.SHIFT, (start + offset,), k=digit))
     return ops
 
 

@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -119,8 +118,8 @@ class Circuit:
 
     def tally(self) -> dict[GateKind, int]:
         """Per-kind gate counts, recomputed from the op list."""
-        counts = Counter(op.kind for op in self.ops)
-        return {kind: counts.get(kind, 0) for kind in GateKind}
+        kinds = [op.kind for op in self.ops]
+        return {kind: kinds.count(kind) for kind in GateKind}
 
 
 def _check_contiguous(targets: Sequence[int]) -> tuple[int, int]:
@@ -199,29 +198,41 @@ _OP_HEAD = {
 }
 
 
-def _op_to_json(op: GateOp) -> str:
-    q, kind = op.qudits, op.kind
-    head = _OP_HEAD[kind]
-    if kind is GateKind.CPHASE:
-        return f'{head}{q[0]},\n        {q[1]}\n      ],\n      "theta": {op.theta!r}\n    }}'
-    if kind is GateKind.SWAP:
-        return f'{head}{q[0]},\n        {q[1]}\n      ]\n    }}'
-    if kind is GateKind.SHIFT:
-        return f'{head}{q[0]}\n      ],\n      "k": {op.k}\n    }}'
-    dagger = ',\n      "dagger": true' if op.dagger else ""
-    return f'{head}{q[0]}\n      ]{dagger}\n    }}'
-
-
 def circuit_to_json(circuit: Circuit) -> str:
     """Serialize as {base, registers, ops}; angles are IEEE doubles.
 
     The bytes are those of ``json.dumps(payload, indent=2) + "\\n"``.  Only
     the header goes through ``json``; the op list, whose fields are ints,
-    finite floats and fixed ASCII names, is written op by op.
+    finite floats and fixed ASCII names, is written op by op, and each
+    distinct angle is rendered once per call.
     """
     registers = [{"name": name, "size": size} for name, size in circuit.layout.registers]
     header = json.dumps({"base": circuit.base, "registers": registers}, indent=2)
-    ops = ",\n".join(map(_op_to_json, circuit.ops))
+    cphase, hadamard, swap = GateKind.CPHASE, GateKind.HADAMARD, GateKind.SWAP
+    cp_head, h_head, swap_head, shift_head = (
+        _OP_HEAD[kind] for kind in (cphase, hadamard, swap, GateKind.SHIFT)
+    )
+    # float keys merge 0.0 and -0.0, so a zero angle is rendered each time
+    angles: dict[float, str] = {}
+    parts = []
+    append = parts.append
+    for op in circuit.ops:
+        kind, q = op.kind, op.qudits
+        if kind is cphase:
+            theta = op.theta
+            text = angles.get(theta) if theta else repr(theta)
+            if text is None:
+                text = angles[theta] = repr(theta)
+            append(f'{cp_head}{q[0]},\n        {q[1]}\n      ],\n      "theta": {text}\n    }}')
+        elif kind is hadamard:
+            dagger = ',\n      "dagger": true' if op.dagger else ""
+            append(f'{h_head}{q[0]}\n      ]{dagger}\n    }}')
+        elif kind is swap:
+            append(f'{swap_head}{q[0]},\n        {q[1]}\n      ]\n    }}')
+        else:
+            append(f'{shift_head}{q[0]}\n      ],\n      "k": {op.k}\n    }}')
+    ops = ",\n".join(parts)
+    parts.clear()  # the op texts weigh more than the output; free them before copying it
     ops = f"[\n{ops}\n  ]" if ops else "[]"
     return f'{header[:-2]},\n  "ops": {ops}\n}}\n'
 

@@ -29,7 +29,7 @@ from .simulator import NoiseConfig, execute, histogram_to_json, measure
 # Most ops ``add``, ``sub``, ``export-circuit`` and ``gate-count --verify``
 # may build.  The op count grows as digits squared: two 200-digit qubit
 # inputs make 61,102 ops, which ``qftadd export-circuit`` writes as JSON in
-# a fresh process in 0.8 to 1.0 s and 61 MB of peak RSS (2-core VM,
+# a fresh process in 0.7 to 0.8 s and 61 MB of peak RSS (2-core VM,
 # Python 3.11).  The largest benchmarked export has 15,144.
 MAX_OPS = 2**17
 

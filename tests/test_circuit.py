@@ -96,6 +96,16 @@ def test_qft_tally():
             assert tally[GateKind.SHIFT] == 0
 
 
+def test_tally_counts_absent_kinds_as_zero_in_kind_order():
+    layout = qft_layout(3, 2)
+    h = GateOp(GateKind.HADAMARD, (0,))
+    cp = GateOp(GateKind.CPHASE, (1, 0), theta=0.5)
+    for ops, want in [((), (0, 0, 0, 0)), ((h, cp, h), (2, 1, 0, 0))]:
+        tally = Circuit(3, layout, ops).tally()
+        assert list(tally) == list(GateKind)
+        assert tuple(tally.values()) == want
+
+
 def test_qft_matches_dft_matrix():
     for d, w in [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 1)]:
         circ = build_qft(qft_layout(d, w), range(w))
@@ -239,13 +249,18 @@ def test_json_matches_the_reference_writer_on_edge_cases():
         GateOp(GateKind.SWAP, (0, 2)),
         *(GateOp(GateKind.CPHASE, (2, 0), theta=theta) for theta in thetas),
     )
-    circuits = [Circuit(3, odd, ()), Circuit(3, odd, ops)]
+    # signed zeros and one angle over many ops, through the per-call angle map
+    angles = [0.0, -0.0, 0.1, 2 * math.pi / 3**5, -0.1] * 40
+    repeated = [GateOp(GateKind.CPHASE, (i % 3, (i + 1) % 3), theta=a) for i, a in enumerate(angles)]
+    circuits = [Circuit(3, odd, ()), Circuit(3, odd, ops), Circuit(3, odd, repeated)]
     for circ in circuits:
         assert circuit_to_json(circ) == reference_json(circ)
     payload = json.loads(circuit_to_json(circuits[1]))
     assert [reg["name"] for reg in payload["registers"]] == ["q\"uo\\te", "empty", "dé\u2603"]
     assert [op["theta"] for op in payload["ops"][3:]] == list(thetas)
     assert math.copysign(1, payload["ops"][3]["theta"]) == -1
+    written = [op["theta"] for op in json.loads(circuit_to_json(circuits[2]))["ops"]]
+    assert [math.copysign(1, a) for a in written] == [math.copysign(1, a) for a in angles]
 
 
 @pytest.mark.parametrize(

@@ -209,7 +209,8 @@ def test_sweep_size_checked_before_any_row(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(resources, "gate_count_formula", refuse)
+    monkeypatch.setattr(resources, "_gate_count", refuse)
+    monkeypatch.setattr(resources, "SweepRow", refuse)
     code, _, err = run_cli(
         ["sweep", "--bases", "2", "--max-capacity", str(2**40)], capsys
     )

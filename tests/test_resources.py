@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,11 +118,18 @@ def test_sweep_rejects_bad_bases():
         sweep([2], 0)
 
 
-def test_sweep_row_count_is_checked_before_any_row(monkeypatch):
+def refuse_rows(monkeypatch):
+    """Make building any sweep row fail."""
+
     def refuse(*args):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(resources, "gate_count_formula", refuse)
+    monkeypatch.setattr(resources, "_gate_count", refuse)
+    monkeypatch.setattr(resources, "SweepRow", refuse)
+
+
+def test_sweep_row_count_is_checked_before_any_row(monkeypatch):
+    refuse_rows(monkeypatch)
     with pytest.raises(ValueError, match=f"limit of {resources.MAX_SWEEP_ROWS}"):
         sweep([2], 2**40)
     # the closed-form count at base 2, caps 2**16 and 2**20
@@ -131,10 +140,13 @@ def test_sweep_row_count_is_checked_before_any_row(monkeypatch):
         sweep([2], 2**20)
 
 
+SWEEP_CAPS = [1, 2, 3, 4, 8, 9, 26, 27, 63, 64, 100, 256, 343, 1000, 4096]
+
+
 @pytest.mark.parametrize("bases", [[2], [3], [2, 4], [2, 3, 5], [7, 16]])
 def test_sweep_row_count_matches_the_rows(bases, monkeypatch):
     # the closed-form count is exact: the sweep builds at that limit, not below
-    for cap in [1, 2, 3, 4, 8, 9, 26, 27, 63, 64, 100, 256, 343, 1000, 4096]:
+    for cap in SWEEP_CAPS:
         rows = len(sweep(bases, cap))
         monkeypatch.setattr(resources, "MAX_SWEEP_ROWS", rows)
         assert len(sweep(bases, cap)) == rows
@@ -154,3 +166,45 @@ def test_csv_format():
     first = lines[1].split(",")
     assert len(first) == 6
     assert all(field.isdigit() for field in first)
+
+
+def reference_sweep(d_values, max_capacity):
+    """The sweep ``sweep`` replaced: every (d, n, N) under the cap, then sorted."""
+    rows = []
+    for d in sorted(set(d_values)):
+        k = required_ancillas(max_capacity + 1, d) - 1
+        for n in range(1, k):
+            for N in range(2, d ** (k - n) + 1):
+                t = required_ancillas(N, d)
+                rows.append(
+                    resources.SweepRow(
+                        d, n, N, t, capacity(n, t, d), gate_count_formula(n, N, t)
+                    )
+                )
+    rows.sort(key=lambda r: (r.d, r.capacity, r.n, r.N))
+    return rows
+
+
+def reference_csv(rows):
+    """The CSV writer ``sweep_to_csv`` replaced."""
+    out = io.StringIO()
+    out.write("d,n,N,t,capacity,gate_count\n")
+    for row in rows:
+        out.write(f"{row.d},{row.n},{row.N},{row.t},{row.capacity},{row.gate_count}\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("bases", [[2], [3], [2, 4], [2, 3, 5], [7, 16], [2, 3, 4, 5, 8]])
+def test_sweep_and_csv_match_the_reference(bases):
+    for cap in SWEEP_CAPS:
+        rows = sweep(bases, cap)
+        assert rows == reference_sweep(bases, cap), (bases, cap)
+        assert sweep_to_csv(rows) == reference_csv(rows), (bases, cap)
+
+
+def test_sweep_row_is_an_immutable_tuple_of_its_fields():
+    row = resources.SweepRow(2, 2, 4, 2, 16, 45)
+    assert row == (2, 2, 4, 2, 16, 45)
+    assert row._fields == ("d", "n", "N", "t", "capacity", "gate_count")
+    with pytest.raises(AttributeError):
+        row.gate_count = 0
