@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from typing import Iterator, Sequence
 
@@ -159,7 +160,9 @@ def _add_inputs_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qftadd`` parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="qftadd",
         description="Qudit QFT adder/subtractor: simulate and count gates.",
@@ -208,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except CliError as err:

@@ -1,19 +1,19 @@
 """Gate kernels for d-level systems on bare amplitude arrays.
 
-Each kernel takes ``psi``, the ``d**m`` amplitudes of ``m`` qudits in
-increasing qudit order (in ``execute``, the dense part of a state), and
-the positions of its targets in it; it repeats none of the checks that
-``GateOp``, ``Circuit`` and ``execute`` make.  Each works on a reshaped
-view of at most five axes, never on a ``d**m x d**m`` operator.
-:func:`phase` scales in place and covers every CPHASE that reaches the
-dense part, the diagonal ``exp(i*theta*x*y)`` with two dense ends or with
-one and the other's level fixed.  HADAMARD (the d-point DFT), SHIFT and
-SWAP return one new buffer, so a gate holds at most two vectors at once.
-``execute`` runs every op that touches the dense part here, so every op
-of a state without digits.  The Hadamard keeps two forms, picked from the
-shape: summed over every target at d=2, the batched ``d x d`` product
-alone took 2.8x as long as the pair on 2**20 amplitudes and 4.0x on
-2**14, and ``einsum`` 3.2x and 3.5x.
+Each kernel takes ``psi``, the ``d**m`` amplitudes of ``m`` qudits (in
+``execute``, the dense part of a state), and the positions of its targets
+in it; it repeats none of the checks that ``GateOp``, ``Circuit`` and
+``execute`` make.  Each works on a reshaped view of at most five axes,
+never on a ``d**m x d**m`` operator.  :func:`phase` scales in place and
+covers every CPHASE that reaches the dense part, the diagonal
+``exp(i*theta*x*y)`` with two dense ends or with one and the other's
+level fixed.  HADAMARD (the d-point DFT) and SHIFT return one new buffer,
+so a gate holds at most two vectors at once.  There is no SWAP kernel:
+``execute`` renames qudits instead.  The Hadamard keeps two forms, picked
+from the shape: summed over every target, each single form was slower
+than the pair (README, "Simulation and noise"); at d=2 on 2**20
+amplitudes the batched ``d x d`` product took about 4x as long,
+``tensordot`` 4x and ``np.fft`` 8-9x.
 """
 
 from __future__ import annotations
@@ -59,11 +59,7 @@ def _hadamard(psi: np.ndarray, d: int, lead: int, trail: int, dagger: bool) -> n
 
 
 def apply_op(psi: np.ndarray, d: int, m: int, op: GateOp, axes: Sequence[int]) -> np.ndarray:
-    """Apply a HADAMARD, SHIFT or SWAP on ``axes`` of psi; returns a new vector."""
-    if op.kind is GateKind.SWAP:
-        a, b = sorted(axes)
-        view = psi.reshape(d**a, d, d ** (b - a - 1), d, d ** (m - b - 1))
-        return np.ascontiguousarray(view.swapaxes(1, 3)).reshape(-1)
+    """Apply a HADAMARD or SHIFT on the one axis in ``axes`` of psi; returns a new vector."""
     (t,) = axes
     lead, trail = d**t, d ** (m - t - 1)
     if op.kind is GateKind.HADAMARD:

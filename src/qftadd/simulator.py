@@ -2,8 +2,8 @@
 
 ``execute`` holds each qudit as a digit, a one-qudit factor or an axis of
 the dense part, so an adder run from digits (Draper's phi-ADD on a
-product state) never builds its Fourier span.  Ops on the dense part run
-on the gate kernels in ``gates``.
+product state) never builds its Fourier span.  A SWAP only renames qudits;
+other ops on the dense part run on the gate kernels in ``gates``.
 
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
@@ -118,15 +118,16 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     DFT column, or multiplies a factor by the DFT; a factor whose every
     other level is at most ``_SNAP_ATOL`` then snaps back to a digit, its
     amplitude moved into a global scalar.  A SHIFT adds to a digit or rolls
-    a factor, and a SWAP of two qudits that are not dense exchanges them.
+    a factor; a SWAP renames its two qudits, whatever their forms.
     A CPHASE between two digits scales the scalar; with a digit end at
     level x and a factor end, it adds ``theta*x`` (mod 2*pi) to an angle
     applied to the factor before its next use.  Every other op first
-    widens its factors, and for a SWAP its digits, into the dense part and
-    runs its gate kernel; a CPHASE kernel reads a digit end as its level.
-    Factors left at the end are widened the same way.  So an adder run
-    from digits ends all digits, and one without digits runs every op on
-    its kernel: the tests' reference.
+    widens its factors into trailing axes of the dense part and runs its
+    gate kernel; a CPHASE kernel reads a digit end as its level.  Factors
+    left at the end are widened the same way, and the dense axes are put
+    in increasing qudit order.  So an adder run from digits ends all
+    digits, and one without digits runs every other op on its kernel: the
+    tests' reference.
 
     Raises ValueError, before allocating, if a widening would exceed
     ``core.MAX_AMPLITUDES``.  ``initial`` is then unchanged if no op had
@@ -166,10 +167,10 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
                 angles[end] = (angles.get(end, 0.0) + op.theta * level) % _TAU
                 continue
         elif kind is GateKind.SWAP:
-            if all(qi in digits or qi in factors for qi in qs):
-                for held in (digits, factors, angles):  # each entry to the other qudit
-                    held.update({qs[qi == t]: held.pop(qi) for qi in qs if qi in held})
-                continue
+            for held in (digits, factors, angles):  # each entry to the other qudit
+                held.update({qs[qi == t]: held.pop(qi) for qi in qs if qi in held})
+            dense = [qs[qi == t] if qi in qs else qi for qi in dense]
+            continue
         elif t in digits:
             if kind is GateKind.SHIFT:
                 digits[t] = (digits[t] + op.k) % d
@@ -189,11 +190,8 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             else:
                 factors[t] = f
             continue
-        # the kernel, on the dense part widened by this op's factors and, for
-        # a SWAP, its digits (one-hot at their level)
+        # the kernel, on the dense part widened by this op's factors
         wide = {qi: settle(qi) for qi in qs if qi in factors}
-        if kind is GateKind.SWAP:
-            wide.update((qi, levels == digits.pop(qi)) for qi in qs if qi in digits)
         if wide:
             # the state always holds the current vector, so a gate holds two at most
             psi, dense = _widen(psi, d, dense, wide)
@@ -207,6 +205,8 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             psi = state.dense = apply_op(psi, d, len(dense), op, axes)
     if factors:
         psi, dense = _widen(psi, d, dense, {qi: settle(qi) for qi in list(factors)})
+    if dense != sorted(dense):  # the axes in increasing qudit order, as documented
+        psi = psi.reshape((d,) * len(dense)).transpose(np.argsort(dense)).reshape(-1)
     if scalar != 1.0:
         psi *= scalar
     state.dense, state.digits = psi, digits
@@ -218,13 +218,10 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
 
 def _widen(psi: np.ndarray, d: int, dense: list[int], vectors: dict) -> tuple:
     """``psi`` over the qudits ``dense`` times a d-vector per qudit in ``vectors``,
-    and its qudits in order; the size is checked before anything is allocated."""
-    kept = sorted([*dense, *vectors])
-    _check_size(d, len(kept))
-    outer = functools.reduce(np.multiply.outer, [vectors[qi] for qi in kept if qi in vectors])
-    part = psi.reshape([1 if qi in vectors else d for qi in kept])
-    spread = outer.reshape([d if qi in vectors else 1 for qi in kept])
-    return (part * spread).reshape(-1), kept
+    as trailing axes, and its qudits; the size is checked before allocating."""
+    _check_size(d, len(dense) + len(vectors))
+    outer = functools.reduce(np.multiply.outer, vectors.values())
+    return np.multiply.outer(psi, outer).reshape(-1), [*dense, *vectors]
 
 
 def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:

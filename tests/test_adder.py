@@ -231,7 +231,11 @@ def test_fans_are_built_once_per_design():
     spans = {name: circ.ops[lo:hi] for name, lo, hi in circ.labels}
     for i in (2, 3):
         assert build_adder_component(circ.layout, i, +1).ops == spans[f"component a{i - 1}"]
-    assert _design_fans.cache_info().maxsize == 16
+    assert _design_fans.cache_info().maxsize == 128
+    # a one-input design has no fans: it neither hits nor fills the cache
+    before = _design_fans.cache_info()
+    build_full_adder(AdderSpec(d, n, 1, Mode.ADD, (4,)))
+    assert _design_fans.cache_info() == before
 
 
 def test_full_adder_single_input_is_identity_pipeline():

@@ -174,6 +174,19 @@ def test_validation_failures_name_the_flag(capsys):
         assert flag in err and reason in err, (args, err)
 
 
+def test_parser_is_built_once_and_a_failed_call_leaves_it_as_new(capsys):
+    args = ["add", "--base", "3", "--digits", "2", "--inputs", "4,5", "--noise", "0.1"]
+    cli.build_parser.cache_clear()
+    first = run_cli(args, capsys)
+    assert first[0] == 0 and cli.build_parser() is cli.build_parser()
+    # one call that argparse rejects and one that the library rejects
+    with pytest.raises(SystemExit) as exited:
+        main(["add", "--base", "3", "--digits", "two", "--inputs", "4"])
+    assert exited.value.code == 2
+    assert run_cli(["add", "--base", "3", "--digits", "2", "--inputs", "9,0"], capsys)[0] == 2
+    assert run_cli(args, capsys) == first
+
+
 def test_add_bounds_the_span_not_the_layout(capsys):
     # 17 base-4 inputs of 2 digits: 37 qudits, but a span of 4**5 amplitudes
     inputs = tuple(range(16)) + (0,)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -310,8 +310,8 @@ def _assert_matches_dense(circuit, selections):
     The reference starts from ``as_dense(zero_state(...))``, which holds no
     digits, and runs the circuit stripped of its labels, so every op runs
     on the gate kernels.  Returns the factored state after checking its
-    full vector, its histograms on each selection, a copy of it and its use
-    as ``initial``.
+    full vector, its histograms on each selection and a copy of it, and the
+    state its use as ``initial`` ends in, checked against the dense rerun.
     """
     reduced = execute(circuit)
     gatewise = Circuit(circuit.base, circuit.layout, circuit.ops)
@@ -334,14 +334,12 @@ def _assert_matches_dense(circuit, selections):
     twin.digits.clear()
     assert reduced.digits == digits
     assert np.max(np.abs(reduced.amplitudes - dense.amplitudes)) <= 1e-12
-    # a state with digits as ``initial`` is updated and returned, and ends
-    # with the same qudits as digits
+    # a state with digits as ``initial`` is updated and returned
     again = _copy(reduced)
     assert execute(circuit, again) is again
-    assert again.digits.keys() == digits.keys()
     rerun = execute(circuit, _copy(dense))
     assert np.max(np.abs(again.amplitudes - rerun.amplitudes)) <= 1e-12
-    return reduced
+    return reduced, again
 
 
 def test_execute_digit_tracking_matches_dense_on_adders():
@@ -361,10 +359,11 @@ def test_execute_digit_tracking_matches_dense_on_adders():
                     selections = [range(spec.result_width), sorted({last, 0}, reverse=True)]
                     if count > 1:
                         selections.append(layout.register_range(2))
-                    state = _assert_matches_dense(build_full_adder(spec), selections)
-                    # every qudit ends as a digit, the Fourier span's too
-                    assert set(state.digits) == set(range(last + 1))
-                    assert state.dense.size == 1
+                    state, again = _assert_matches_dense(build_full_adder(spec), selections)
+                    # every qudit ends as a digit, the Fourier span's too, and
+                    # so does a rerun from those digits
+                    assert set(state.digits) == set(again.digits) == set(range(last + 1))
+                    assert state.dense.size == again.dense.size == 1
                     if count > 1:
                         a1 = measure(state, layout.register_range(2), 16)
                         want = from_integer(inputs[1], d, n).to_string()
@@ -373,11 +372,13 @@ def test_execute_digit_tracking_matches_dense_on_adders():
     assert checked == 188
 
 
-def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
+def test_execute_digit_tracking_matches_dense_on_mixed_circuit(monkeypatch):
+    kernels = _spy(monkeypatch, "apply_op")
     d = 3
     layout = RegisterLayout(d, (("r", 6),))
-    # qudits 1, 3 and 5 never meet a HADAMARD or SWAP; qudit 2 starts as a
-    # SHIFT target but a SWAP makes it dense
+    # qudits 1, 3 and 5 never meet a HADAMARD or SWAP; qudit 2 is a digit
+    # that a SWAP renames to qudit 4, whose factor was widened, and so the
+    # dense axes end as (0, 2)
     ops = (
         GateOp(GateKind.SHIFT, (3,), k=2),
         GateOp(GateKind.SHIFT, (5,), k=1),
@@ -396,7 +397,15 @@ def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
         GateOp(GateKind.HADAMARD, (0,), dagger=True),
     )
     circuit = Circuit(d, layout, ops)
-    state = _assert_matches_dense(circuit, [[5, 0, 3], [2, 4], [3]])
+    state, again = _assert_matches_dense(circuit, [[5, 0, 3], [2, 4], [3]])
+    assert state.digits == {1: 0, 3: 1, 4: 1, 5: 1}
+    assert state.dense.size == d * d
+    # rerun from those digits, qudit 4 is a factor when CPHASE (0, 4) widens
+    # it, and the SWAP renames dense axes: the part ends over (0, 2, 4)
+    assert again.digits == {1: 0, 3: 2, 5: 2}
+    assert again.dense.size == d**3
+    # the dense reference ran its HADAMARDs and SHIFTs on kernels; no SWAP did
+    assert {op.kind for _, op, _ in kernels} == {GateKind.HADAMARD, GateKind.SHIFT}
     # the known digits (qudit 3 at 1, qudit 5 at 1) hold the whole weight
     probs = state.probabilities().reshape((d,) * 6)
     assert probs[:, 0, :, 1, :, 1].sum() == pytest.approx(1.0, abs=1e-12)
@@ -406,6 +415,65 @@ def test_execute_digit_tracking_matches_dense_on_mixed_circuit():
     want = execute(phase, as_dense(state))
     assert again.digits == state.digits
     assert np.max(np.abs(again.amplitudes - want.amplitudes)) <= 1e-12
+
+
+def _tensor_reference(amplitudes, d, q, ops):
+    """Each op on the full ``(d,) * q`` tensor, written from its definition."""
+    psi, levels = amplitudes.reshape((d,) * q), np.arange(d)
+    for op in ops:
+        qs = op.qudits
+        if op.kind is GateKind.HADAMARD:
+            sign = -1 if op.dagger else 1
+            dft = np.exp(sign * 2j * np.pi * np.outer(levels, levels) / d) / np.sqrt(d)
+            psi = np.moveaxis(np.tensordot(dft, psi, axes=(1, qs[0])), 0, qs[0])
+        elif op.kind is GateKind.SHIFT:
+            psi = np.roll(psi, op.k, axis=qs[0])
+        elif op.kind is GateKind.SWAP:
+            psi = np.swapaxes(psi, *qs)
+        else:
+            x, y = (levels.reshape([d if i == qi else 1 for i in range(q)]) for qi in qs)
+            psi = psi * np.exp(1j * op.theta * x * y)
+    return psi.reshape(-1)
+
+
+@st.composite
+def _mixed_runs(draw):
+    """A random circuit of every gate kind and a state with random digits."""
+    d, q = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    qudit = st.integers(0, q - 1)
+    one = qudit.map(lambda t: (t,))
+    pair = st.lists(qudit, min_size=2, max_size=2, unique=True).map(tuple)
+    op = st.one_of(
+        st.builds(GateOp, st.just(GateKind.HADAMARD), one, dagger=st.booleans()),
+        st.builds(GateOp, st.just(GateKind.SHIFT), one, k=st.integers(0, d)),
+        st.builds(GateOp, st.just(GateKind.CPHASE), pair, theta=st.floats(-7, 7)),
+        st.builds(GateOp, st.just(GateKind.SWAP), pair),
+    )
+    ops = draw(st.lists(op, max_size=12))
+    known = draw(st.dictionaries(qudit, st.integers(0, d - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = d ** (q - len(known))
+    part = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return Circuit(d, RegisterLayout(d, (("r", q),)), tuple(ops)), StateVector(
+        d, q, part / np.linalg.norm(part), known
+    )
+
+
+@settings(deadline=None)
+@given(_mixed_runs())
+def test_swaps_rename_qudits_in_every_form(run):
+    # SWAPs between digits, factors and dense axes leave the dense axes out of
+    # qudit order until ``execute`` returns; none reaches a gate kernel
+    circuit, initial = run
+    d, q = initial.base, initial.num_qudits
+    want = _tensor_reference(initial.amplitudes, d, q, circuit.ops)
+    with pytest.MonkeyPatch.context() as patch:
+        kernels = _spy(patch, "apply_op")
+        dense = execute(circuit, as_dense(initial))
+        got = execute(circuit, initial)
+    assert all(op.kind is not GateKind.SWAP for _, op, _ in kernels)
+    assert np.max(np.abs(got.amplitudes - dense.amplitudes)) <= 1e-12
+    assert np.max(np.abs(got.amplitudes - want)) <= 1e-12
 
 
 def _spy(monkeypatch, name):
