@@ -8,7 +8,10 @@ other ops on the dense part run on the gate kernels in ``gates``.
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
 All randomness flows through one numpy Generator (PCG64) seeded from
-NoiseConfig, making every histogram reproducible bit for bit.
+NoiseConfig, making every histogram reproducible bit for bit.  A noiseless
+readout of known digits, which ends every adder run from digits, builds
+no marginal and draws nothing: every shot reads those digits, as the draw
+would.
 
 A histogram holds outcomes as integers; digit text is rendered only where
 text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
@@ -257,9 +260,16 @@ def measure(
     histogram is keyed by outcome value, with no digit text built.
     Identical (state, qudits, shots, noise) give identical histograms.
 
+    Without noise, when every measured qudit is a digit of ``state``, the
+    marginal is one-hot and the draw puts every shot on it: the histogram
+    is that outcome with all shots, built with no marginal and no draw, at
+    any width.
+
     Raises ValueError, before allocating, if ``shots * len(qudits)``
-    exceeds ``MAX_SHOT_DIGITS`` or the ``d**len(qudits)`` marginal exceeds
-    ``core.MAX_AMPLITUDES``.
+    exceeds ``MAX_SHOT_DIGITS``, or if a marginal is built (noise above 0,
+    or a measured qudit in the dense part) and its ``d**len(qudits)``
+    entries exceed ``core.MAX_AMPLITUDES``.  Raises RuntimeError if the
+    state's probabilities sum to more than ``FINAL_NORM_ATOL`` off 1.
     """
     qudits = [operator.index(x) for x in qudits]
     if not qudits:
@@ -278,21 +288,29 @@ def measure(
             f"{shots} shots of {width} digit(s) need {shots * width} digits, "
             f"over the limit of {MAX_SHOT_DIGITS}"
         )
-    d = state.base
+    if noise is None:
+        noise = NoiseConfig()
+    d, known, p = state.base, state.digits, noise.readout_flip_probability
+    if p == 0.0 and all(qi in known for qi in qudits):
+        # every shot reads the known digits: the draw's one-hot outcome, undrawn
+        total = float(np.sum(np.abs(state.dense) ** 2))
+        if not abs(total - 1.0) <= FINAL_NORM_ATOL:
+            raise RuntimeError(f"marginal probabilities sum to {total!r}")
+        value = 0
+        for qi in qudits:  # MSB first
+            value = value * d + known[qi]
+        return Histogram(d, width, {value: shots})
     if d**width > MAX_AMPLITUDES:
         raise ValueError(
             f"{width} measured base-{d} qudits need a marginal the size of "
             f"{d}**{width} amplitudes, over the limit of {MAX_AMPLITUDES}"
         )
-    if noise is None:
-        noise = NoiseConfig()
 
     marginal = _marginal(state, qudits)
     total = float(marginal.sum())
     if not abs(total - 1.0) <= FINAL_NORM_ATOL:
         raise RuntimeError(f"marginal probabilities sum to {total!r}")
     marginal = marginal / total
-    p = noise.readout_flip_probability
     if p > 0.0:
         channel = np.full((d, d), p / (d - 1))
         np.fill_diagonal(channel, 1.0 - p)

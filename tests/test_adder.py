@@ -9,6 +9,7 @@ from qftadd import (
     Circuit,
     DigitString,
     GateKind,
+    GateOp,
     Mode,
     RegisterLayout,
     adder_layout,
@@ -27,7 +28,7 @@ from qftadd import (
     to_integer,
     zero_state,
 )
-from qftadd.adder import _design_fans
+from qftadd.adder import _design_fans, _shift
 
 
 def result_probability(spec, state, value):
@@ -236,6 +237,25 @@ def test_fans_are_built_once_per_design():
     before = _design_fans.cache_info()
     build_full_adder(AdderSpec(d, n, 1, Mode.ADD, (4,)))
     assert _design_fans.cache_info() == before
+
+
+def test_encoding_shifts_are_shared_where_input_digits_agree():
+    def encoding(spec):
+        circ = build_full_adder(spec)
+        (lo, hi), = [(lo, hi) for name, lo, hi in circ.labels if name == "encode"]
+        return circ.ops[lo:hi]
+
+    # base 3, t = 1, inputs on qudits 1-2, 3-4 and 5-6: 5 = 12, 7 = 21, 2 = 02
+    # and 8 = 22; the shifts depend on the digits alone, not on the design
+    first = encoding(AdderSpec(3, 2, 3, Mode.ADD, (5, 7, 2)))
+    again = encoding(AdderSpec(3, 2, 3, Mode.SUB, (5, 2, 8)))
+    assert first == tuple(
+        GateOp(GateKind.SHIFT, (qi,), k=k) for qi, k in [(1, 1), (2, 2), (3, 2), (4, 1), (6, 2)]
+    )
+    shared = [(a, b) for a in first for b in again if a == b]
+    assert [op.qudits[0] for op, _ in shared] == [1, 2, 6]
+    assert all(a is b for a, b in shared)
+    assert _shift.cache_info().maxsize == 4096
 
 
 def test_full_adder_single_input_is_identity_pipeline():

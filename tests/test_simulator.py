@@ -594,6 +594,10 @@ def test_adder_beyond_the_dense_cap_matches_the_oracle(d, n, count, mode):
     assert state.dense.size == 1
     span = DigitString(d, tuple(state.digits[qi] for qi in range(spec.result_width)))
     assert to_integer(span) == classical_oracle(spec)
+    # measured from the library, with no marginal of the span
+    histogram = measure(state, range(spec.result_width), 64)
+    assert histogram.counts == {span.to_string(): 64}
+    assert to_integer(parse_digit_text(histogram.top_outcome(), d)) == classical_oracle(spec)
 
 
 @pytest.mark.parametrize("delta, snaps", [(1e-9, False), (1e-14, True)])
@@ -620,9 +624,62 @@ def test_a_factor_snaps_to_a_digit_only_within_the_tolerance(delta, snaps):
 
 
 def test_marginal_over_the_limit_fails_before_allocating():
-    # 40 tracked qubits hold one amplitude; their marginal would need 2**40
+    # 40 tracked qubits hold one amplitude: read without noise, they need no marginal
     state = StateVector(2, 40, np.ones(1), dict.fromkeys(range(40), 0))
-    with pytest.raises(ValueError, match=r"2\*\*40 amplitudes"):
-        measure(state, range(40), 1)
+    assert measure(state, range(40), 1).counts == {"0" * 40: 1}
+    # with noise, or with a dense qudit measured, their marginal would need 2**40
+    mixed = StateVector(2, 40, np.array([1.0, 0.0]), dict.fromkeys(range(39), 0))
+    for held, noise in [(state, NoiseConfig(0.1)), (mixed, None)]:
+        with pytest.raises(ValueError, match=r"2\*\*40 amplitudes"):
+            measure(held, range(40), 1, noise)
     # a 2**20 marginal is within it
-    assert measure(state, range(20), 1).counts == {"0" * 20: 1}
+    assert measure(mixed, [*range(19), 39], 1).counts == {"0" * 20: 1}
+    assert measure(state, range(20), 1, NoiseConfig(0.1)).shots == 1
+
+
+@st.composite
+def _readouts(draw):
+    """A state with random digits and a normalized dense part, d in 2..17, and
+    an ordered readout of it: often of digits alone, with or without noise."""
+    d = draw(st.integers(2, 17))
+    q = draw(st.integers(1, next(q for q in itertools.count(1) if d ** (q + 1) > 4096)))
+    known = draw(st.dictionaries(st.integers(0, q - 1), st.integers(0, d - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = d ** (q - len(known))
+    part = rng.normal(size=size) + 1j * rng.normal(size=size)
+    state = StateVector(d, q, part / np.linalg.norm(part), known)
+    pool = sorted(known) if known and draw(st.booleans()) else range(q)
+    qudits = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
+    p = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+    noise = NoiseConfig(p, draw(st.integers(0, 2**64 - 1)))
+    return state, qudits, draw(st.integers(1, 10**4)), noise
+
+
+@settings(deadline=None)
+@given(_readouts())
+def test_a_digit_readout_equals_the_draw_without_drawing(readout):
+    state, qudits, shots, noise = readout
+    noiseless = noise.readout_flip_probability == 0.0
+    digits_only = noiseless and all(qi in state.digits for qi in qudits)
+    with pytest.MonkeyPatch.context() as patch:
+        marginals, generators, default_rng = [], [], np.random.default_rng
+        patch.setattr(simulator, "_marginal", _recorded(marginals, simulator._marginal))
+        patch.setattr(np.random, "default_rng", _recorded(generators, default_rng))
+        got = measure(state, qudits, shots, noise)
+    # a readout of known digits builds no marginal and no generator; all else both
+    assert len(marginals) == len(generators) == (0 if digits_only else 1)
+    if noiseless:
+        assert got == measure(as_dense(state), qudits, shots, noise)
+    if digits_only:
+        read = DigitString(state.base, tuple(state.digits[qi] for qi in qudits))
+        assert got.tallies == {to_integer(read): shots}
+
+
+def _recorded(calls, real):
+    """``real``, recording the arguments of each call in ``calls``."""
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    return spy
