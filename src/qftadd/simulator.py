@@ -8,10 +8,12 @@ other ops on the dense part run on the gate kernels in ``gates``.
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
 All randomness flows through one numpy Generator (PCG64) seeded from
-NoiseConfig, making every histogram reproducible bit for bit.  A noiseless
-readout of known digits, which ends every adder run from digits, builds
-no marginal and draws nothing: every shot reads those digits, as the draw
-would.
+NoiseConfig, making every histogram reproducible bit for bit.  A readout of
+known digits, which ends every adder run from digits, builds no exact
+marginal.  Without noise it draws nothing: every shot reads those digits,
+as the draw would.  With noise, its marginal is the outer product of one
+channel column per digit.  The per-axis channel passes run only when a
+measured qudit is in the dense part.
 
 A histogram holds outcomes as integers; digit text is rendered only where
 text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
@@ -245,6 +247,22 @@ def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:
     return marginal.reshape(-1)
 
 
+def _noisy_read(channel: np.ndarray, digits: Sequence[int]) -> np.ndarray:
+    """The noisy marginal of known ``digits``, MSB first: the outer product of
+    their ``channel`` columns, since each digit flips alone.
+
+    It equals bit for bit what ``measure``'s per-axis passes give from the
+    one-hot marginal.  Each entry is the same product of channel entries,
+    and the buffer is built with the last axis outermost, as the passes
+    leave theirs, so that its sum adds them in the same order; that axis
+    then moves innermost, to read MSB first.
+    """
+    cols = [channel[:, x] for x in digits]
+    probs = np.multiply.outer(cols[-1], functools.reduce(np.multiply.outer, cols[:-1], 1.0))
+    probs /= probs.sum()
+    return probs.reshape(len(channel), -1).T.reshape(-1)
+
+
 def measure(
     state: StateVector,
     qudits: Sequence[int],
@@ -255,15 +273,19 @@ def measure(
 
     Noise, when configured, is the independent per-digit flip of
     ``NoiseConfig``: a d x d stochastic matrix applied to the exact marginal
-    along each measured axis.  All shots are then one multinomial draw, so
-    the work is O(width * d**(width+1)) whatever ``shots`` is, and the
-    histogram is keyed by outcome value, with no digit text built.
-    Identical (state, qudits, shots, noise) give identical histograms.
+    along each measured axis.  All shots are then one multinomial draw over
+    the ``d**width`` outcomes, whatever ``shots`` is, and the histogram is
+    keyed by outcome value, with no digit text built.  Identical (state,
+    qudits, shots, noise) give identical histograms.
 
-    Without noise, when every measured qudit is a digit of ``state``, the
-    marginal is one-hot and the draw puts every shot on it: the histogram
-    is that outcome with all shots, built with no marginal and no draw, at
-    any width.
+    When every measured qudit is a digit of ``state``, the marginal is
+    one-hot.  Without noise the draw puts every shot on it, so the
+    histogram is that outcome with all shots, built with no marginal and no
+    draw, at any width.  With noise, the noisy marginal is built directly as
+    the outer product of one channel column per digit, bit for bit what the
+    passes give.  Only a readout with a measured qudit in the dense part
+    builds the exact marginal and runs the passes, at
+    O(width * d**(width+1)).
 
     Raises ValueError, before allocating, if ``shots * len(qudits)``
     exceeds ``MAX_SHOT_DIGITS``, or if a marginal is built (noise above 0,
@@ -291,33 +313,37 @@ def measure(
     if noise is None:
         noise = NoiseConfig()
     d, known, p = state.base, state.digits, noise.readout_flip_probability
-    if p == 0.0 and all(qi in known for qi in qudits):
-        # every shot reads the known digits: the draw's one-hot outcome, undrawn
+    read = all(qi in known for qi in qudits)
+    if read:  # the marginal is one-hot on the known digits
         total = float(np.sum(np.abs(state.dense) ** 2))
         if not abs(total - 1.0) <= FINAL_NORM_ATOL:
             raise RuntimeError(f"marginal probabilities sum to {total!r}")
-        value = 0
-        for qi in qudits:  # MSB first
-            value = value * d + known[qi]
-        return Histogram(d, width, {value: shots})
+        if p == 0.0:  # every shot reads them: the draw's one outcome, undrawn
+            value = 0
+            for qi in qudits:  # MSB first
+                value = value * d + known[qi]
+            return Histogram(d, width, {value: shots})
     if d**width > MAX_AMPLITUDES:
         raise ValueError(
             f"{width} measured base-{d} qudits need a marginal the size of "
             f"{d}**{width} amplitudes, over the limit of {MAX_AMPLITUDES}"
         )
-
-    marginal = _marginal(state, qudits)
-    total = float(marginal.sum())
-    if not abs(total - 1.0) <= FINAL_NORM_ATOL:
-        raise RuntimeError(f"marginal probabilities sum to {total!r}")
-    marginal = marginal / total
     if p > 0.0:
         channel = np.full((d, d), p / (d - 1))
         np.fill_diagonal(channel, 1.0 - p)
-        probs = marginal.reshape((d,) * width)
-        for ax in range(width):
-            probs = np.moveaxis(np.tensordot(channel, probs, axes=(1, ax)), 0, ax)
-        marginal = probs.reshape(-1) / probs.sum()
+    if read:  # with noise: a noiseless read returned above
+        marginal = _noisy_read(channel, [known[qi] for qi in qudits])
+    else:
+        marginal = _marginal(state, qudits)
+        total = float(marginal.sum())
+        if not abs(total - 1.0) <= FINAL_NORM_ATOL:
+            raise RuntimeError(f"marginal probabilities sum to {total!r}")
+        marginal = marginal / total
+        if p > 0.0:
+            probs = marginal.reshape((d,) * width)
+            for ax in range(width):
+                probs = np.moveaxis(np.tensordot(channel, probs, axes=(1, ax)), 0, ax)
+            marginal = probs.reshape(-1) / probs.sum()
     tallies = np.random.default_rng(noise.seed).multinomial(shots, marginal)
     seen = np.flatnonzero(tallies)
     return Histogram(d, width, dict(zip(seen.tolist(), tallies[seen].tolist())))

@@ -163,8 +163,8 @@ def test_validation_failures_name_the_flag(capsys):
         (["sweep", "--bases", "2", "--max-capacity", "0"], "--max-capacity",
          "max_capacity must be"),
         # over the size limits, rejected before the state or samples exist
-        (["add", "--base", "2", "--digits", "30", "--inputs", "1,2,3"], "--digits",
-         "2**32 amplitudes"),
+        (["add", "--base", "2", "--digits", "30", "--inputs", "1,2,3", "--noise", "0.1"],
+         "--digits", "2**32 amplitudes"),
         (["add", "--base", "2", "--digits", "1", "--inputs", "1,1",
           "--shots", str(2**24)], "--shots", f"{2**25} digits"),
     ]
@@ -232,17 +232,32 @@ def test_sweep_size_checked_before_any_row(capsys, monkeypatch):
 
 
 def test_size_checked_before_building(capsys, monkeypatch):
-    # building 2 inputs of 600 digits takes seconds; the guard must not wait
+    # building 2 inputs of 600 digits takes seconds; the guards must not wait
     def refuse(spec):
         raise AssertionError("the circuit was built")
 
     monkeypatch.setattr(cli, "build_full_adder", refuse)
     for command in ("add", "sub"):
-        code, _, err = run_cli(
-            [command, "--base", "2", "--digits", "600", "--inputs", "1,1"], capsys
-        )
-        assert code == 2
-        assert "--digits/--inputs" in err and "amplitudes" in err
+        args = [command, "--base", "2", "--digits", "600", "--inputs", "1,1"]
+        # a noisy readout's marginal bounds the span; without noise, the op count holds
+        for extra, reason in [(["--noise", "0.1"], "amplitudes"), ([], f"{cli.MAX_OPS}")]:
+            code, _, err = run_cli([*args, *extra], capsys)
+            assert code == 2
+            assert "--digits/--inputs" in err and reason in err, err
+
+
+def test_add_checks_the_span_only_for_a_noisy_readout(capsys, monkeypatch):
+    # (2,30,3) has a 32-qubit span, which a noiseless readout reads as digits
+    args = ["add", "--base", "2", "--digits", "30", "--inputs", "1,2,3", "--shots", "16"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert out.strip().endswith("value=6")
+    # with noise its 2**32 marginal is refused, before building
+    built = []
+    monkeypatch.setattr(cli, "build_full_adder", built.append)
+    code, _, err = run_cli([*args, "--noise", "0.1"], capsys)
+    assert code == 2 and built == []
+    assert "--digits" in err and "2**32 amplitudes" in err
 
 
 def test_op_count_checked_before_building(capsys, monkeypatch):

@@ -660,19 +660,77 @@ def _readouts(draw):
 def test_a_digit_readout_equals_the_draw_without_drawing(readout):
     state, qudits, shots, noise = readout
     noiseless = noise.readout_flip_probability == 0.0
-    digits_only = noiseless and all(qi in state.digits for qi in qudits)
+    read = all(qi in state.digits for qi in qudits)
     with pytest.MonkeyPatch.context() as patch:
         marginals, generators, default_rng = [], [], np.random.default_rng
         patch.setattr(simulator, "_marginal", _recorded(marginals, simulator._marginal))
         patch.setattr(np.random, "default_rng", _recorded(generators, default_rng))
         got = measure(state, qudits, shots, noise)
-    # a readout of known digits builds no marginal and no generator; all else both
-    assert len(marginals) == len(generators) == (0 if digits_only else 1)
-    if noiseless:
-        assert got == measure(as_dense(state), qudits, shots, noise)
-    if digits_only:
-        read = DigitString(state.base, tuple(state.digits[qi] for qi in qudits))
-        assert got.tallies == {to_integer(read): shots}
+    # only a dense measured qudit needs the exact marginal; only a
+    # noiseless readout of known digits needs no generator
+    assert len(marginals) == (0 if read else 1)
+    assert len(generators) == (0 if noiseless and read else 1)
+    assert got == measure(as_dense(state), qudits, shots, noise)
+    if noiseless and read:
+        outcome = DigitString(state.base, tuple(state.digits[qi] for qi in qudits))
+        assert got.tallies == {to_integer(outcome): shots}
+
+
+def _channel_passes(d, p, digits):
+    """The noisy marginal of known ``digits`` as ``measure`` computes it on a
+    dense state: the one-hot marginal, then one channel pass per axis."""
+    channel = np.full((d, d), p / (d - 1))
+    np.fill_diagonal(channel, 1.0 - p)
+    probs = np.zeros((d,) * len(digits))
+    probs[tuple(digits)] = 1.0
+    for ax in range(len(digits)):
+        probs = np.moveaxis(np.tensordot(channel, probs, axes=(1, ax)), 0, ax)
+    return probs.reshape(-1) / probs.sum()
+
+
+@st.composite
+def _noisy_digit_readouts(draw):
+    """A state of d in 2..17 with random digits, some unmeasured, and a
+    normalized dense part, and a noisy readout of its digits in random order."""
+    d = draw(st.integers(2, 17))
+    width = draw(st.integers(1, next(w for w in itertools.count(1) if d ** (w + 1) > 2**16)))
+    spare = draw(st.integers(0, 2))
+    free = draw(st.integers(0, 2 if d < 9 else 1))
+    placed = draw(st.permutations(range(width + spare + free)))
+    known = {qi: draw(st.integers(0, d - 1)) for qi in placed[: width + spare]}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    part = rng.normal(size=d**free) + 1j * rng.normal(size=d**free)
+    state = StateVector(d, len(placed), part / np.linalg.norm(part), known)
+    qudits = draw(st.permutations(list(known)))[:width]
+    p = draw(st.sampled_from([1e-3, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0, exclude_min=True))
+    noise = NoiseConfig(p, draw(st.integers(0, 2**64 - 1)))
+    return state, qudits, draw(st.integers(1, 10**4)), noise
+
+
+@settings(deadline=None)
+@given(_noisy_digit_readouts())
+def test_a_noisy_digit_readout_draws_the_passes_probabilities_bit_for_bit(readout):
+    state, qudits, shots, noise = readout
+    pvals, default_rng = [], np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.generator = default_rng(seed)
+
+        def multinomial(self, n, p):
+            pvals.append(np.array(p))
+            return self.generator.multinomial(n, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", Recording)
+        got = measure(state, qudits, shots, noise)
+    d, p = state.base, noise.readout_flip_probability
+    want = _channel_passes(d, p, [state.digits[qi] for qi in qudits])
+    assert len(pvals) == 1 and pvals[0].dtype == want.dtype
+    # bits, not values: a sum added in another order differs in the last bit
+    assert np.array_equal(pvals[0].view(np.uint64), want.view(np.uint64))
+    tallies = default_rng(noise.seed).multinomial(shots, want)
+    assert got.tallies == {v: c for v, c in enumerate(tallies.tolist()) if c}
 
 
 def _recorded(calls, real):
