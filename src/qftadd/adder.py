@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, GateOp, _qft_ladder
+from .circuit import Circuit, GateKind, GateOp, _circuit, _qft_ladder
 from .core import RegisterLayout
 
 
@@ -49,8 +49,12 @@ def required_ancillas(num_inputs: int, base: int) -> int:
     return t
 
 
+@functools.lru_cache(maxsize=128, typed=True)
 def adder_layout(base: int, digits_per_input: int, num_inputs: int) -> RegisterLayout:
-    """Ancilla register "anc" (possibly width 0) then inputs "a0".."a{N-1}"."""
+    """Ancilla register "anc" (possibly width 0) then inputs "a0".."a{N-1}".
+
+    Cached per design; a ``RegisterLayout`` is frozen, so callers may share it.
+    """
     t = required_ancillas(num_inputs, base)
     registers = [("anc", t)]
     registers += [(f"a{i}", digits_per_input) for i in range(num_inputs)]
@@ -212,7 +216,7 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
     for name, part in parts:
         labels.append((name, len(ops), len(ops) + len(part)))
         ops.extend(part)
-    return Circuit(spec.base, layout, ops, labels)
+    return _circuit(layout, ops, labels)
 
 
 def classical_oracle(spec: AdderSpec) -> int:

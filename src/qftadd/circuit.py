@@ -122,6 +122,14 @@ class Circuit:
         return {kind: kinds.count(kind) for kind in GateKind}
 
 
+def _circuit(layout: RegisterLayout, ops: Sequence[GateOp], labels: Sequence) -> Circuit:
+    """The ``Circuit`` of ops this package built on ``layout``'s qudits, with
+    labels of ``(str, int, int)`` spans: none of the constructor's checks."""
+    circuit = object.__new__(Circuit)
+    circuit.__dict__.update(base=layout.base, layout=layout, ops=tuple(ops), labels=tuple(labels))
+    return circuit
+
+
 def _check_contiguous(targets: Sequence[int]) -> tuple[int, int]:
     """``(lo, width)`` of a non-empty, contiguous, ascending qudit range."""
     targets = [operator.index(t) for t in targets]

@@ -206,7 +206,14 @@ class StateVector:
 
     def norm_error(self) -> float:
         """Absolute deviation of the squared-magnitude sum from 1."""
-        return abs(float(np.sum(np.abs(self.dense) ** 2)) - 1.0)
+        return abs(_weight(self.dense) - 1.0)
+
+
+def _weight(dense: np.ndarray) -> float:
+    """The sum of squared magnitudes; one amplitude is read without numpy."""
+    if dense.size == 1:
+        return abs(complex(dense[0])) ** 2
+    return float(np.sum(np.abs(dense) ** 2))
 
 
 def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> StateVector:
@@ -235,6 +242,12 @@ def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> S
 
 
 def zero_state(layout: RegisterLayout) -> StateVector:
-    """All-zero computational-basis state for ``layout``, held as digits."""
+    """All-zero computational-basis state for ``layout``, held as digits.
+
+    Built without the constructor's checks, from digits it makes itself.
+    """
     q = layout.total_qudits
-    return StateVector(layout.base, q, np.ones(1), dict.fromkeys(range(q), 0))
+    state = object.__new__(StateVector)
+    state.base, state.num_qudits = layout.base, q
+    state.dense, state.digits = np.ones(1, dtype=np.complex128), dict.fromkeys(range(q), 0)
+    return state

@@ -21,6 +21,7 @@ text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -32,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .core import MAX_AMPLITUDES, StateVector, _check_size, from_integer, zero_state
+from .core import MAX_AMPLITUDES, StateVector, _check_size, _weight, from_integer, zero_state
 from .gates import _dft, apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
@@ -73,7 +74,9 @@ class Histogram:
     ``tallies`` maps each drawn outcome, its digits read MSB first as an
     integer, to its count; it is stored read-only, in increasing value, so
     that ``counts`` (cached) and ``shots`` cannot disagree.  ``counts`` is
-    the same map keyed by digit text (``DigitString.to_string``).
+    the same map keyed by digit text (``DigitString.to_string``).  The
+    constructor checks every outcome and count; ``measure`` builds its
+    histograms from tallies it made sorted and in range, unchecked.
     """
 
     base: int
@@ -114,15 +117,27 @@ class Histogram:
         return from_integer(value, self.base, self.width).to_string()
 
 
+def _histogram(base: int, width: int, tallies: dict[int, int]) -> Histogram:
+    """The ``Histogram`` of tallies ``measure`` drew: int keys in range and in
+    increasing value, int counts >= 1, so none of the constructor's checks."""
+    histogram = object.__new__(Histogram)
+    histogram.__dict__.update(base=base, width=width, tallies=MappingProxyType(tallies))
+    return histogram
+
+
 def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit's ops in order to ``initial``, updating and returning it.
 
     The default start is ``zero_state(circuit.layout)``.  While it runs,
     each qudit is a digit, a factor (a d-vector in tensor product with the
-    rest) or an axis of the dense part.  A HADAMARD turns a digit into a
-    DFT column, or multiplies a factor by the DFT; a factor whose every
-    other level is at most ``_SNAP_ATOL`` then snaps back to a digit, its
-    amplitude moved into a global scalar.  A SHIFT adds to a digit or rolls
+    rest) or an axis of the dense part.  A HADAMARD turns a digit x into
+    the DFT column x, held as ``(x, dagger)``, or multiplies a factor by
+    the DFT; a factor whose every other level is at most ``_SNAP_ATOL``
+    then snaps back to a digit, its amplitude moved into a global scalar.
+    A column with its pending angle is one phase ramp, so a HADAMARD on it
+    snaps in closed form when the ramp is within ``_SNAP_ATOL/10`` of a
+    level, where the vector would snap too; otherwise the vector is built
+    and the same rule runs.  A SHIFT adds to a digit or rolls
     a factor; a SWAP renames its two qudits, whatever their forms.
     A CPHASE between two digits scales the scalar; with a digit end at
     level x and a factor end, it adds ``theta*x`` (mod 2*pi) to an angle
@@ -149,13 +164,16 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         raise ValueError(f"state has {state.num_qudits} qudits, circuit layout has {q}")
     digits = dict(state.digits)
     dense = [qi for qi in range(q) if qi not in digits]  # the axes of psi, in order
-    factors: dict[int, np.ndarray] = {}
+    # qudit -> a d-vector, or (x, dagger) for the DFT column x of that sign
+    factors: dict[int, np.ndarray | tuple[int, bool]] = {}
     angles: dict[int, float] = {}  # factor qudit -> c, for exp(i*c*level) on it
     psi, scalar, levels = state.dense, 1.0, np.arange(d)
 
     def settle(qi: int) -> np.ndarray:
-        """Take the factor on ``qi`` out, with its pending angle applied."""
+        """Take the factor on ``qi`` out as a vector, its pending angle applied."""
         c, f = angles.pop(qi, 0.0), factors.pop(qi)
+        if type(f) is tuple:
+            f = _dft(d, f[1])[:, f[0]]
         return f * np.exp(1j * c * levels) if c else f
 
     for op in circuit.ops:
@@ -165,33 +183,55 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             if x == 0 or y == 0:  # a digit end at level 0: identity
                 continue
             if x is not None and y is not None:
-                scalar *= np.exp(1j * op.theta * x * y)
+                scalar *= cmath.exp(1j * op.theta * x * y)
                 continue
             end, level = (t, y) if x is None else (qs[1], x)
             if level is not None and end in factors:
                 angles[end] = (angles.get(end, 0.0) + op.theta * level) % _TAU
                 continue
         elif kind is GateKind.SWAP:
+            a, b = qs
             for held in (digits, factors, angles):  # each entry to the other qudit
-                held.update({qs[qi == t]: held.pop(qi) for qi in qs if qi in held})
-            dense = [qs[qi == t] if qi in qs else qi for qi in dense]
+                u, v = held.pop(a, None), held.pop(b, None)
+                if u is not None:
+                    held[b] = u
+                if v is not None:
+                    held[a] = v
+            if dense:
+                dense = [qs[qi == t] if qi in qs else qi for qi in dense]
             continue
         elif t in digits:
             if kind is GateKind.SHIFT:
                 digits[t] = (digits[t] + op.k) % d
             else:
-                factors[t] = _dft(d, op.dagger)[:, digits.pop(t)]
+                factors[t] = (digits.pop(t), op.dagger)
             continue
         elif t in factors:
             if kind is GateKind.SHIFT:
                 factors[t] = np.roll(settle(t), op.k)
                 continue
+            f = factors[t]
+            if type(f) is tuple:
+                # exp(i*phi*m)/sqrt(d) under a DFT of sign s peaks at level j,
+                # off by delta; in the band every other level is at most
+                # |delta|*d/4, so the vector rule below would snap it too
+                s = -1 if op.dagger else 1
+                phi = (-_TAU if f[1] else _TAU) * f[0] / d + angles.get(t, 0.0)
+                j = round(-s * phi * d / _TAU) % d
+                delta = math.remainder(phi + s * _TAU * j / d, _TAU)
+                if abs(delta) * d <= _SNAP_ATOL / 10:
+                    del factors[t]
+                    angles.pop(t, None)
+                    digits[t] = j
+                    if delta:  # sum(exp(i*delta*k))/d, to double precision
+                        scalar *= cmath.exp(0.5j * delta * (d - 1))
+                    continue
             f = _dft(d, op.dagger) @ settle(t)
             mags = np.abs(f)
             x = int(mags.argmax())
             mags[x] = 0.0
             if mags.max() <= _SNAP_ATOL:
-                digits[t], scalar = x, scalar * f[x]
+                digits[t], scalar = x, scalar * complex(f[x])
             else:
                 factors[t] = f
             continue
@@ -213,7 +253,10 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     if dense != sorted(dense):  # the axes in increasing qudit order, as documented
         psi = psi.reshape((d,) * len(dense)).transpose(np.argsort(dense)).reshape(-1)
     if scalar != 1.0:
-        psi *= scalar
+        if psi.size == 1:  # a Python product, not a numpy call
+            psi[0] = complex(psi[0]) * scalar
+        else:
+            psi *= scalar
     state.dense, state.digits = psi, digits
     drift = state.norm_error()
     if not drift <= FINAL_NORM_ATOL:
@@ -315,14 +358,14 @@ def measure(
     d, known, p = state.base, state.digits, noise.readout_flip_probability
     read = all(qi in known for qi in qudits)
     if read:  # the marginal is one-hot on the known digits
-        total = float(np.sum(np.abs(state.dense) ** 2))
+        total = _weight(state.dense)
         if not abs(total - 1.0) <= FINAL_NORM_ATOL:
             raise RuntimeError(f"marginal probabilities sum to {total!r}")
         if p == 0.0:  # every shot reads them: the draw's one outcome, undrawn
             value = 0
             for qi in qudits:  # MSB first
                 value = value * d + known[qi]
-            return Histogram(d, width, {value: shots})
+            return _histogram(d, width, {value: shots})
     if d**width > MAX_AMPLITUDES:
         raise ValueError(
             f"{width} measured base-{d} qudits need a marginal the size of "
@@ -346,7 +389,7 @@ def measure(
             marginal = probs.reshape(-1) / probs.sum()
     tallies = np.random.default_rng(noise.seed).multinomial(shots, marginal)
     seen = np.flatnonzero(tallies)
-    return Histogram(d, width, dict(zip(seen.tolist(), tallies[seen].tolist())))
+    return _histogram(d, width, dict(zip(seen.tolist(), tallies[seen].tolist())))
 
 
 def histogram_to_json(histogram: Histogram) -> str:

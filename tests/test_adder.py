@@ -213,6 +213,18 @@ def test_full_adder_labels_tile_the_ops(d, N):
     assert parts["iqft"] == build_iqft(layout, span).ops
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 11, 16])
+def test_full_adder_equals_the_checked_circuit(d):
+    # ``build_full_adder`` assembles its Circuit unchecked; the checked
+    # constructor accepts the same parts and builds an equal circuit
+    for n, count in [(1, 1), (2, 3), (3, 5)]:
+        for mode in Mode:
+            spec = AdderSpec(d, n, count, mode, tuple(i % d**n for i in range(count)))
+            c = build_full_adder(spec)
+            assert c == Circuit(c.base, c.layout, c.ops, c.labels)
+            assert c.layout is adder_layout(d, n, count) == spec.layout
+
+
 def test_fans_are_built_once_per_design():
     d, n = 3, 2
 

@@ -34,7 +34,7 @@ from qftadd import (
     to_integer,
     zero_state,
 )
-from qftadd import simulator
+from qftadd import gates, simulator
 from qftadd.core import MAX_AMPLITUDES
 from qftadd.simulator import MAX_SHOT_DIGITS
 
@@ -255,6 +255,22 @@ def test_histogram_validation():
     wide = Histogram(12, 2, {23: 4, 122: 6})
     assert wide.counts == {"1-11": 4, "10-2": 6}
     assert wide.top_outcome() == "10-2"
+
+
+@pytest.mark.parametrize("d", [2, 3, 12, 17])
+def test_measure_builds_the_histogram_the_constructor_would(d):
+    # ``measure`` builds its Histogram unchecked; the checked constructor,
+    # given the same tallies, must accept them and build an equal one
+    rng = np.random.default_rng(d)
+    part = rng.normal(size=d) + 1j * rng.normal(size=d)
+    mixed = StateVector(d, 3, part / np.linalg.norm(part), {0: d - 1, 2: 1})
+    for state, qudits in [(mixed, [0, 2]), (mixed, [1, 0]), (mixed, [2, 1, 0])]:
+        for p in (0.0, 0.05, 1.0):
+            h = measure(state, qudits, 500, NoiseConfig(p, seed=d))
+            checked = Histogram(h.base, h.width, dict(h.tallies))
+            assert checked == h
+            assert list(checked.tallies.items()) == list(h.tallies.items())
+            assert all(type(v) is int and type(c) is int for v, c in h.tallies.items())
 
 
 def test_top_outcome_tie_breaks_low():
@@ -621,6 +637,100 @@ def test_a_factor_snaps_to_a_digit_only_within_the_tolerance(delta, snaps):
     want = execute(circuit, as_dense(zero_state(layout)))
     assert abs(want.amplitudes[d + 1] - np.exp(-2j * np.pi / 3)) <= 1e-8
     assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "delta, snaps, vectors", [(1e-9, False, True), (1e-13, True, True), (1e-14, True, False), (0.0, True, False)]
+)
+def test_a_column_snaps_in_closed_form_only_within_its_band(monkeypatch, delta, snaps, vectors):
+    # H, a phase of 2*pi/3 + delta on level 1 from a digit control and H+:
+    # qudit 0 ends at |1>, about 0.58*delta off it at each other level.  With
+    # |delta|*d at most _SNAP_ATOL/10 the column snaps without a vector; just
+    # above that band the vector rule snaps it, and far above keeps the factor
+    d = 3
+    layout = RegisterLayout(d, (("r", 2),))
+    ops = (
+        GateOp(GateKind.SHIFT, (1,), k=1),
+        GateOp(GateKind.HADAMARD, (0,)),
+        GateOp(GateKind.CPHASE, (1, 0), theta=2 * np.pi / 3 + delta),
+        GateOp(GateKind.HADAMARD, (0,), dagger=True),
+    )
+    circuit = Circuit(d, layout, ops)
+    dfts = _spy(monkeypatch, "_dft")
+    state = execute(circuit)
+    assert state.digits == ({0: 1, 1: 1} if snaps else {1: 1})
+    assert bool(dfts) == vectors
+    want = execute(circuit, as_dense(zero_state(layout)))
+    assert abs(want.amplitudes[d + 1] - 1) <= 1e-8
+    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+
+
+@st.composite
+def _column_runs(draw):
+    """A digit x turned into a DFT column, a phase 2*pi*m/d + delta on it from a
+    digit control at level 1, and a second HADAMARD of either sign."""
+    d = draw(st.integers(2, 17))
+    x, m = draw(st.integers(0, d - 1)), draw(st.integers(-d, d))
+    tiny = st.floats(-16, -9).map(lambda e: 10.0**e)
+    delta = draw(st.just(0.0) | st.builds(lambda v, s: s * v, tiny, st.sampled_from([1, -1])))
+    first, second = draw(st.booleans()), draw(st.booleans())
+    ops = [GateOp(GateKind.SHIFT, (1,), k=1)]
+    if x:
+        ops.append(GateOp(GateKind.SHIFT, (0,), k=x))
+    ops += [
+        GateOp(GateKind.HADAMARD, (0,), dagger=first),
+        GateOp(GateKind.CPHASE, (1, 0), theta=2 * np.pi * m / d + delta),
+        GateOp(GateKind.HADAMARD, (0,), dagger=second),
+    ]
+    return Circuit(d, RegisterLayout(d, (("r", 2),)), tuple(ops)), x, first, second
+
+
+@settings(deadline=None, max_examples=300)
+@given(_column_runs())
+def test_a_column_snaps_as_its_vector_would(run):
+    circuit, x, first, second = run
+    d, theta = circuit.base, circuit.ops[-2].theta
+    state = execute(circuit)
+    want = execute(circuit, as_dense(zero_state(circuit.layout)))
+    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+    # the vector the factor would be, under the snap rule it would meet
+    levels = np.arange(d)
+    column = gates._dft(d, first)[:, x] * np.exp(1j * (theta % (2 * np.pi)) * levels)
+    mags = np.abs(gates._dft(d, second) @ column)
+    top = int(mags.argmax())
+    mags[top] = 0.0
+    snaps = mags.max() <= simulator._SNAP_ATOL
+    assert state.digits == ({0: top, 1: 1} if snaps else {1: 1})
+
+
+def test_an_adder_from_digits_builds_no_vector(monkeypatch):
+    # every HADAMARD meets a digit or a column on the grid: no DFT is built
+    dfts = _spy(monkeypatch, "_dft")
+    rng = random.Random(22)
+    for d, n, count in [(2, 30, 3), (7, 30, 9), (37, 5, 5)]:  # over the dense cap
+        for mode in Mode:
+            inputs = tuple(rng.randrange(d**n) for _ in range(count))
+            state = execute(build_full_adder(AdderSpec(d, n, count, mode, inputs)))
+            assert set(state.digits) == set(range(state.num_qudits))
+    for base in range(2, 17):
+        for n, count in [(1, 1), (2, 3), (3, 2), (1, 5)]:
+            if base ** (required_ancillas(count, base) + count * n) > 2**14:
+                continue
+            for mode in Mode:
+                inputs = tuple(rng.randrange(base**n) for _ in range(count))
+                state = execute(build_full_adder(AdderSpec(base, n, count, mode, inputs)))
+                assert state.dense.size == 1
+    assert dfts == []
+    # a phase off the grid leaves the column off it: the vector is built
+    layout = RegisterLayout(3, (("r", 2),))
+    off = Circuit(3, layout, (
+        GateOp(GateKind.SHIFT, (1,), k=1),
+        GateOp(GateKind.HADAMARD, (0,)),
+        GateOp(GateKind.CPHASE, (1, 0), theta=0.5),
+        GateOp(GateKind.HADAMARD, (0,), dagger=True),
+    ))
+    assert execute(off).digits == {1: 1}
+    assert len(dfts) >= 1
 
 
 def test_marginal_over_the_limit_fails_before_allocating():
