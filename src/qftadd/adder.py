@@ -99,7 +99,7 @@ class AdderSpec:
 
     @property
     def ancillas(self) -> int:
-        return required_ancillas(self.num_inputs, self.base)
+        return self.layout.registers[0][1]  # t, from the cached layout
 
     @property
     def result_width(self) -> int:
@@ -181,14 +181,13 @@ def _encoding_ops(spec: AdderSpec) -> list[GateOp]:
     ops = []
     d, t, n = spec.base, spec.ancillas, spec.digits_per_input
     for i, value in enumerate(spec.inputs):
-        digits = []
-        for _ in range(n):
+        qudit, shifts = t + (i + 1) * n, []  # past register i + 1's last digit
+        while value:  # LSB first, so a zero input divmods nothing
+            qudit -= 1
             value, digit = divmod(value, d)
-            digits.append(digit)
-        start = t + i * n  # of register i + 1, after t ancillas and i inputs
-        for offset, digit in enumerate(reversed(digits)):
             if digit:
-                ops.append(_shift(start + offset, digit))
+                shifts.append(_shift(qudit, digit))
+        ops.extend(reversed(shifts))
     return ops
 
 

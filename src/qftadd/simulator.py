@@ -129,25 +129,25 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     """Apply the circuit's ops in order to ``initial``, updating and returning it.
 
     The default start is ``zero_state(circuit.layout)``.  While it runs,
-    each qudit is a digit, a factor (a d-vector in tensor product with the
-    rest) or an axis of the dense part.  A HADAMARD turns a digit x into
-    the DFT column x, held as ``(x, dagger)``, or multiplies a factor by
+    each qudit is a digit, a factor (in tensor product with the rest) or an
+    axis of the dense part.  A factor is a d-vector, or a float phi for the
+    phase ramp ``exp(i*phi*m)/sqrt(d)``.  A HADAMARD turns a digit x into
+    the ramp phi = +-2*pi*x/d, the DFT column x, or multiplies a factor by
     the DFT; a factor whose every other level is at most ``_SNAP_ATOL``
     then snaps back to a digit, its amplitude moved into a global scalar.
-    A column with its pending angle is one phase ramp, so a HADAMARD on it
-    snaps in closed form when the ramp is within ``_SNAP_ATOL/10`` of a
-    level, where the vector would snap too; otherwise the vector is built
-    and the same rule runs.  A SHIFT adds to a digit or rolls
-    a factor; a SWAP renames its two qudits, whatever their forms.
-    A CPHASE between two digits scales the scalar; with a digit end at
-    level x and a factor end, it adds ``theta*x`` (mod 2*pi) to an angle
-    applied to the factor before its next use.  Every other op first
-    widens its factors into trailing axes of the dense part and runs its
-    gate kernel; a CPHASE kernel reads a digit end as its level.  Factors
-    left at the end are widened the same way, and the dense axes are put
-    in increasing qudit order.  So an adder run from digits ends all
-    digits, and one without digits runs every other op on its kernel: the
-    tests' reference.
+    A HADAMARD on a ramp snaps in closed form when it is within
+    ``_SNAP_ATOL/10`` of a level, where the vector would snap too;
+    otherwise the vector is built and the same rule runs.  A SHIFT adds to
+    a digit or rolls a factor; a SWAP renames its two qudits, whatever
+    their forms.  A CPHASE between two digits scales the scalar; with a
+    digit end at level x and a factor end, it adds ``theta*x`` to a ramp's
+    phi, mod 2*pi (phi-ADD), or scales a vector by ``exp(i*theta*x*m)``.
+    Every other op first widens its factors into trailing axes of the
+    dense part and runs its gate kernel; a CPHASE kernel reads a digit end
+    as its level.  Factors left at the end are widened the same way, and
+    the dense axes are put in increasing qudit order.  So an adder run from
+    digits ends all digits, and one without digits runs every other op on
+    its kernel: the tests' reference.
 
     Raises ValueError, before allocating, if a widening would exceed
     ``core.MAX_AMPLITUDES``.  ``initial`` is then unchanged if no op had
@@ -164,17 +164,14 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         raise ValueError(f"state has {state.num_qudits} qudits, circuit layout has {q}")
     digits = dict(state.digits)
     dense = [qi for qi in range(q) if qi not in digits]  # the axes of psi, in order
-    # qudit -> a d-vector, or (x, dagger) for the DFT column x of that sign
-    factors: dict[int, np.ndarray | tuple[int, bool]] = {}
-    angles: dict[int, float] = {}  # factor qudit -> c, for exp(i*c*level) on it
+    # qudit -> a d-vector, or a float phi for the phase ramp exp(i*phi*m)/sqrt(d)
+    factors: dict[int, np.ndarray | float] = {}
     psi, scalar, levels = state.dense, 1.0, np.arange(d)
 
     def settle(qi: int) -> np.ndarray:
-        """Take the factor on ``qi`` out as a vector, its pending angle applied."""
-        c, f = angles.pop(qi, 0.0), factors.pop(qi)
-        if type(f) is tuple:
-            f = _dft(d, f[1])[:, f[0]]
-        return f * np.exp(1j * c * levels) if c else f
+        """Take the factor on ``qi`` out as a vector."""
+        f = factors.pop(qi)
+        return np.exp(1j * f * levels) / math.sqrt(d) if isinstance(f, float) else f
 
     for op in circuit.ops:
         kind, qs, t = op.kind, op.qudits, op.qudits[0]
@@ -187,11 +184,15 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
                 continue
             end, level = (t, y) if x is None else (qs[1], x)
             if level is not None and end in factors:
-                angles[end] = (angles.get(end, 0.0) + op.theta * level) % _TAU
+                f = factors[end]
+                if isinstance(f, float):  # phi-ADD
+                    factors[end] = (f + op.theta * level) % _TAU
+                else:
+                    factors[end] = f * np.exp(1j * ((op.theta * level) % _TAU) * levels)
                 continue
         elif kind is GateKind.SWAP:
             a, b = qs
-            for held in (digits, factors, angles):  # each entry to the other qudit
+            for held in (digits, factors):  # each entry to the other qudit
                 u, v = held.pop(a, None), held.pop(b, None)
                 if u is not None:
                     held[b] = u
@@ -204,24 +205,22 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             if kind is GateKind.SHIFT:
                 digits[t] = (digits[t] + op.k) % d
             else:
-                factors[t] = (digits.pop(t), op.dagger)
+                factors[t] = (-_TAU if op.dagger else _TAU) * digits.pop(t) / d
             continue
         elif t in factors:
             if kind is GateKind.SHIFT:
                 factors[t] = np.roll(settle(t), op.k)
                 continue
-            f = factors[t]
-            if type(f) is tuple:
+            phi = factors[t]
+            if isinstance(phi, float):
                 # exp(i*phi*m)/sqrt(d) under a DFT of sign s peaks at level j,
                 # off by delta; in the band every other level is at most
                 # |delta|*d/4, so the vector rule below would snap it too
                 s = -1 if op.dagger else 1
-                phi = (-_TAU if f[1] else _TAU) * f[0] / d + angles.get(t, 0.0)
                 j = round(-s * phi * d / _TAU) % d
                 delta = math.remainder(phi + s * _TAU * j / d, _TAU)
                 if abs(delta) * d <= _SNAP_ATOL / 10:
                     del factors[t]
-                    angles.pop(t, None)
                     digits[t] = j
                     if delta:  # sum(exp(i*delta*k))/d, to double precision
                         scalar *= cmath.exp(0.5j * delta * (d - 1))

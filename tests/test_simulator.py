@@ -459,10 +459,17 @@ def _mixed_runs(draw):
     qudit = st.integers(0, q - 1)
     one = qudit.map(lambda t: (t,))
     pair = st.lists(qudit, min_size=2, max_size=2, unique=True).map(tuple)
+    # an angle 2*pi*m/d**k on the grid, where a ramp snaps in closed form, or
+    # off it by 1e-17..1e-8, in or out of the closed form's band
+    grid = st.integers(1, 3).flatmap(
+        lambda k: st.integers(-(d**k), d**k).map(lambda m: 2 * np.pi * m / d**k)
+    )
+    off = st.just(0.0) | st.builds(lambda e, s: s * 10.0**e, st.floats(-17, -8), st.sampled_from([1, -1]))
+    theta = st.floats(-7, 7) | st.builds(lambda a, b: a + b, grid, off)
     op = st.one_of(
         st.builds(GateOp, st.just(GateKind.HADAMARD), one, dagger=st.booleans()),
         st.builds(GateOp, st.just(GateKind.SHIFT), one, k=st.integers(0, d)),
-        st.builds(GateOp, st.just(GateKind.CPHASE), pair, theta=st.floats(-7, 7)),
+        st.builds(GateOp, st.just(GateKind.CPHASE), pair, theta=theta),
         st.builds(GateOp, st.just(GateKind.SWAP), pair),
     )
     ops = draw(st.lists(op, max_size=12))
@@ -521,12 +528,12 @@ def test_folded_phases_match_the_gate_path(monkeypatch):
         GateOp(GateKind.HADAMARD, (0,)),
         GateOp(GateKind.HADAMARD, (1,)),
         *fan[:10],
-        GateOp(GateKind.HADAMARD, (0,)),  # folded angles on qudit 0 must land first
+        GateOp(GateKind.HADAMARD, (0,)),  # qudit 0's ramp, off the grid: now a vector
         *fan[10:20],
         GateOp(GateKind.SHIFT, (3,), k=1),  # a digit moves: later fans read 2
         *fan[20:1990],  # each angle is 3..4 at level 2: over 2*pi*10**3 per factor
-        GateOp(GateKind.SHIFT, (1,), k=1),  # rolls a factor after its angle lands
-        GateOp(GateKind.SWAP, (0, 1)),  # two factors trade places, angles with them
+        GateOp(GateKind.SHIFT, (1,), k=1),  # rolls qudit 1's ramp as a vector
+        GateOp(GateKind.SWAP, (0, 1)),  # two factors trade places
         *fan[1990:2000],
         GateOp(GateKind.CPHASE, (0, 1), theta=0.9),  # two factor ends: both widened
         *fan[2000:],  # a digit end and a dense end: one phase pass each
@@ -539,7 +546,8 @@ def test_folded_phases_match_the_gate_path(monkeypatch):
     folded = execute(circuit)
     assert folded.digits == {2: 2, 3: 2}
     assert folded.dense.size == d * d
-    # the 2000 fan CPHASEs on factors fold into their angles, with no pass
+    # the 2000 fan CPHASEs on factors add to a ramp's phi or scale a vector
+    # at once, with no pass
     assert [axes for _, axes, _ in phases] == [[0, 1]] + [[0], [1]] * 5
     want = execute(circuit, as_dense(zero_state(layout)))
     assert np.max(np.abs(folded.amplitudes - want.amplitudes)) <= 1e-12
@@ -667,40 +675,42 @@ def test_a_column_snaps_in_closed_form_only_within_its_band(monkeypatch, delta, 
 
 @st.composite
 def _column_runs(draw):
-    """A digit x turned into a DFT column, a phase 2*pi*m/d + delta on it from a
-    digit control at level 1, and a second HADAMARD of either sign."""
+    """A digit x turned into a DFT column, 1-3 phases 2*pi*m/d + delta on it
+    from digit controls at levels 1..d-1, and a second HADAMARD of either sign."""
     d = draw(st.integers(2, 17))
-    x, m = draw(st.integers(0, d - 1)), draw(st.integers(-d, d))
+    x, first, second = draw(st.integers(0, d - 1)), draw(st.booleans()), draw(st.booleans())
     tiny = st.floats(-16, -9).map(lambda e: 10.0**e)
-    delta = draw(st.just(0.0) | st.builds(lambda v, s: s * v, tiny, st.sampled_from([1, -1])))
-    first, second = draw(st.booleans()), draw(st.booleans())
-    ops = [GateOp(GateKind.SHIFT, (1,), k=1)]
+    delta = st.just(0.0) | st.builds(lambda v, s: s * v, tiny, st.sampled_from([1, -1]))
+    angle = st.builds(lambda m, v: 2 * np.pi * m / d + v, st.integers(-d, d), delta)
+    phases = draw(st.lists(st.tuples(angle, st.integers(1, d - 1)), min_size=1, max_size=3))
+    controls = {qi: level for qi, (_, level) in enumerate(phases, 1)}
+    ops = [GateOp(GateKind.SHIFT, (qi,), k=level) for qi, level in controls.items()]
     if x:
         ops.append(GateOp(GateKind.SHIFT, (0,), k=x))
-    ops += [
-        GateOp(GateKind.HADAMARD, (0,), dagger=first),
-        GateOp(GateKind.CPHASE, (1, 0), theta=2 * np.pi * m / d + delta),
-        GateOp(GateKind.HADAMARD, (0,), dagger=second),
-    ]
-    return Circuit(d, RegisterLayout(d, (("r", 2),)), tuple(ops)), x, first, second
+    ops.append(GateOp(GateKind.HADAMARD, (0,), dagger=first))
+    ops += [GateOp(GateKind.CPHASE, (qi, 0), theta=theta) for qi, (theta, _) in enumerate(phases, 1)]
+    ops.append(GateOp(GateKind.HADAMARD, (0,), dagger=second))
+    layout = RegisterLayout(d, (("r", 1 + len(phases)),))
+    return Circuit(d, layout, tuple(ops)), x, first, second, phases, controls
 
 
 @settings(deadline=None, max_examples=300)
 @given(_column_runs())
 def test_a_column_snaps_as_its_vector_would(run):
-    circuit, x, first, second = run
-    d, theta = circuit.base, circuit.ops[-2].theta
+    circuit, x, first, second, phases, controls = run
+    d = circuit.base
     state = execute(circuit)
     want = execute(circuit, as_dense(zero_state(circuit.layout)))
     assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
     # the vector the factor would be, under the snap rule it would meet
     levels = np.arange(d)
-    column = gates._dft(d, first)[:, x] * np.exp(1j * (theta % (2 * np.pi)) * levels)
+    angle = sum(theta * level for theta, level in phases) % (2 * np.pi)
+    column = gates._dft(d, first)[:, x] * np.exp(1j * angle * levels)
     mags = np.abs(gates._dft(d, second) @ column)
     top = int(mags.argmax())
     mags[top] = 0.0
     snaps = mags.max() <= simulator._SNAP_ATOL
-    assert state.digits == ({0: top, 1: 1} if snaps else {1: 1})
+    assert state.digits == ({0: top, **controls} if snaps else controls)
 
 
 def test_an_adder_from_digits_builds_no_vector(monkeypatch):
