@@ -1,10 +1,14 @@
 """Qudit QFT arithmetic: build, simulate and cost adder/subtractor circuits.
 
-The package is organized bottom-up: digit/register/state primitives
+The package is organized bottom-up: digit and register primitives
 (`core`), the circuit IR with QFT builders (`circuit`), one kernel per
-gate kind (`gates`), the arithmetic constructions (`adder`), execution
-and measurement (`simulator`), and gate-count analysis (`resources`).
-`cli` wraps it all for the command line.
+gate kind (`gates`), the arithmetic constructions (`adder`), state
+vectors, execution and measurement (`simulator`), and gate-count analysis
+(`resources`).  `cli` wraps it all for the command line.
+
+Only `simulator` and `gates` import numpy, and the package loads them on
+first use of a simulator name (PEP 562 `__getattr__`), so `import qftadd`
+and the design path (build, count, sweep, export) load no numpy.
 """
 
 from .adder import (
@@ -30,12 +34,9 @@ from .circuit import (
 from .core import (
     DigitString,
     RegisterLayout,
-    StateVector,
-    basis_state,
     from_integer,
     parse_digit_text,
     to_integer,
-    zero_state,
 )
 from .resources import (
     ResourceReport,
@@ -46,13 +47,28 @@ from .resources import (
     sweep,
     sweep_to_csv,
 )
-from .simulator import (
-    Histogram,
-    NoiseConfig,
-    execute,
-    histogram_to_json,
-    measure,
-)
+
+# names read from `simulator`, which imports numpy, on first use
+_SIMULATOR_NAMES = {
+    "Histogram",
+    "NoiseConfig",
+    "StateVector",
+    "basis_state",
+    "execute",
+    "histogram_to_json",
+    "measure",
+    "zero_state",
+}
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulator
+
+    value = globals()[name] = getattr(simulator, name)  # later reads skip this hook
+    return value
+
 
 __version__ = "0.1.0"
 

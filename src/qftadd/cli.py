@@ -11,6 +11,9 @@ or flags fed to that call.  It checks only what the library cannot: the
 building, the op count, since building alone takes time that grows as
 digits squared, and, with noise, the span size, which bounds the
 marginal of a noisy readout.
+
+Only ``add`` and ``sub`` simulate.  They import ``simulator`` when they
+run, so ``gate-count``, ``sweep`` and ``export-circuit`` load no numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
 from .circuit import circuit_to_json, circuit_to_qasm, circuit_to_text
 from .core import _check_size
 from .resources import gate_count_formula, resource_report, sweep, sweep_to_csv
-from .simulator import NoiseConfig, execute, histogram_to_json, measure
 
 
 # Most ops ``add``, ``sub``, ``export-circuit`` and ``gate-count --verify``
@@ -81,6 +83,9 @@ def _build_spec(args: argparse.Namespace, mode: Mode) -> AdderSpec:
 
 
 def _run_add_sub(args: argparse.Namespace) -> int:
+    # the only command that simulates, and so the only one that loads numpy
+    from .simulator import NoiseConfig, execute, histogram_to_json, measure
+
     mode = Mode.ADD if args.command == "add" else Mode.SUB
     spec = _build_spec(args, mode)
     if args.shots < 1:

@@ -1,4 +1,8 @@
-"""Circuit execution into state vectors, plus shot-based measurement.
+"""State vectors, circuit execution into them, and shot-based measurement.
+
+With ``gates``, this is the only module that imports numpy.  The package
+imports it on first use of one of its names, so building, costing and
+exporting circuits never load numpy.
 
 ``execute`` holds each qudit as a digit, a one-qudit factor or an axis of
 the dense part, so an adder run from digits (Draper's phi-ADD on a
@@ -26,14 +30,14 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .core import MAX_AMPLITUDES, StateVector, _check_size, _weight, from_integer, zero_state
+from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size, from_integer
 from .gates import _dft, apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
@@ -44,6 +48,124 @@ _SNAP_ATOL = 1e-12
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
 # ``shots`` outcomes, so this bounds the digit text rendered from one.
 MAX_SHOT_DIGITS = 2**24
+
+
+@dataclass
+class StateVector:
+    """A state of ``num_qudits`` base-``base`` qudits, some of them known digits.
+
+    ``digits`` maps each qudit held in a known computational-basis level
+    to that level; ``dense`` holds the ``base**(num_qudits - len(digits))``
+    amplitudes of the other qudits, in increasing qudit order.  The full
+    state is their tensor product.  With no digits, ``dense`` is the whole
+    state.  The state takes a copy of the ``dense`` it is given.
+
+    ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
+    each read builds it anew with :meth:`widened`, and returns it
+    read-only.  ``execute`` may hold further qudits as factors while it
+    runs, but a state it returns has only digits and a dense part.
+    """
+
+    base: int
+    num_qudits: int
+    dense: np.ndarray = field(repr=False)
+    digits: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.base, self.num_qudits = operator.index(self.base), operator.index(self.num_qudits)
+        if self.base < 2:
+            raise ValueError(f"base must be >= 2, got {self.base}")
+        self.digits = {
+            operator.index(qi): operator.index(level) for qi, level in self.digits.items()
+        }
+        for qi, level in self.digits.items():
+            if not 0 <= qi < self.num_qudits:
+                raise ValueError(f"digit qudit {qi} out of range for {self.num_qudits}")
+            if not 0 <= level < self.base:
+                raise ValueError(f"digit {level} out of range for base {self.base}")
+        # its own writable copy: the caller's array may be read-only, or another state's
+        self.dense = np.array(self.dense, dtype=np.complex128).reshape(-1)
+        free = self.num_qudits - len(self.digits)
+        if self.dense.shape[0] != self.base**free:
+            raise ValueError(
+                f"expected {self.base**free} amplitudes for {free} "
+                f"base-{self.base} qudits, got {self.dense.shape[0]}"
+            )
+        if not np.isfinite(self.dense).all():
+            raise ValueError("amplitudes must be finite, got NaN or infinity")
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        full = self.widened()
+        if self.digits:
+            full.flags.writeable = False
+        return full
+
+    def widened(self) -> np.ndarray:
+        """The full ``base**num_qudits`` vector, each digit qudit at its digit.
+
+        With no digits this is ``dense`` itself; otherwise a new buffer,
+        whose size is checked against ``MAX_AMPLITUDES`` before allocating.
+        """
+        d, q = self.base, self.num_qudits
+        if not self.digits:
+            return self.dense
+        _check_size(d, q)
+        full = np.zeros((d,) * q, dtype=np.complex128)
+        index = tuple(self.digits.get(qi, slice(None)) for qi in range(q))
+        full[index] = self.dense.reshape((d,) * (q - len(self.digits)))
+        return full.reshape(-1)
+
+    def probabilities(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+    def norm_error(self) -> float:
+        """Absolute deviation of the squared-magnitude sum from 1."""
+        return abs(_weight(self.dense) - 1.0)
+
+
+def _weight(dense: np.ndarray) -> float:
+    """The sum of squared magnitudes; one amplitude is read without numpy."""
+    if dense.size == 1:
+        return abs(complex(dense[0])) ** 2
+    return float(np.sum(np.abs(dense) ** 2))
+
+
+def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> StateVector:
+    """Computational-basis state with one digit string per layout register.
+
+    Held as its digits and a one-amplitude dense part: it allocates nothing.
+    """
+    if len(register_digits) != len(layout.registers):
+        raise ValueError(
+            f"layout has {len(layout.registers)} register(s), "
+            f"got {len(register_digits)} digit string(s)"
+        )
+    for (name, size), ds in zip(layout.registers, register_digits):
+        if ds.base != layout.base:
+            raise ValueError(
+                f"digit string for register {name!r} has base {ds.base}, "
+                f"layout has base {layout.base}"
+            )
+        if ds.width != size:
+            raise ValueError(
+                f"register {name!r} holds {size} qudit(s), "
+                f"got a width-{ds.width} digit string"
+            )
+    digits = [dig for ds in register_digits for dig in ds.digits]
+    return StateVector(layout.base, len(digits), np.ones(1), dict(enumerate(digits)))
+
+
+def zero_state(layout: RegisterLayout) -> StateVector:
+    """All-zero computational-basis state for ``layout``, held as digits.
+
+    Built without the constructor's checks, from digits it makes itself.
+    """
+    q = layout.total_qudits
+    state = object.__new__(StateVector)
+    state.base, state.num_qudits = layout.base, q
+    state.dense, state.digits = np.ones(1, dtype=np.complex128), dict.fromkeys(range(q), 0)
+    return state
 
 
 @dataclass(frozen=True)
@@ -135,9 +257,9 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     the ramp phi = +-2*pi*x/d, the DFT column x, or multiplies a factor by
     the DFT; a factor whose every other level is at most ``_SNAP_ATOL``
     then snaps back to a digit, its amplitude moved into a global scalar.
-    A HADAMARD on a ramp snaps in closed form when it is within
-    ``_SNAP_ATOL/10`` of a level, where the vector would snap too;
-    otherwise the vector is built and the same rule runs.  A SHIFT adds to
+    A HADAMARD on a ramp snaps in closed form when its peak is off a level
+    by a phase delta with ``|delta|*d <= _SNAP_ATOL``, where the vector
+    would snap too; otherwise the vector is built and the same rule runs.  A SHIFT adds to
     a digit or rolls a factor; a SWAP renames its two qudits, whatever
     their forms.  A CPHASE between two digits scales the scalar; with a
     digit end at level x and a factor end, it adds ``theta*x`` to a ramp's
@@ -214,12 +336,13 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             phi = factors[t]
             if isinstance(phi, float):
                 # exp(i*phi*m)/sqrt(d) under a DFT of sign s peaks at level j,
-                # off by delta; in the band every other level is at most
-                # |delta|*d/4, so the vector rule below would snap it too
+                # off by delta; every other level is at most
+                # |delta|/(2*sin(pi/d)) <= |delta|*d/4, so in the band at most
+                # _SNAP_ATOL/4, and the vector rule below would snap it too
                 s = -1 if op.dagger else 1
                 j = round(-s * phi * d / _TAU) % d
                 delta = math.remainder(phi + s * _TAU * j / d, _TAU)
-                if abs(delta) * d <= _SNAP_ATOL / 10:
+                if abs(delta) * d <= _SNAP_ATOL:
                     del factors[t]
                     digits[t] = j
                     if delta:  # sum(exp(i*delta*k))/d, to double precision

@@ -648,12 +648,13 @@ def test_a_factor_snaps_to_a_digit_only_within_the_tolerance(delta, snaps):
 
 
 @pytest.mark.parametrize(
-    "delta, snaps, vectors", [(1e-9, False, True), (1e-13, True, True), (1e-14, True, False), (0.0, True, False)]
+    "delta, snaps, vectors",
+    [(1e-9, False, True), (1e-12, True, True), (1e-13, True, False), (1e-14, True, False), (0.0, True, False)],
 )
 def test_a_column_snaps_in_closed_form_only_within_its_band(monkeypatch, delta, snaps, vectors):
     # H, a phase of 2*pi/3 + delta on level 1 from a digit control and H+:
     # qudit 0 ends at |1>, about 0.58*delta off it at each other level.  With
-    # |delta|*d at most _SNAP_ATOL/10 the column snaps without a vector; just
+    # |delta|*d at most _SNAP_ATOL the column snaps without a vector; just
     # above that band the vector rule snaps it, and far above keeps the factor
     d = 3
     layout = RegisterLayout(d, (("r", 2),))
@@ -729,6 +730,13 @@ def test_an_adder_from_digits_builds_no_vector(monkeypatch):
             for mode in Mode:
                 inputs = tuple(rng.randrange(base**n) for _ in range(count))
                 state = execute(build_full_adder(AdderSpec(base, n, count, mode, inputs)))
+                assert state.dense.size == 1
+    # where phi gathers the most rounding: many inputs, or a large base
+    for d, n, count in [(37, 5, 5), (16, 3, 40)]:
+        for mode in Mode:
+            for _ in range(40):
+                inputs = tuple(rng.randrange(d**n) for _ in range(count))
+                state = execute(build_full_adder(AdderSpec(d, n, count, mode, inputs)))
                 assert state.dense.size == 1
     assert dfts == []
     # a phase off the grid leaves the column off it: the vector is built
