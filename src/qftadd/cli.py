@@ -7,10 +7,9 @@ plain function calls.  Exit codes: 0 success, 2 flag validation error
 The library owns its checks.  The CLI re-raises a ValueError from a
 library call, or from ``int()`` on a token, as an error naming the flag
 or flags fed to that call.  It checks only what the library cannot: the
-``--inputs-base`` radix, ``--shots`` before simulating, and, before
-building, the op count, since building alone takes time that grows as
-digits squared, and, with noise, the span size, which bounds the
-marginal of a noisy readout.
+``--inputs-base`` radix and, before building, ``--shots``, the op count,
+since building alone takes time that grows as digits squared, and, with
+noise, the span size, which bounds the marginal of a noisy readout.
 
 Only ``add`` and ``sub`` simulate.  They import ``simulator`` when they
 run, so ``gate-count``, ``sweep`` and ``export-circuit`` load no numpy.
@@ -84,12 +83,12 @@ def _build_spec(args: argparse.Namespace, mode: Mode) -> AdderSpec:
 
 def _run_add_sub(args: argparse.Namespace) -> int:
     # the only command that simulates, and so the only one that loads numpy
-    from .simulator import NoiseConfig, execute, histogram_to_json, measure
+    from .simulator import NoiseConfig, _check_shots, execute, histogram_to_json, measure
 
     mode = Mode.ADD if args.command == "add" else Mode.SUB
     spec = _build_spec(args, mode)
-    if args.shots < 1:
-        raise CliError(f"--shots: must be >= 1, got {args.shots}")
+    with _flag("--shots"):
+        _check_shots(args.shots, spec.result_width)
     with _flag("--noise/--seed"):
         noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
     # before building, whose op count grows as digits squared; the span is
@@ -98,8 +97,10 @@ def _run_add_sub(args: argparse.Namespace) -> int:
         if noise.readout_flip_probability > 0.0:
             _check_size(spec.base, spec.result_width)
         _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
-    state = execute(build_full_adder(spec))
-    with _flag("--shots"):
+    # from digits at a large d*N, the run can leave the digit path: then a
+    # widening, or the span's marginal, can be over the size limit
+    with _flag("--base/--digits/--inputs"):
+        state = execute(build_full_adder(spec))
         histogram = measure(state, range(spec.result_width), args.shots, noise)
     _write_artifact(histogram_to_json(histogram), args.output)
     tallies = histogram.tallies

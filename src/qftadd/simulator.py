@@ -4,8 +4,8 @@ With ``gates``, this is the only module that imports numpy.  The package
 imports it on first use of one of its names, so building, costing and
 exporting circuits never load numpy.
 
-``execute`` holds each qudit as a digit, a one-qudit factor or an axis of
-the dense part, so an adder run from digits (Draper's phi-ADD on a
+``execute`` holds each qudit as a digit, a phase ramp (one float) or an
+axis of the dense part, so an adder run from digits (Draper's phi-ADD on a
 product state) never builds its Fourier span.  A SWAP only renames qudits;
 other ops on the dense part run on the gate kernels in ``gates``.
 
@@ -38,12 +38,12 @@ import numpy as np
 
 from .circuit import Circuit, GateKind
 from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size, from_integer
-from .gates import _dft, apply_op, phase
+from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
 _TAU = 2.0 * math.pi
-# Largest magnitude a factor may have at every level but one and still snap
-# back to a digit at that level.
+# Largest magnitude, to first order, a ramp's DFT may have at every level
+# but one and still snap back to a digit at that level.
 _SNAP_ATOL = 1e-12
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
 # ``shots`` outcomes, so this bounds the digit text rendered from one.
@@ -62,8 +62,8 @@ class StateVector:
 
     ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
     each read builds it anew with :meth:`widened`, and returns it
-    read-only.  ``execute`` may hold further qudits as factors while it
-    runs, but a state it returns has only digits and a dense part.
+    read-only.  ``execute`` may hold further qudits as phase ramps while
+    it runs, but a state it returns has only digits and a dense part.
     """
 
     base: int
@@ -251,25 +251,24 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     """Apply the circuit's ops in order to ``initial``, updating and returning it.
 
     The default start is ``zero_state(circuit.layout)``.  While it runs,
-    each qudit is a digit, a factor (in tensor product with the rest) or an
-    axis of the dense part.  A factor is a d-vector, or a float phi for the
-    phase ramp ``exp(i*phi*m)/sqrt(d)``.  A HADAMARD turns a digit x into
-    the ramp phi = +-2*pi*x/d, the DFT column x, or multiplies a factor by
-    the DFT; a factor whose every other level is at most ``_SNAP_ATOL``
-    then snaps back to a digit, its amplitude moved into a global scalar.
-    A HADAMARD on a ramp snaps in closed form when its peak is off a level
-    by a phase delta with ``|delta|*d <= _SNAP_ATOL``, where the vector
-    would snap too; otherwise the vector is built and the same rule runs.  A SHIFT adds to
-    a digit or rolls a factor; a SWAP renames its two qudits, whatever
-    their forms.  A CPHASE between two digits scales the scalar; with a
-    digit end at level x and a factor end, it adds ``theta*x`` to a ramp's
-    phi, mod 2*pi (phi-ADD), or scales a vector by ``exp(i*theta*x*m)``.
-    Every other op first widens its factors into trailing axes of the
-    dense part and runs its gate kernel; a CPHASE kernel reads a digit end
-    as its level.  Factors left at the end are widened the same way, and
-    the dense axes are put in increasing qudit order.  So an adder run from
-    digits ends all digits, and one without digits runs every other op on
-    its kernel: the tests' reference.
+    each qudit is a digit, a phase ramp ``exp(i*phi*m)/sqrt(d)`` held as
+    its float phi (in tensor product with the rest), or an axis of the
+    dense part.  A HADAMARD turns a digit x into the ramp phi =
+    +-2*pi*x/d, the DFT column x.  A HADAMARD on a ramp snaps it back to
+    the digit j where its DFT peaks, the peak's phase moved into a global
+    scalar, when phi is off that peak by a phase delta with
+    ``|delta| <= 2*sin(pi/d)*_SNAP_ATOL``: to first order, every other
+    level, at most ``|delta|/(2*sin(pi/d))``, is then at most
+    ``_SNAP_ATOL``.  A SHIFT adds to a digit; a SWAP renames its two
+    qudits, whatever their forms.  A CPHASE between two digits scales the
+    scalar; with a digit end at level x and a ramp end, it adds
+    ``theta*x`` to phi, mod 2*pi (phi-ADD).  Every other op, a SHIFT or an
+    unsnapped HADAMARD on a ramp among them, first widens its ramps into
+    trailing axes of the dense part and runs its gate kernel; a CPHASE
+    kernel reads a digit end as its level.  Ramps left at the end are
+    widened the same way, and the dense axes are put in increasing qudit
+    order.  So an adder run from digits ends all digits, and one without
+    digits runs every other op on its kernel: the tests' reference.
 
     Raises ValueError, before allocating, if a widening would exceed
     ``core.MAX_AMPLITUDES``.  ``initial`` is then unchanged if no op had
@@ -286,14 +285,17 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         raise ValueError(f"state has {state.num_qudits} qudits, circuit layout has {q}")
     digits = dict(state.digits)
     dense = [qi for qi in range(q) if qi not in digits]  # the axes of psi, in order
-    # qudit -> a d-vector, or a float phi for the phase ramp exp(i*phi*m)/sqrt(d)
-    factors: dict[int, np.ndarray | float] = {}
+    # qudit -> phi of its phase ramp exp(i*phi*m)/sqrt(d)
+    factors: dict[int, float] = {}
     psi, scalar, levels = state.dense, 1.0, np.arange(d)
+    # a ramp whose DFT peaks at a level j off by a phase delta is, to first
+    # order, |delta|/(2*sin(pi/d)) at its largest other level: at most
+    # _SNAP_ATOL within this bound
+    band = 2.0 * math.sin(math.pi / d) * _SNAP_ATOL
 
     def settle(qi: int) -> np.ndarray:
-        """Take the factor on ``qi`` out as a vector."""
-        f = factors.pop(qi)
-        return np.exp(1j * f * levels) / math.sqrt(d) if isinstance(f, float) else f
+        """Take the ramp on ``qi`` out as a vector."""
+        return np.exp(1j * factors.pop(qi) * levels) / math.sqrt(d)
 
     for op in circuit.ops:
         kind, qs, t = op.kind, op.qudits, op.qudits[0]
@@ -305,12 +307,8 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
                 scalar *= cmath.exp(1j * op.theta * x * y)
                 continue
             end, level = (t, y) if x is None else (qs[1], x)
-            if level is not None and end in factors:
-                f = factors[end]
-                if isinstance(f, float):  # phi-ADD
-                    factors[end] = (f + op.theta * level) % _TAU
-                else:
-                    factors[end] = f * np.exp(1j * ((op.theta * level) % _TAU) * levels)
+            if level is not None and end in factors:  # phi-ADD
+                factors[end] = (factors[end] + op.theta * level) % _TAU
                 continue
         elif kind is GateKind.SWAP:
             a, b = qs
@@ -329,35 +327,18 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             else:
                 factors[t] = (-_TAU if op.dagger else _TAU) * digits.pop(t) / d
             continue
-        elif t in factors:
-            if kind is GateKind.SHIFT:
-                factors[t] = np.roll(settle(t), op.k)
+        elif kind is GateKind.HADAMARD and t in factors:
+            # the ramp under a DFT of sign s peaks at level j, off by delta
+            phi, s = factors[t], -1 if op.dagger else 1
+            j = round(-s * phi * d / _TAU) % d
+            delta = math.remainder(phi + s * _TAU * j / d, _TAU)
+            if abs(delta) <= band:
+                del factors[t]
+                digits[t] = j
+                if delta:  # sum(exp(i*delta*k))/d, to double precision
+                    scalar *= cmath.exp(0.5j * delta * (d - 1))
                 continue
-            phi = factors[t]
-            if isinstance(phi, float):
-                # exp(i*phi*m)/sqrt(d) under a DFT of sign s peaks at level j,
-                # off by delta; every other level is at most
-                # |delta|/(2*sin(pi/d)) <= |delta|*d/4, so in the band at most
-                # _SNAP_ATOL/4, and the vector rule below would snap it too
-                s = -1 if op.dagger else 1
-                j = round(-s * phi * d / _TAU) % d
-                delta = math.remainder(phi + s * _TAU * j / d, _TAU)
-                if abs(delta) * d <= _SNAP_ATOL:
-                    del factors[t]
-                    digits[t] = j
-                    if delta:  # sum(exp(i*delta*k))/d, to double precision
-                        scalar *= cmath.exp(0.5j * delta * (d - 1))
-                    continue
-            f = _dft(d, op.dagger) @ settle(t)
-            mags = np.abs(f)
-            x = int(mags.argmax())
-            mags[x] = 0.0
-            if mags.max() <= _SNAP_ATOL:
-                digits[t], scalar = x, scalar * complex(f[x])
-            else:
-                factors[t] = f
-            continue
-        # the kernel, on the dense part widened by this op's factors
+        # the kernel, on the dense part widened by this op's ramps
         wide = {qi: settle(qi) for qi in qs if qi in factors}
         if wide:
             # the state always holds the current vector, so a gate holds two at most
@@ -428,6 +409,17 @@ def _noisy_read(channel: np.ndarray, digits: Sequence[int]) -> np.ndarray:
     return probs.reshape(len(channel), -1).T.reshape(-1)
 
 
+def _check_shots(shots: int, width: int) -> None:
+    """Raise ValueError unless 1 <= shots and shots * width <= MAX_SHOT_DIGITS."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots * width > MAX_SHOT_DIGITS:
+        raise ValueError(
+            f"{shots} shots of {width} digit(s) need {shots * width} digits, "
+            f"over the limit of {MAX_SHOT_DIGITS}"
+        )
+
+
 def measure(
     state: StateVector,
     qudits: Sequence[int],
@@ -466,15 +458,8 @@ def measure(
     for qi in qudits:
         if not 0 <= qi < state.num_qudits:
             raise IndexError(f"qudit {qi} out of range for {state.num_qudits}")
-    shots = operator.index(shots)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    width = len(qudits)
-    if shots * width > MAX_SHOT_DIGITS:
-        raise ValueError(
-            f"{shots} shots of {width} digit(s) need {shots * width} digits, "
-            f"over the limit of {MAX_SHOT_DIGITS}"
-        )
+    shots, width = operator.index(shots), len(qudits)
+    _check_shots(shots, width)
     if noise is None:
         noise = NoiseConfig()
     d, known, p = state.base, state.digits, noise.readout_flip_probability

@@ -204,7 +204,7 @@ def test_add_bounds_the_span_not_the_layout(capsys):
 
 def test_add_runs_the_1030_qudit_design(capsys):
     # 64 inputs of 16 bits: 1030 qubits and a 2**22 span, which ``execute``
-    # holds as digits and one-qudit factors, never as a dense part
+    # holds as digits and phase ramps, never as a dense part
     rng = np.random.default_rng(1030)
     inputs = tuple(int(v) for v in rng.integers(0, 2**16, 64))
     spec = AdderSpec(2, 16, 64, Mode.ADD, inputs)
@@ -215,6 +215,22 @@ def test_add_runs_the_1030_qudit_design(capsys):
     )
     assert code == 0, err
     assert out.strip().endswith(f"value={classical_oracle(spec)}")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_add_at_a_large_base_fails_only_on_its_spec_flags(capsys, seed):
+    # 50 base-1000 inputs of 2 digits leave the digit path: seed 0 is refused
+    # a widening, seed 1 the marginal of its partly dense span.  Either way,
+    # or run, the CLI names the spec flags and never reports an internal error
+    rng = np.random.default_rng(seed)
+    inputs = ",".join(str(v) for v in rng.integers(0, 10**6, 50))
+    code, out, err = run_cli(
+        ["add", "--base", "1000", "--digits", "2", "--inputs", inputs, "--shots", "16"], capsys
+    )
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: --base/--digits/--inputs: "), err
+        assert "--shots" not in err
 
 
 def test_sweep_size_checked_before_any_row(capsys, monkeypatch):
