@@ -130,12 +130,36 @@ def _circuit(layout: RegisterLayout, ops: Sequence[GateOp], labels: Sequence) ->
     return circuit
 
 
+def _op(
+    kind: GateKind,
+    qudits: tuple[int, ...],
+    theta: float | None = None,
+    k: int | None = None,
+    dagger: bool = False,
+) -> GateOp:
+    """The ``GateOp`` of fields this package computed as the constructor
+    would store them (a tuple of distinct non-negative ints, a float theta,
+    an int k): none of its checks.  The fields are set in declaration
+    order, one ``object.__setattr__`` each, as the constructor sets them,
+    so the op is as small as a checked one."""
+    op = object.__new__(GateOp)
+    set_field = object.__setattr__
+    set_field(op, "kind", kind)
+    set_field(op, "qudits", qudits)
+    set_field(op, "theta", theta)
+    set_field(op, "k", k)
+    set_field(op, "dagger", dagger)
+    return op
+
+
 def _check_contiguous(targets: Sequence[int]) -> tuple[int, int]:
     """``(lo, width)`` of a non-empty, contiguous, ascending qudit range."""
     targets = [operator.index(t) for t in targets]
     if not targets:
         raise ValueError("target range must be non-empty")
     lo = targets[0]
+    if lo < 0:
+        raise ValueError(f"qudit indices must be non-negative, got {targets}")
     if targets != list(range(lo, lo + len(targets))):
         raise ValueError(f"targets must be a contiguous ascending range, got {targets}")
     return lo, len(targets)
@@ -145,17 +169,16 @@ def _check_contiguous(targets: Sequence[int]) -> tuple[int, int]:
 def _qft_ladder(d: int, lo: int, width: int, sign: int) -> tuple[GateOp, ...]:
     """The QFT's ops on qudits lo..lo+width-1 for sign +1; for sign -1 the
     same ops reversed and conjugated.  Cached only to make building fast;
-    every caller of one ladder holds the same ``GateOp`` objects."""
+    every caller of one ladder holds the same ``GateOp`` objects.  Built
+    unchecked: callers pass an int base and a checked range of qudits."""
     ops: list[GateOp] = []
     for pos in range(width):
-        ops.append(GateOp(GateKind.HADAMARD, (lo + pos,), dagger=sign < 0))
+        ops.append(_op(GateKind.HADAMARD, (lo + pos,), dagger=sign < 0))
         for s in range(2, width - pos + 1):
             theta = sign * (2.0 * math.pi / d**s)
-            ops.append(
-                GateOp(GateKind.CPHASE, (lo + pos + s - 1, lo + pos), theta=theta)
-            )
+            ops.append(_op(GateKind.CPHASE, (lo + pos + s - 1, lo + pos), theta))
     for i in range(width // 2):
-        ops.append(GateOp(GateKind.SWAP, (lo + i, lo + width - 1 - i)))
+        ops.append(_op(GateKind.SWAP, (lo + i, lo + width - 1 - i)))
     return tuple(ops if sign > 0 else ops[::-1])
 
 
@@ -197,13 +220,25 @@ def concat(circuits: Iterable[Circuit]) -> Circuit:
     return Circuit(first.base, first.layout, tuple(ops), tuple(labels))
 
 
-# what json.dumps(indent=2) writes for an op in the op list up to its first
-# qudit; GateOp fixes each kind's arity and parameter, so one template per
-# kind spells every op
+# the text json.dumps(indent=2) writes for an op in the op list, in pieces:
+# each kind's head up to its first qudit, the run between two qudits, and
+# a tail after the last qudit through the ",\n" before the next op
 _OP_HEAD = {
     kind: f'    {{\n      "kind": "{kind.value}",\n      "qudits": [\n        '
     for kind in GateKind
 }
+_BETWEEN = ",\n        "
+_TAIL = "\n      ]\n    },\n"
+_DAGGER_TAIL = '\n      ],\n      "dagger": true\n    },\n'
+
+
+def _tail(op: GateOp) -> str:
+    """The op's text after its last qudit, through the ``,\\n`` that ends it."""
+    if op.theta is not None:
+        return f'\n      ],\n      "theta": {op.theta!r}\n    }},\n'
+    if op.k is not None:
+        return f'\n      ],\n      "k": {op.k}\n    }},\n'
+    return _DAGGER_TAIL if op.dagger else _TAIL
 
 
 def circuit_to_json(circuit: Circuit) -> str:
@@ -211,38 +246,59 @@ def circuit_to_json(circuit: Circuit) -> str:
 
     The bytes are those of ``json.dumps(payload, indent=2) + "\\n"``.  Only
     the header goes through ``json``; the op list, whose fields are ints,
-    finite floats and fixed ASCII names, is written op by op, and each
-    distinct angle is rendered once per call.
+    finite floats and fixed ASCII names, is one ``"".join`` of shared
+    pieces: each kind's fixed text, and each qudit index, nonzero angle's
+    tail and shift's tail, rendered on its first use in the call.  An op
+    adds references to those strings, and the output is copied once.
     """
     registers = [{"name": name, "size": size} for name, size in circuit.layout.registers]
     header = json.dumps({"base": circuit.base, "registers": registers}, indent=2)
+    if not circuit.ops:
+        return f'{header[:-2]},\n  "ops": []\n}}\n'
     cphase, hadamard, swap = GateKind.CPHASE, GateKind.HADAMARD, GateKind.SWAP
     cp_head, h_head, swap_head, shift_head = (
         _OP_HEAD[kind] for kind in (cphase, hadamard, swap, GateKind.SHIFT)
     )
-    # float keys merge 0.0 and -0.0, so a zero angle is rendered each time
-    angles: dict[float, str] = {}
-    parts = []
-    append = parts.append
+    # Plain dicts filled on a miss.  A qudit miss renders the aligned block
+    # of 64 indices around it, so misses are few, and at most 64 index texts
+    # are made per qudit the ops use, never one per layout qudit.  Float
+    # keys merge 0.0 and -0.0, so a zero angle is never kept: it is
+    # rendered each time and keeps its sign.
+    names: dict[int, str] = {}
+    thetas: dict[float, str] = {}
+    shifts: dict[int, str] = {}
+    parts = [header[:-2], ',\n  "ops": [\n']
+    extend = parts.extend
     for op in circuit.ops:
         kind, q = op.kind, op.qudits
-        if kind is cphase:
-            theta = op.theta
-            text = angles.get(theta) if theta else repr(theta)
-            if text is None:
-                text = angles[theta] = repr(theta)
-            append(f'{cp_head}{q[0]},\n        {q[1]}\n      ],\n      "theta": {text}\n    }}')
-        elif kind is hadamard:
-            dagger = ',\n      "dagger": true' if op.dagger else ""
-            append(f'{h_head}{q[0]}\n      ]{dagger}\n    }}')
-        elif kind is swap:
-            append(f'{swap_head}{q[0]},\n        {q[1]}\n      ]\n    }}')
-        else:
-            append(f'{shift_head}{q[0]}\n      ],\n      "k": {op.k}\n    }}')
-    ops = ",\n".join(parts)
-    parts.clear()  # the op texts weigh more than the output; free them before copying it
-    ops = f"[\n{ops}\n  ]" if ops else "[]"
-    return f'{header[:-2]},\n  "ops": {ops}\n}}\n'
+        try:
+            if kind is cphase:
+                extend((cp_head, names[q[0]], _BETWEEN, names[q[1]], thetas[op.theta]))
+            elif kind is hadamard:
+                extend((h_head, names[q[0]], _DAGGER_TAIL if op.dagger else _TAIL))
+            elif kind is swap:
+                extend((swap_head, names[q[0]], _BETWEEN, names[q[1]], _TAIL))
+            else:
+                extend((shift_head, names[q[0]], shifts[op.k]))
+        except KeyError:  # the call's first use of a qudit, a nonzero angle or a shift
+            for qi in q:
+                if qi not in names:
+                    block = range(qi & -64, (qi | 63) + 1)
+                    names.update(zip(block, map(str, block)))
+            if op.theta:
+                if op.theta not in thetas:
+                    thetas[op.theta] = _tail(op)
+                tail = thetas[op.theta]
+            elif op.k is not None:
+                if op.k not in shifts:
+                    shifts[op.k] = _tail(op)
+                tail = shifts[op.k]
+            else:  # a zero angle, or a fixed tail
+                tail = _tail(op)
+            extend((_OP_HEAD[kind], _BETWEEN.join([names[qi] for qi in q]), tail))
+    parts[-1] = parts[-1][:-2]  # the last op ends the list, with no ",\n"
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:

@@ -32,12 +32,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size, from_integer
+from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size
 from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
@@ -228,15 +228,33 @@ class Histogram:
     @functools.cached_property
     def counts(self) -> dict[str, int]:
         """The tallies keyed by digit text, in increasing value; rendered once."""
-        return {self._text(value): count for value, count in self.tallies.items()}
+        text = self._digit_text()
+        return {text(value): count for value, count in self.tallies.items()}
 
     def top_outcome(self) -> str:
         """Digit text of the most frequent outcome; ties break toward the smaller value."""
         # max keeps the first of equal counts, and tallies run in increasing value
-        return self._text(max(self.tallies, key=self.tallies.__getitem__))
+        return self._digit_text()(max(self.tallies, key=self.tallies.__getitem__))
 
-    def _text(self, value: int) -> str:
-        return from_integer(value, self.base, self.width).to_string()
+    def _digit_text(self) -> Callable[[int], str]:
+        """The text of an outcome, ``from_integer(value, base, width).to_string()``,
+        joined from digit texts each rendered on its first use in the call."""
+        d, positions = self.base, range(self.width)
+        join = ("" if d <= 10 else "-").join
+        digits: dict[int, str] = {}
+
+        def text(value: int) -> str:
+            chars = []
+            for _ in positions:  # LSB first
+                value, rem = divmod(value, d)
+                try:
+                    chars.append(digits[rem])
+                except KeyError:
+                    chars.append(digits.setdefault(rem, str(rem)))
+            chars.reverse()
+            return join(chars)
+
+        return text
 
 
 def _histogram(base: int, width: int, tallies: dict[int, int]) -> Histogram:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -261,6 +262,57 @@ def test_json_matches_the_reference_writer_on_edge_cases():
     assert math.copysign(1, payload["ops"][3]["theta"]) == -1
     written = [op["theta"] for op in json.loads(circuit_to_json(circuits[2]))["ops"]]
     assert [math.copysign(1, a) for a in written] == [math.copysign(1, a) for a in angles]
+
+
+ONE_OP_OF_EACH_KIND = {
+    "HADAMARD": GateOp(GateKind.HADAMARD, (4,)),
+    "HADAMARD+": GateOp(GateKind.HADAMARD, (63,), dagger=True),
+    "CPHASE": GateOp(GateKind.CPHASE, (64, 0), theta=-2 * math.pi / 7),
+    "SWAP": GateOp(GateKind.SWAP, (127, 128)),
+    "SHIFT": GateOp(GateKind.SHIFT, (129,), k=12),
+}
+
+
+@pytest.mark.parametrize("last", list(ONE_OP_OF_EACH_KIND))
+def test_json_pieces_join_for_each_kind(last):
+    layout = RegisterLayout(3, (("a", 100), ("b", 30)))
+    op = ONE_OP_OF_EACH_KIND[last]
+    # the op alone, and at the end of a list that holds every kind, with
+    # its qudits and parameter already rendered for an earlier op
+    others = [other for name, other in ONE_OP_OF_EACH_KIND.items() if name != last]
+    for ops in [(op,), (op, *others, op), (*others, op)]:
+        circ = Circuit(3, layout, ops)
+        assert circuit_to_json(circ) == reference_json(circ), ops
+
+
+def test_json_pieces_join_for_the_empty_circuit():
+    for layout in [RegisterLayout(2, (("a", 3),)), RegisterLayout(2, ())]:
+        circ = Circuit(2, layout, ())
+        assert circuit_to_json(circ) == reference_json(circ)
+        assert json.loads(circuit_to_json(circ))["ops"] == []
+
+
+def test_json_pieces_join_for_one_pair_at_many_angles():
+    layout = RegisterLayout(5, (("a", 70), ("b", 70)))
+    angles = [0.0, -0.0, 1e-300, 3.0, -3.0, 2 * math.pi / 5**9, 0.0, 1e16, 3.0, -0.0] * 30
+    ops = [GateOp(GateKind.CPHASE, (69, 70), theta=a) for a in angles]
+    ops += [GateOp(GateKind.CPHASE, (70, 69), theta=a) for a in angles[::-1]]
+    circ = Circuit(5, layout, ops)
+    text = circuit_to_json(circ)
+    assert text == reference_json(circ)
+    written = [op["theta"] for op in json.loads(text)["ops"]]
+    assert [math.copysign(1, a) for a in written] == [math.copysign(1, a) for a in angles + angles[::-1]]
+
+
+def test_json_of_a_wide_layout_costs_per_op():
+    # the qudit text is rendered per op used, never per layout qudit
+    layout = RegisterLayout(2, (("wide", 2**40),))
+    ops = (GateOp(GateKind.SWAP, (2**40 - 1, 0)), GateOp(GateKind.SHIFT, (2**39,), k=1))
+    circ = Circuit(2, layout, ops)
+    start = time.perf_counter()
+    text = circuit_to_json(circ)
+    assert time.perf_counter() - start < 0.1
+    assert text == reference_json(circ)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -306,6 +307,30 @@ def test_histogram_text_parses_back_to_tallies(d, width, data):
     # brute-force argmax, ties toward the smaller value
     top = min(tallies, key=lambda v: (-tallies[v], v))
     assert hist.top_outcome() == from_integer(top, d, width).to_string()
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 11, 16, 37])
+@pytest.mark.parametrize("width", range(1, 7))
+def test_histogram_text_is_the_digit_string_text(d, width):
+    rng = random.Random(d * 10 + width)
+    size = d**width
+    # few keys, which render only some of the base's digits, and many
+    for keys in (1, 3, 300):
+        tallies = {rng.randrange(size): rng.randint(1, 9) for _ in range(keys)}
+        tallies[size - 1] = tallies[0] = 10
+        hist = Histogram(d, width, tallies)
+        want = {from_integer(v, d, width).to_string(): c for v, c in sorted(tallies.items())}
+        assert list(hist.counts.items()) == list(want.items())
+        top = min(tallies, key=lambda v: (-tallies[v], v))
+        assert hist.top_outcome() == from_integer(top, d, width).to_string()
+
+
+def test_histogram_text_at_a_huge_base_renders_only_its_digits():
+    hist = Histogram(10**12, 2, {5: 1, 10**24 - 1: 3, 10**12: 2})
+    start = time.perf_counter()
+    assert hist.counts == {"0-5": 1, "1-0": 2, "999999999999-999999999999": 3}
+    assert hist.top_outcome() == "999999999999-999999999999"
+    assert time.perf_counter() - start < 0.1
 
 
 def test_adder_histogram_with_noise_keeps_majority():
