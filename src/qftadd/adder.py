@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, GateOp, _circuit, _op, _qft_ladder
+from .circuit import Circuit, GateKind, GateOp, _circuit, _qft_ladder
 from .core import RegisterLayout
 
 
@@ -112,28 +112,26 @@ class AdderSpec:
 
 
 def _fan(d: int, q_f: int, source: range, sign: int) -> list[GateOp]:
-    """The CPHASE fan adding the digits on ``source`` into span qudits
-    0..q_f-1, built unchecked: ``source`` lies past the span, and ``d`` and
-    ``sign`` are ints, so each theta is a float."""
+    """The CPHASE fan adding the digits on ``source`` into span qudits 0..q_f-1."""
     width = len(source)
     ops = []
     for offset, control in enumerate(source):
         j = width - 1 - offset
         for l in range(j + 1, q_f + 1):
             theta = sign * 2.0 * math.pi * d ** (j - l)
-            ops.append(_op(GateKind.CPHASE, (control, l - 1), theta))
+            ops.append(GateOp(GateKind.CPHASE, (control, l - 1), theta=theta))
     return ops
 
 
-# One entry costs about 200 B per op, as much unchecked as checked: the fans
-# of (2,16,64) are 14,616 ops, about 3.0 MB traced.
+# One entry costs about 200 B per op: the fans of (2,16,64) are 14,616 ops,
+# about 3.0 MB traced.
 @functools.lru_cache(maxsize=128)
 def _design_fans(d: int, n: int, num_inputs: int, sign: int) -> tuple[GateOp, ...]:
     """The fans of registers 2..num_inputs of one adder design, in order.
 
-    Each fan holds ``n*t + n*(n+1)//2`` ops, built unchecked by ``_fan``.
-    Cached per design, so every adder of one design holds the same
-    ``GateOp`` objects; at most 128 designs' fans are kept.
+    Each fan holds ``n*t + n*(n+1)//2`` ops.  Cached per design, so every
+    adder of one design holds the same ``GateOp`` objects; at most 128
+    designs' fans are kept.
     """
     layout = adder_layout(d, n, num_inputs)
     q_f = layout.register_start(2)
@@ -165,8 +163,7 @@ def build_adder_component(
     source = layout.register_range(source_register)
     if len(source) == 0:
         raise ValueError(f"source register {source_register} is empty")
-    # int(sign): a float or numpy sign must not make a non-float theta
-    ops = _fan(layout.base, layout.register_start(2), source, int(sign))
+    ops = _fan(layout.base, layout.register_start(2), source, sign)
     return Circuit(layout.base, layout, tuple(ops))
 
 
@@ -174,9 +171,8 @@ def build_adder_component(
 # every benchmarked layout, whose workloads use at most about 750.
 @functools.lru_cache(maxsize=4096)
 def _shift(qudit: int, k: int) -> GateOp:
-    """The SHIFT by int ``k`` >= 1 on int ``qudit`` >= 0, built unchecked
-    and once while cached."""
-    return _op(GateKind.SHIFT, (qudit,), k=k)
+    """The SHIFT by ``k`` on ``qudit``, built and validated once while cached."""
+    return GateOp(GateKind.SHIFT, (qudit,), k=k)
 
 
 def _encoding_ops(spec: AdderSpec) -> list[GateOp]:

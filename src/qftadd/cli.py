@@ -32,7 +32,7 @@ from .resources import gate_count_formula, resource_report, sweep, sweep_to_csv
 # Most ops ``add``, ``sub``, ``export-circuit`` and ``gate-count --verify``
 # may build.  The op count grows as digits squared: two 200-digit qubit
 # inputs make 61,102 ops, which ``qftadd export-circuit`` writes as JSON in
-# a fresh process in 0.32 to 0.33 s and 45 MB of peak RSS (2-core VM,
+# a fresh process in 0.32 to 0.34 s and 44 MB of peak RSS (2-core VM,
 # Python 3.11).  The largest benchmarked export has about 15,600.
 MAX_OPS = 2**17
 

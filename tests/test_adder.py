@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,39 +223,6 @@ def test_full_adder_equals_the_checked_circuit(d):
             c = build_full_adder(spec)
             assert c == Circuit(c.base, c.layout, c.ops, c.labels)
             assert c.layout is adder_layout(d, n, count) == spec.layout
-
-
-def checked_copy(op):
-    return GateOp(op.kind, op.qudits, theta=op.theta, k=op.k, dagger=op.dagger)
-
-
-def test_built_ops_equal_the_checked_ops():
-    # the adder's ops are built unchecked; each must equal the op the
-    # checked constructor makes of its fields, with the same field types
-    for d, n, N, mode in itertools.product(range(2, 17), (1, 2, 3), (1, 2, 3, 5), Mode):
-        spec = AdderSpec(d, n, N, mode, tuple((5 * i + d - 1) % d**n for i in range(N)))
-        for op in build_full_adder(spec).ops:
-            assert op == checked_copy(op), (d, n, N, mode, op)
-            assert type(op.qudits) is tuple and all(type(q) is int for q in op.qudits)
-            assert op.theta is None or type(op.theta) is float
-            assert op.k is None or type(op.k) is int
-            assert type(op.dagger) is bool
-
-
-@pytest.mark.parametrize("sign", [1, -1.0, True, np.int64(-1)], ids=["int", "float", "bool", "int64"])
-def test_component_thetas_are_floats_whatever_the_sign_type(sign):
-    layout = adder_layout(3, 2, 3)
-    ops = build_adder_component(layout, 2, sign).ops
-    assert ops == build_adder_component(layout, 2, int(sign)).ops
-    assert all(type(op.theta) is float for op in ops)
-
-
-def test_qft_targets_must_be_non_negative():
-    layout = RegisterLayout(2, (("r", 3),))
-    with pytest.raises(ValueError, match="non-negative"):
-        build_qft(layout, [-1, 0])
-    with pytest.raises(ValueError, match="non-negative"):
-        build_iqft(layout, [-2, -1])
 
 
 def test_fans_are_built_once_per_design():
