@@ -230,17 +230,19 @@ def circuit_to_json(circuit: Circuit) -> str:
         _OP_HEAD[kind] for kind in (cphase, hadamard, swap, GateKind.SHIFT)
     )
     # Plain dicts, filled when an op's pieces miss and the op is then
-    # written again.  A qudit miss renders the aligned block of 64 indices
-    # around it: filled one index at a time, the misses made (2,16,64)
-    # 4.5 ms instead of 3.3 (2-core VM, Python 3.11).  So at most 64 index texts are made per qudit
-    # the ops use, never one per layout qudit.  Float keys merge 0.0 and
-    # -0.0, so a zero angle is never kept: it is rendered each time and
-    # keeps its sign.
+    # written once more: a second miss raises its KeyError, so a fill that
+    # misses its own key fails instead of spinning.  A qudit miss renders
+    # the aligned block of 64 indices around it: filled one index at a
+    # time, the misses made (2,16,64) 4.5 ms instead of 3.3 (2-core VM,
+    # Python 3.11).  So at most 64 index texts are made per qudit the ops
+    # use, never one per layout qudit.  Float keys merge 0.0 and -0.0, so a
+    # zero angle is never kept: it is rendered each time and keeps its sign.
     names: dict[int, str] = {}
     thetas: dict[float, str] = {}
     shifts: dict[int, str] = {}
     parts = [header[:-2], ',\n  "ops": [\n']
     extend = parts.extend
+    filled = None  # the op whose pieces were filled last
     for op in circuit.ops:
         kind, q = op.kind, op.qudits
         while True:
@@ -257,6 +259,9 @@ def circuit_to_json(circuit: Circuit) -> str:
                     extend((shift_head, names[q[0]], shifts[op.k]))
                 break
             except KeyError:  # the call's first use of a qudit, a nonzero angle or a shift
+                if op is filled:  # its own fill missed a key
+                    raise
+                filled = op
                 for qi in q:
                     if qi not in names:
                         block = range(qi & -64, (qi | 63) + 1)

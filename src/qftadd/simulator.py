@@ -62,8 +62,10 @@ class StateVector:
 
     ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
     each read builds it anew with :meth:`widened`, and returns it
-    read-only.  ``execute`` may hold further qudits as phase ramps while
-    it runs, but a state it returns has only digits and a dense part.
+    read-only.  :meth:`probabilities` never builds it: it squares the
+    dense part and places that in one float buffer.  ``execute`` may hold
+    further qudits as phase ramps while it runs, but a state it returns
+    has only digits and a dense part.
     """
 
     base: int
@@ -107,17 +109,19 @@ class StateVector:
         With no digits this is ``dense`` itself; otherwise a new buffer,
         whose size is checked against ``MAX_AMPLITUDES`` before allocating.
         """
-        d, q = self.base, self.num_qudits
-        if not self.digits:
-            return self.dense
-        _check_size(d, q)
-        full = np.zeros((d,) * q, dtype=np.complex128)
-        index = tuple(self.digits.get(qi, slice(None)) for qi in range(q))
-        full[index] = self.dense.reshape((d,) * (q - len(self.digits)))
-        return full.reshape(-1)
+        return _placed(self.dense, self.base, range(self.num_qudits), self.digits)
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """``|amplitudes|**2``, the full ``base**num_qudits`` float64 vector.
+
+        Squares the dense part only and places it in one float buffer, each
+        digit qudit at its digit, so no complex full vector is built: 8 bytes
+        per amplitude, not 24.  A zero amplitude squares to 0.0, so the
+        values are those of ``np.abs(amplitudes) ** 2`` bit for bit.  With
+        digits, the size is checked against ``MAX_AMPLITUDES`` before the
+        full buffer is allocated.
+        """
+        return _placed(np.abs(self.dense) ** 2, self.base, range(self.num_qudits), self.digits)
 
     def norm_error(self) -> float:
         """Absolute deviation of the squared-magnitude sum from 1."""
@@ -125,10 +129,31 @@ class StateVector:
 
 
 def _weight(dense: np.ndarray) -> float:
-    """The sum of squared magnitudes; one amplitude is read without numpy."""
+    """The sum of squared magnitudes, as one dot product with no temporary;
+    one amplitude is read without numpy."""
     if dense.size == 1:
         return abs(complex(dense[0])) ** 2
-    return float(np.sum(np.abs(dense) ** 2))
+    return float(np.vdot(dense, dense).real)
+
+
+def _placed(
+    values: np.ndarray, d: int, qudits: Sequence[int], digits: Mapping[int, int]
+) -> np.ndarray:
+    """The flat ``d**len(qudits)`` vector over ``qudits``, in order, that is
+    ``values`` (over the qudits not in ``digits``, in order) where each qudit
+    in ``digits`` is at its level, and zero elsewhere.
+
+    With no qudit in ``digits`` that is ``values`` itself; otherwise a new
+    buffer of its dtype, whose size is checked before allocating.
+    """
+    index = tuple(digits.get(qi, slice(None)) for qi in qudits)
+    free = index.count(slice(None))
+    if free == len(index):
+        return values
+    _check_size(d, len(index))
+    full = np.zeros((d,) * len(index), dtype=values.dtype)
+    full[index] = values.reshape((d,) * free)
+    return full.reshape(-1)
 
 
 def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> StateVector:
@@ -410,10 +435,7 @@ def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:
     probs = (np.abs(state.dense) ** 2).reshape((d,) * len(dense))
     moved = np.moveaxis(probs, free, range(len(free)))
     summed = moved.reshape(d ** len(free), -1).sum(axis=1)
-    marginal = np.zeros((d,) * len(qudits))
-    index = tuple(known.get(qi, slice(None)) for qi in qudits)
-    marginal[index] = summed.reshape((d,) * len(free))
-    return marginal.reshape(-1)
+    return _placed(summed, d, qudits, known)
 
 
 def _noisy_read(channel: np.ndarray, digits: Sequence[int]) -> np.ndarray:

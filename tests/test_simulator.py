@@ -627,6 +627,67 @@ def test_size_limits_fail_before_allocating():
         measure(state, [0, 1], shots=2**24)
 
 
+def _traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# digits on none, some and all of three qudits; with all, one amplitude is dense
+_DIGIT_SETS = [{}, {1: 0}, {0: 1, 2: 0}, {0: 1, 1: 0, 2: 1}, {2: 1}, {0: 0, 1: 1, 2: 1}]
+
+
+@pytest.mark.parametrize("d", [2, 3, 11, 37])
+@pytest.mark.parametrize("digits", _DIGIT_SETS)
+def test_probabilities_are_the_squared_widened_vector_bit_for_bit(d, digits):
+    rng = np.random.default_rng(d)
+    free = 3 - len(digits)
+    dense = rng.normal(size=d**free) + 1j * rng.normal(size=d**free)
+    if free:
+        dense[::3] = 0  # zeros in the dense part too
+    state = StateVector(d, 3, dense / np.linalg.norm(dense), digits)
+    probs = state.probabilities()
+    assert probs.dtype == np.float64 and probs.shape == (d**3,)
+    assert np.array_equal(probs, np.abs(state.widened()) ** 2)
+
+
+def test_probabilities_hold_one_float_per_amplitude():
+    # the (5,2,4) adder ends on digits; its 5**9 probabilities are one buffer
+    spec = AdderSpec(5, 2, 4, Mode.ADD, (7, 24, 0, 13))
+    state = execute(build_full_adder(spec))
+    assert state.digits and 5 ** spec.layout.total_qudits == 5**9
+    probs, peak = _traced_peak(state.probabilities)
+    assert probs[np.flatnonzero(probs)].tolist() == [1.0]
+    assert peak <= 8 * 5**9 + 64 * 2**10
+
+
+def test_probabilities_over_the_limit_fail_before_allocating():
+    state = zero_state(RegisterLayout(2, (("r", 27),)))
+    with pytest.raises(ValueError, match=r"2\*\*27 amplitudes"):
+        state.amplitudes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\*\*27 amplitudes"):
+            state.probabilities()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
+def test_norm_error_holds_no_temporary():
+    rng = np.random.default_rng(20)
+    dense = rng.normal(size=2**20) + 1j * rng.normal(size=2**20)
+    state = StateVector(2, 20, dense / np.linalg.norm(dense))
+    drift, peak = _traced_peak(state.norm_error)
+    assert peak < 64 * 2**10
+    assert abs(drift - abs(float(np.sum(np.abs(state.dense) ** 2)) - 1.0)) <= 1e-14
+
+
 @pytest.mark.parametrize("d, n, count", [(2, 30, 3), (7, 30, 9), (37, 5, 5)])
 @pytest.mark.parametrize("mode", Mode)
 def test_adder_beyond_the_dense_cap_matches_the_oracle(d, n, count, mode):
