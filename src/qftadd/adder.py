@@ -11,12 +11,11 @@ never overflows the span.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, GateOp, _circuit, _qft_ladder
+from .circuit import Circuit, GateKind, GateOp, _check_span, _circuit, _qft_ladder, _turn
 from .core import RegisterLayout
 
 
@@ -114,12 +113,12 @@ class AdderSpec:
 def _fan(d: int, q_f: int, source: range, sign: int) -> list[GateOp]:
     """The CPHASE fan adding the digits on ``source`` into span qudits 0..q_f-1."""
     width = len(source)
+    thetas = [sign * _turn(d, k)[1] for k in range(q_f + 1)]  # by l - j
     ops = []
     for offset, control in enumerate(source):
         j = width - 1 - offset
         for l in range(j + 1, q_f + 1):
-            theta = sign * 2.0 * math.pi * d ** (j - l)
-            ops.append(GateOp(GateKind.CPHASE, (control, l - 1), theta=theta))
+            ops.append(GateOp(GateKind.CPHASE, (control, l - 1), theta=thetas[l - j]))
     return ops
 
 
@@ -151,6 +150,7 @@ def build_adder_component(
     controls a phase sign*2*pi*d**(j-l) on span position l (1-based from
     the MSB) for l = j+1..q_F; shallower positions would only pick up
     whole multiples of 2*pi.  Gate count: sum over j of (q_F - j).
+    Raises ValueError if ``d**q_F`` exceeds 2**1022, as ``build_qft`` does.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -163,6 +163,7 @@ def build_adder_component(
     source = layout.register_range(source_register)
     if len(source) == 0:
         raise ValueError(f"source register {source_register} is empty")
+    _check_span(layout.base, layout.register_start(2))
     ops = _fan(layout.base, layout.register_start(2), source, sign)
     return Circuit(layout.base, layout, tuple(ops))
 

@@ -141,16 +141,44 @@ def _check_contiguous(targets: Sequence[int]) -> tuple[int, int]:
     return lo, len(targets)
 
 
+# The largest d**k whose angle 2*pi/d**k a builder writes.  Up to it, d**-k
+# is at least 2**-1022, the least normal double, so both forms of ``_turn``
+# are normal floats and distinct k give distinct angles.
+_MAX_TURN = 2**1022
+
+
+def _check_span(d: int, width: int) -> None:
+    """Raise ValueError if a Fourier span of ``width`` base-``d`` qudits needs
+    an angle 2*pi/d**width past ``_MAX_TURN``."""
+    if d**width > _MAX_TURN:
+        raise ValueError(
+            f"a Fourier span of {width} base-{d} qudits needs the angle "
+            f"2*pi/{d}**{width}, and {d}**{width} is over the limit of 2**1022"
+        )
+
+
+def _turn(d: int, k: int) -> tuple[float, float]:
+    """The floats the builders write for the angle 2*pi/d**k: the QFT
+    ladder's, then the phase fan's.  Only they write these angles, and only
+    through here, so the simulator can look each one up by float equality;
+    the angle -2*pi/d**k is the negation of either, bit for bit."""
+    return 2.0 * math.pi / d**k, 2.0 * math.pi * d ** (-k)
+
+
 @functools.lru_cache(maxsize=256)
 def _qft_ladder(d: int, lo: int, width: int, sign: int) -> tuple[GateOp, ...]:
     """The QFT's ops on qudits lo..lo+width-1 for sign +1; for sign -1 the
     same ops reversed and conjugated.  Cached only to make building fast;
-    every caller of one ladder holds the same ``GateOp`` objects."""
+    every caller of one ladder holds the same ``GateOp`` objects.
+
+    Raises ValueError, before building, if ``d**width`` exceeds ``_MAX_TURN``.
+    """
+    _check_span(d, width)
     ops: list[GateOp] = []
     for pos in range(width):
         ops.append(GateOp(GateKind.HADAMARD, (lo + pos,), dagger=sign < 0))
         for s in range(2, width - pos + 1):
-            theta = sign * (2.0 * math.pi / d**s)
+            theta = sign * _turn(d, s)[0]
             ops.append(
                 GateOp(GateKind.CPHASE, (lo + pos + s - 1, lo + pos), theta=theta)
             )
@@ -167,6 +195,8 @@ def build_qft(layout: RegisterLayout, targets: Sequence[int]) -> Circuit:
     reverse the range so the fragment equals the DFT matrix on it.
 
     Tally for a width-w range: w Hadamard, w*(w-1)/2 CPHASE, floor(w/2) SWAP.
+    Raises ValueError if ``d**w`` exceeds 2**1022, past which ``d**-w`` is
+    no normal float.
     """
     return Circuit(layout.base, layout, _qft_ladder(layout.base, *_check_contiguous(targets), 1))
 

@@ -97,11 +97,11 @@ def _run_add_sub(args: argparse.Namespace) -> int:
         if noise.readout_flip_probability > 0.0:
             _check_size(spec.base, spec.result_width)
         _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
-    # from digits at a large d*N, the run can leave the digit path: then a
-    # widening, or the span's marginal, can be over the size limit
-    with _flag("--base/--digits/--inputs"):
-        state = execute(build_full_adder(spec))
-        histogram = measure(state, range(spec.result_width), args.shots, noise)
+    with _flag("--base/--digits"):
+        circuit = build_full_adder(spec)
+    # from digits, the adder ends all digits: no widening, and no marginal
+    # but the noisy one checked above
+    histogram = measure(execute(circuit), range(spec.result_width), args.shots, noise)
     _write_artifact(histogram_to_json(histogram), args.output)
     tallies = histogram.tallies
     value = max(tallies, key=tallies.__getitem__)  # top_outcome's key, as an integer
@@ -117,7 +117,8 @@ def _run_gate_count(args: argparse.Namespace) -> int:
     if args.verify:
         with _flag("--digits/--num-inputs"):
             _check_ops(args.base, args.digits, args.num_inputs)
-        report = resource_report(args.base, args.digits, args.num_inputs)
+        with _flag("--base/--digits/--num-inputs"):
+            report = resource_report(args.base, args.digits, args.num_inputs)
         verdict = "MATCH" if report.reconciled else "MISMATCH"
         print(f"formula={formula} tally={report.tally_count} {verdict}")
         return 0 if report.reconciled else 1
@@ -139,7 +140,8 @@ def _run_export_circuit(args: argparse.Namespace) -> int:
     spec = _build_spec(args, mode)
     with _flag("--digits/--inputs"):
         _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
-    circuit = build_full_adder(spec)
+    with _flag("--base/--digits"):
+        circuit = build_full_adder(spec)
     if args.format == "json":
         text = circuit_to_json(circuit)
     elif args.format == "qasm":

@@ -4,10 +4,12 @@ With ``gates``, this is the only module that imports numpy.  The package
 imports it on first use of one of its names, so building, costing and
 exporting circuits never load numpy.
 
-``execute`` holds each qudit as a digit, a phase ramp (one float) or an
-axis of the dense part, so an adder run from digits (Draper's phi-ADD on a
-product state) never builds its Fourier span.  A SWAP only renames qudits;
-other ops on the dense part run on the gate kernels in ``gates``.
+``execute`` holds each qudit as a digit, a phase ramp (one integer
+numerator over a power of d) or an axis of the dense part, so an adder run from
+digits (Draper's phi-ADD on a product state) never builds its Fourier span:
+each angle the builders write is looked up to its exact numerator, and a
+ramp snaps back to a digit by integer division alone.  A SWAP only renames
+qudits; other ops on the dense part run on the gate kernels in ``gates``.
 
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
@@ -36,15 +38,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
+from .circuit import _MAX_TURN, Circuit, GateKind, _turn
 from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size
 from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
-_TAU = 2.0 * math.pi
-# Largest magnitude, to first order, a ramp's DFT may have at every level
-# but one and still snap back to a digit at that level.
-_SNAP_ATOL = 1e-12
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
 # ``shots`` outcomes, so this bounds the digit text rendered from one.
 MAX_SHOT_DIGITS = 2**24
@@ -295,28 +293,43 @@ def _histogram(base: int, width: int, tallies: dict[int, int]) -> Histogram:
     return histogram
 
 
+# One entry per (base, layout width): the 300 specs of perfbench's
+# batch-small hold 70, and a 64-entry cache thrashed on them.
+@functools.lru_cache(maxsize=256)
+def _numerators(d: int, q: int) -> tuple[int, dict[float, int]]:
+    """``D = d**e`` and each float a builder writes for +-2*pi/d**k, k = 1..e,
+    mapped to its numerator +-d**(e-k) over D: the angles a ramp adds exactly.
+
+    A circuit on q qudits writes no other angle, so e is q, or the largest k
+    with ``d**k <= _MAX_TURN`` if that is less: D stays within 2**1022.
+    """
+    e = max(k for k in range(min(q + 1, _MAX_TURN.bit_length())) if d**k <= _MAX_TURN)
+    turns = ((k, theta) for k in range(1, e + 1) for theta in _turn(d, k))
+    return d**e, {s * theta: s * d ** (e - k) for k, theta in turns for s in (1, -1)}
+
+
 def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit's ops in order to ``initial``, updating and returning it.
 
     The default start is ``zero_state(circuit.layout)``.  While it runs,
-    each qudit is a digit, a phase ramp ``exp(i*phi*m)/sqrt(d)`` held as
-    its float phi (in tensor product with the rest), or an axis of the
-    dense part.  A HADAMARD turns a digit x into the ramp phi =
-    +-2*pi*x/d, the DFT column x.  A HADAMARD on a ramp snaps it back to
-    the digit j where its DFT peaks, the peak's phase moved into a global
-    scalar, when phi is off that peak by a phase delta with
-    ``|delta| <= 2*sin(pi/d)*_SNAP_ATOL``: to first order, every other
-    level, at most ``|delta|/(2*sin(pi/d))``, is then at most
-    ``_SNAP_ATOL``.  A SHIFT adds to a digit; a SWAP renames its two
-    qudits, whatever their forms.  A CPHASE between two digits scales the
-    scalar; with a digit end at level x and a ramp end, it adds
-    ``theta*x`` to phi, mod 2*pi (phi-ADD).  Every other op, a SHIFT or an
-    unsnapped HADAMARD on a ramp among them, first widens its ramps into
-    trailing axes of the dense part and runs its gate kernel; a CPHASE
-    kernel reads a digit end as its level.  Ramps left at the end are
-    widened the same way, and the dense axes are put in increasing qudit
-    order.  So an adder run from digits ends all digits, and one without
-    digits runs every other op on its kernel: the tests' reference.
+    each qudit is a digit, a phase ramp ``exp(2*pi*i*m*k/D)/sqrt(d)`` at
+    level k held as its integer numerator m over a power D of d (in tensor
+    product with the rest), or an axis of the dense part.  A HADAMARD
+    turns a digit x into the ramp m = +-x*D/d, the DFT column x.  A
+    HADAMARD on a ramp snaps it back to the digit -+m/(D/d) mod d, exactly,
+    when D/d divides m.  A SHIFT adds to a digit; a SWAP renames its two
+    qudits, whatever their forms.  A CPHASE between two digits scales a
+    global float scalar; with a digit end at level x and a ramp end, and
+    an angle that is bit for bit one the builders write for +-2*pi/d**k
+    (``circuit._turn``), it adds x times that angle's numerator +-D/d**k
+    to m (phi-ADD).  Every other op, a SHIFT, another angle or a HADAMARD
+    on a ramp that D/d does not divide among them, first widens its ramps
+    into trailing axes of the dense part and runs its gate kernel; a
+    CPHASE kernel reads a digit end as its level.  Ramps left at the end
+    are widened the same way, and the dense axes are put in increasing
+    qudit order.  So an adder run from digits ends all digits, at any base
+    and width, and one without digits runs every other op on its kernel:
+    the tests' reference.
 
     Raises ValueError, before allocating, if a widening would exceed
     ``core.MAX_AMPLITUDES``.  ``initial`` is then unchanged if no op had
@@ -333,17 +346,15 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         raise ValueError(f"state has {state.num_qudits} qudits, circuit layout has {q}")
     digits = dict(state.digits)
     dense = [qi for qi in range(q) if qi not in digits]  # the axes of psi, in order
-    # qudit -> phi of its phase ramp exp(i*phi*m)/sqrt(d)
-    factors: dict[int, float] = {}
+    # qudit -> numerator m of its phase ramp exp(2*pi*i*m*k/D)/sqrt(d)
+    factors: dict[int, int] = {}
     psi, scalar, levels = state.dense, 1.0, np.arange(d)
-    # a ramp whose DFT peaks at a level j off by a phase delta is, to first
-    # order, |delta|/(2*sin(pi/d)) at its largest other level: at most
-    # _SNAP_ATOL within this bound
-    band = 2.0 * math.sin(math.pi / d) * _SNAP_ATOL
+    D, table = _numerators(d, q)
+    column = D // d  # the numerator of 2*pi/d
 
     def settle(qi: int) -> np.ndarray:
         """Take the ramp on ``qi`` out as a vector."""
-        return np.exp(1j * factors.pop(qi) * levels) / math.sqrt(d)
+        return np.exp(2j * math.pi * (factors.pop(qi) % D / D) * levels) / math.sqrt(d)
 
     for op in circuit.ops:
         kind, qs, t = op.kind, op.qudits, op.qudits[0]
@@ -355,8 +366,8 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
                 scalar *= cmath.exp(1j * op.theta * x * y)
                 continue
             end, level = (t, y) if x is None else (qs[1], x)
-            if level is not None and end in factors:  # phi-ADD
-                factors[end] = (factors[end] + op.theta * level) % _TAU
+            if level is not None and end in factors and (m := table.get(op.theta)):  # phi-ADD
+                factors[end] += m * level
                 continue
         elif kind is GateKind.SWAP:
             a, b = qs
@@ -373,19 +384,13 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             if kind is GateKind.SHIFT:
                 digits[t] = (digits[t] + op.k) % d
             else:
-                factors[t] = (-_TAU if op.dagger else _TAU) * digits.pop(t) / d
+                factors[t] = (-column if op.dagger else column) * digits.pop(t)
             continue
-        elif kind is GateKind.HADAMARD and t in factors:
-            # the ramp under a DFT of sign s peaks at level j, off by delta
-            phi, s = factors[t], -1 if op.dagger else 1
-            j = round(-s * phi * d / _TAU) % d
-            delta = math.remainder(phi + s * _TAU * j / d, _TAU)
-            if abs(delta) <= band:
-                del factors[t]
-                digits[t] = j
-                if delta:  # sum(exp(i*delta*k))/d, to double precision
-                    scalar *= cmath.exp(0.5j * delta * (d - 1))
-                continue
+        elif kind is GateKind.HADAMARD and t in factors and not factors[t] % column:
+            # the DFT column j, under a DFT of sign s, is the digit -s*j
+            j = factors.pop(t) // column
+            digits[t] = (j if op.dagger else -j) % d
+            continue
         # the kernel, on the dense part widened by this op's ramps
         wide = {qi: settle(qi) for qi in qs if qi in factors}
         if wide:

@@ -121,6 +121,16 @@ def digit_rows(d, layout, joint_index):
     return digits
 
 
+def test_a_span_past_the_float_range_is_refused_before_building():
+    # two 110-digit base-1000 inputs: a span of 111 qudits, and 1000**111 is
+    # over 2**1022, so no angle 2*pi/1000**111 is a normal float
+    spec = AdderSpec(1000, 110, 2, Mode.ADD, (1, 2))
+    with pytest.raises(ValueError, match=r"111 base-1000 qudits .* 2\*\*1022"):
+        build_full_adder(spec)
+    with pytest.raises(ValueError, match=r"111 base-1000 qudits .* 2\*\*1022"):
+        build_adder_component(spec.layout, 2, 1)
+
+
 def test_component_shifts_fourier_state():
     """QFT, one component, IQFT moves |S> to |S+b> for every S and b."""
     d, t, n = 2, 2, 2

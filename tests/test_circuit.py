@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,19 @@ def test_qft_angles_follow_depth():
         by_distance.setdefault(abs(op.qudits[0] - op.qudits[1]), set()).add(op.theta)
     assert sorted(by_distance[1]) == pytest.approx([2 * math.pi / d**2])
     assert sorted(by_distance[2]) == pytest.approx([2 * math.pi / d**3])
+
+
+def test_a_span_past_the_float_range_is_refused_before_building():
+    # 1000**103 is over 2**1022: the angle 2*pi/1000**103 is no normal float
+    for build in (build_qft, build_iqft):
+        with pytest.raises(ValueError, match=r"103 base-1000 qudits .* over the limit of 2\*\*1022"):
+            build(qft_layout(1000, 103), range(103))
+    # at the bound the ladder builds: (2**511)**2 is 2**1022
+    d = 2**511
+    (theta,) = [op.theta for op in build_qft(qft_layout(d, 2), range(2)).ops if op.theta]
+    assert theta == 2 * math.pi / 2**1022 >= sys.float_info.min
+    with pytest.raises(ValueError, match=r"2\*\*1022"):
+        build_qft(qft_layout(d, 3), range(3))
 
 
 def test_build_qft_rejects_gaps():

@@ -219,9 +219,8 @@ def test_add_runs_the_1030_qudit_design(capsys):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_add_at_a_large_base_fails_only_on_its_spec_flags(capsys, seed):
-    # 50 base-1000 inputs of 2 digits leave the digit path: seed 0 is refused
-    # a widening, seed 1 the marginal of its partly dense span.  Either way,
-    # or run, the CLI names the spec flags and never reports an internal error
+    # 50 base-1000 inputs of 2 digits: d*N is 5e4.  The CLI runs them from
+    # digits, or names the spec flags; it never reports an internal error
     rng = np.random.default_rng(seed)
     inputs = ",".join(str(v) for v in rng.integers(0, 10**6, 50))
     code, out, err = run_cli(
@@ -231,6 +230,36 @@ def test_add_at_a_large_base_fails_only_on_its_spec_flags(capsys, seed):
     if code == 2:
         assert err.startswith("error: --base/--digits/--inputs: "), err
         assert "--shots" not in err
+
+
+@pytest.mark.parametrize("command, value", [("add", 49999950), ("sub", 952000048)])
+def test_add_sub_at_a_large_base_and_many_inputs_print_the_oracle(capsys, command, value):
+    # fifty base-1000 inputs of 2 digits, each 999999: every ramp snaps exactly
+    inputs = ",".join(["999999"] * 50)
+    code, out, err = run_cli(
+        [command, "--base", "1000", "--digits", "2", "--inputs", inputs, "--shots", "16"], capsys
+    )
+    assert code == 0, err
+    assert out.strip().endswith(f"value={value}")
+    mode = Mode.ADD if command == "add" else Mode.SUB
+    assert classical_oracle(AdderSpec(1000, 2, 50, mode, (999999,) * 50)) == value
+
+
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (["add", "--inputs", "1,2"], "--base/--digits"),
+        (["sub", "--inputs", "1,2"], "--base/--digits"),
+        (["export-circuit", "--inputs", "1,2"], "--base/--digits"),
+        (["gate-count", "--num-inputs", "2", "--verify"], "--base/--digits/--num-inputs"),
+    ],
+)
+def test_a_span_past_the_float_range_names_the_spec_flags(capsys, args, flags):
+    # a 111-qudit base-1000 span: 1000**111 is over 2**1022
+    code, out, err = run_cli([*args, "--base", "1000", "--digits", "110"], capsys)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {flags}: a Fourier span of 111 base-1000 qudits"), err
+    assert "2**1022" in err
 
 
 def test_sweep_size_checked_before_any_row(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -34,7 +36,8 @@ from qftadd import (
     to_integer,
     zero_state,
 )
-from qftadd import gates, simulator
+from qftadd import simulator
+from qftadd.circuit import _turn
 from qftadd.core import MAX_AMPLITUDES
 from qftadd.simulator import MAX_SHOT_DIGITS
 
@@ -481,8 +484,8 @@ def _mixed_runs(draw):
     qudit = st.integers(0, q - 1)
     one = qudit.map(lambda t: (t,))
     pair = st.lists(qudit, min_size=2, max_size=2, unique=True).map(tuple)
-    # an angle 2*pi*m/d**k on the grid, where a ramp snaps in closed form, or
-    # off it by 1e-17..1e-8, in or out of the closed form's band
+    # an angle 2*pi*m/d**k on the grid, which a ramp adds exactly where it is
+    # bit for bit a builder's angle (|m| = 1, k <= q), or off it by 1e-17..1e-8
     grid = st.integers(1, 3).flatmap(
         lambda k: st.integers(-(d**k), d**k).map(lambda m: 2 * np.pi * m / d**k)
     )
@@ -537,12 +540,11 @@ def test_folded_phases_match_the_gate_path(monkeypatch):
     # qudits 0 and 1 factors, then dense; 2 and 3 digits that control phase fans
     d = 3
     layout = RegisterLayout(d, (("span", 2), ("src", 2)))
-    rng = np.random.default_rng(11)
+    # the builders' angles 2*pi/3**k, k = 1..4, in either form: all exact
+    thetas = [_turn(d, 1 + i % 4)[i // 4 % 2] for i in range(2010)]
     fan = [
-        GateOp(GateKind.CPHASE, pair, theta=float(theta))
-        for pair, theta in zip(
-            itertools.cycle([(2, 0), (1, 3), (3, 0), (1, 2)]), rng.uniform(3.0, 4.0, 2010)
-        )
+        GateOp(GateKind.CPHASE, pair, theta=theta)
+        for pair, theta in zip(itertools.cycle([(2, 0), (1, 3), (3, 0), (1, 2)]), thetas)
     ]
     ops = [
         GateOp(GateKind.SHIFT, (2,), k=2),
@@ -551,8 +553,8 @@ def test_folded_phases_match_the_gate_path(monkeypatch):
         GateOp(GateKind.HADAMARD, (1,)),
         *fan[:20],
         GateOp(GateKind.SHIFT, (3,), k=1),  # a digit moves: later fans read 2
-        *fan[20:1990],  # each angle is 3..4 at level 2: over 2*pi*10**3 per factor
-        GateOp(GateKind.HADAMARD, (0,)),  # qudit 0's ramp, off the grid: widened
+        *fan[20:1990],  # at level 2: over 2*pi*10**2 per factor
+        GateOp(GateKind.HADAMARD, (0,)),  # qudit 0's ramp, off the DFT columns: widened
         GateOp(GateKind.SHIFT, (1,), k=1),  # a SHIFT widens qudit 1's ramp
         GateOp(GateKind.SWAP, (0, 1)),  # two dense axes trade places
         *fan[1990:2000],  # a digit end and a dense end: one phase pass each
@@ -561,14 +563,14 @@ def test_folded_phases_match_the_gate_path(monkeypatch):
         GateOp(GateKind.HADAMARD, (1,), dagger=True),
     ]
     for end in (0, 1):
-        assert sum(2 * op.theta for op in fan[20:1990] if end in op.qudits) > 2 * np.pi * 1e3
+        assert sum(2 * op.theta for op in fan[20:1990] if end in op.qudits) > 2 * np.pi * 1e2
     circuit = Circuit(d, layout, ops)
     phases = _spy(monkeypatch, "phase")
     folded = execute(circuit)
     assert folded.digits == {2: 2, 3: 2}
     assert folded.dense.size == d * d
-    # the 1990 fan CPHASEs on ramps add to their phi, with no pass; the SWAP
-    # leaves qudit 0 on axis 1
+    # the 1990 fan CPHASEs on ramps add to their numerators, with no pass; the
+    # SWAP leaves qudit 0 on axis 1
     assert [axes for _, axes, _ in phases] == [[1], [0]] * 5 + [[1, 0]] + [[1], [0]] * 5
     want = execute(circuit, as_dense(zero_state(layout)))
     assert np.max(np.abs(folded.amplitudes - want.amplitudes)) <= 1e-12
@@ -707,9 +709,8 @@ def test_adder_beyond_the_dense_cap_matches_the_oracle(d, n, count, mode):
 
 
 def test_adders_at_a_large_base_stay_on_digits():
-    # at d = 100 a ramp snaps within 2*sin(pi/100)*_SNAP_ATOL, about 6.3e-14,
-    # and phi gathers rounding from 100 inputs: a narrower bound leaves some
-    # of these adders with a dense part, or refuses them
+    # at d = 100 each ramp adds 100 inputs' numerators over 100**301, exactly:
+    # every HADAMARD on a ramp meets a DFT column and snaps
     rng = random.Random(100)
     for mode in Mode:
         for _ in range(25):
@@ -720,74 +721,136 @@ def test_adders_at_a_large_base_stay_on_digits():
             assert to_integer(span) == classical_oracle(spec)
 
 
-@pytest.mark.parametrize("delta, snaps", [(1e-9, False), (1e-14, False)])
-def test_a_factor_snaps_to_a_digit_only_within_the_tolerance(delta, snaps):
-    # H, a phase of 2*pi/3 + delta on level 1 from a digit control, a roll
-    # and H+: qudit 0 ends at |1> times exp(-2*pi*i/3), and about
-    # 0.58*delta off it at each other level.  The roll widens the ramp, so
-    # the H+ runs on the kernel at either delta: only a ramp snaps
-    d = 3
-    layout = RegisterLayout(d, (("r", 2),))
-    ops = (
-        GateOp(GateKind.SHIFT, (1,), k=1),
-        GateOp(GateKind.HADAMARD, (0,)),
-        GateOp(GateKind.CPHASE, (1, 0), theta=2 * np.pi / 3 + delta),
-        GateOp(GateKind.SHIFT, (0,), k=1),
-        GateOp(GateKind.HADAMARD, (0,), dagger=True),
-    )
-    circuit = Circuit(d, layout, ops)
-    state = execute(circuit)
-    assert state.digits == ({0: 1, 1: 1} if snaps else {1: 1})
-    assert state.dense.size == (1 if snaps else d)
-    want = execute(circuit, as_dense(zero_state(layout)))
-    assert abs(want.amplitudes[d + 1] - np.exp(-2j * np.pi / 3)) <= 1e-8
-    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+def _span_digits(state, spec):
+    return DigitString(spec.base, tuple(state.digits[qi] for qi in range(spec.result_width)))
 
 
 @pytest.mark.parametrize(
-    "delta, snaps, widens",
-    [
-        (1e-9, False, True),
-        (2e-12, False, True),
-        (1.5e-12, True, False),
-        (1e-12, True, False),
-        (1e-13, True, False),
-        (1e-14, True, False),
-        (0.0, True, False),
-    ],
+    "d, n, count",
+    [(d, 2, count) for d in (50, 100, 150, 300, 1000) for count in (25, 50, 100, 150, 300)]
+    + [(10, 20, 3), (7, 25, 5)],
 )
-def test_a_column_snaps_in_closed_form_only_within_its_band(monkeypatch, delta, snaps, widens):
-    # H, a phase of 2*pi/3 + delta on level 1 from a digit control and H+:
-    # qudit 0 ends at |1>, about 0.58*delta off it at each other level.  With
-    # |delta| at most 2*sin(pi/3)*_SNAP_ATOL = sqrt(3)*1e-12 the column snaps;
-    # above it the H+ widens the ramp and runs on the kernel
+def test_adders_at_a_large_base_and_many_inputs_end_all_digits(monkeypatch, d, n, count):
+    # d*N up to 3e5; no design here fits the dense path (d**q >= 50**51)
+    widened = _spy(monkeypatch, "_widen")
+    rng = random.Random(d * count + n)
+    for mode in Mode:
+        for _ in range(3):
+            spec = AdderSpec(d, n, count, mode, tuple(rng.randrange(d**n) for _ in range(count)))
+            state = execute(build_full_adder(spec))
+            assert set(state.digits) == set(range(state.num_qudits))
+            assert to_integer(_span_digits(state, spec)) == classical_oracle(spec)
+    assert widened == []
+
+
+@pytest.mark.parametrize("d, n, count", [(100, 2, 1), (120, 1, 1), (50, 2, 1), (25, 1, 2)])
+@pytest.mark.parametrize("mode", Mode)
+def test_adders_at_a_large_base_match_the_dense_path(d, n, count, mode):
+    # large bases whose whole layout fits in 2**14 amplitudes
+    rng = random.Random(d + n)
+    spec = AdderSpec(d, n, count, mode, tuple(rng.randrange(d**n) for _ in range(count)))
+    assert d**spec.layout.total_qudits <= 2**14
+    state, _ = _assert_matches_dense(build_full_adder(spec), [range(spec.result_width)])
+    assert set(state.digits) == set(range(state.num_qudits))
+    assert to_integer(_span_digits(state, spec)) == classical_oracle(spec)
+
+
+def test_the_table_holds_every_angle_the_builders_write():
+    # each CPHASE of an adder, its ladders' and its fans', read as m/D turns
+    for d, n, count in [(2, 16, 4), (3, 4, 5), (10, 20, 3), (1000, 2, 50)]:
+        for mode in Mode:
+            circuit = build_full_adder(AdderSpec(d, n, count, mode, (0,) * count))
+            D, table = simulator._numerators(d, circuit.layout.total_qudits)
+            for op in circuit.ops:
+                if op.kind is GateKind.CPHASE:
+                    turn = float(Fraction(table[op.theta], D))
+                    assert abs(op.theta - 2 * math.pi * turn) <= 2 * math.ulp(op.theta)
+    # over d**q, or the largest power of d within 2**1022 when that is less
+    assert simulator._numerators(7, 5)[0] == 7**5
+    assert simulator._numerators(2, 1030)[0] == 2**1022
+    assert simulator._numerators(1000, 601)[0] == 1000**102
+
+
+# H, a phase on level 1 from a digit control and H+ on qudit 0 of two base-3
+# qudits: a builder's 2*pi/3, as either builder writes it or negated, is
+# exact; one ulp off it, or the grid's 4*pi/3, is not
+_COLUMN_ANGLES = {
+    "ladder": (_turn(3, 1)[0], True),
+    "fan": (_turn(3, 1)[1], True),
+    "negated": (-_turn(3, 1)[0], True),
+    "up-ulp": (math.nextafter(_turn(3, 1)[0], math.inf), False),
+    "down-ulp": (math.nextafter(_turn(3, 1)[0], 0.0), False),
+    "off-1e-9": (_turn(3, 1)[0] + 1e-9, False),
+    "m=2": (2 * np.pi * 2 / 3, False),
+}
+
+
+@pytest.mark.parametrize("angle", _COLUMN_ANGLES)
+def test_a_column_snaps_only_on_a_builder_angle(monkeypatch, angle):
+    theta, exact = _COLUMN_ANGLES[angle]
     d = 3
     layout = RegisterLayout(d, (("r", 2),))
     ops = (
         GateOp(GateKind.SHIFT, (1,), k=1),
         GateOp(GateKind.HADAMARD, (0,)),
-        GateOp(GateKind.CPHASE, (1, 0), theta=2 * np.pi / 3 + delta),
+        GateOp(GateKind.CPHASE, (1, 0), theta=theta),
         GateOp(GateKind.HADAMARD, (0,), dagger=True),
     )
     circuit = Circuit(d, layout, ops)
     widened = _spy(monkeypatch, "_widen")
     state = execute(circuit)
-    assert state.digits == ({0: 1, 1: 1} if snaps else {1: 1})
-    assert bool(widened) == widens
     want = execute(circuit, as_dense(zero_state(layout)))
-    assert abs(want.amplitudes[d + 1] - 1) <= 1e-8
+    # the column of 2*pi/3 (or of -2*pi/3, or 4*pi/3) ends at |1> (or |2>)
+    top = int(np.argmax(np.abs(want.amplitudes)))
+    assert abs(abs(want.amplitudes[top]) - 1) <= 1e-8
+    if exact:
+        assert state.digits == {0: top // d, 1: 1}
+        assert widened == []
+    else:
+        assert state.digits == {1: 1}
+        assert len(widened) == 1
+    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_shifted_ramp_runs_on_the_kernel(exact):
+    # H, a phase of 2*pi/3 (one ulp off it if not exact) on level 1 from a
+    # digit control, a roll and H+: qudit 0 ends at |1> times exp(-2*pi*i/3).
+    # The roll widens the ramp, so the H+ runs on the kernel either way
+    d = 3
+    theta = _turn(d, 1)[0]
+    layout = RegisterLayout(d, (("r", 2),))
+    ops = (
+        GateOp(GateKind.SHIFT, (1,), k=1),
+        GateOp(GateKind.HADAMARD, (0,)),
+        GateOp(GateKind.CPHASE, (1, 0), theta=theta if exact else math.nextafter(theta, 0.0)),
+        GateOp(GateKind.SHIFT, (0,), k=1),
+        GateOp(GateKind.HADAMARD, (0,), dagger=True),
+    )
+    circuit = Circuit(d, layout, ops)
+    state = execute(circuit)
+    assert state.digits == {1: 1}
+    assert state.dense.size == d
+    want = execute(circuit, as_dense(zero_state(layout)))
+    assert abs(want.amplitudes[d + 1] - np.exp(-2j * np.pi / 3)) <= 1e-8
     assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
 
 
 @st.composite
 def _column_runs(draw):
-    """A digit x turned into a DFT column, 1-3 phases 2*pi*m/d + delta on it
-    from digit controls at levels 1..d-1, and a second HADAMARD of either sign."""
+    """A digit x turned into a DFT column, 1-3 phases on it from digit
+    controls at levels 1..d-1, and a second HADAMARD of either sign.  Each
+    phase is a builder's angle +-2*pi/d**k (k = 1, 2, either form), one ulp
+    off one, or 2*pi*m/d on the grid, a builder's angle only for |m| = 1."""
     d = draw(st.integers(2, 17))
     x, first, second = draw(st.integers(0, d - 1)), draw(st.booleans()), draw(st.booleans())
-    tiny = st.floats(-16, -9).map(lambda e: 10.0**e)
-    delta = st.just(0.0) | st.builds(lambda v, s: s * v, tiny, st.sampled_from([1, -1]))
-    angle = st.builds(lambda m, v: 2 * np.pi * m / d + v, st.integers(-d, d), delta)
+    turn = st.builds(
+        lambda k, form, s: s * _turn(d, k)[form],
+        st.integers(1, 2), st.integers(0, 1), st.sampled_from([1, -1]),
+    )
+    ulp = st.builds(math.nextafter, turn, st.sampled_from([-math.inf, math.inf]))
+    grid = st.integers(-d, d).map(lambda m: 2 * np.pi * m / d)
+    angle = st.one_of(turn, ulp, grid)
     phases = draw(st.lists(st.tuples(angle, st.integers(1, d - 1)), min_size=1, max_size=3))
     controls = {qi: level for qi, (_, level) in enumerate(phases, 1)}
     ops = [GateOp(GateKind.SHIFT, (qi,), k=level) for qi, level in controls.items()]
@@ -800,51 +863,35 @@ def _column_runs(draw):
     return Circuit(d, layout, tuple(ops)), x, first, second, phases, controls
 
 
-def _seed_109_run():
-    """The ``_column_runs`` case where a snap just under ``_SNAP_ATOL`` drops a
-    level that the dense run reads 1.0004e-12: equal after projection only."""
-    d, thetas = 17, (0.36959913571644626, 0.36959913571640957)
-    ops = (
-        GateOp(GateKind.SHIFT, (1,), k=5),
-        GateOp(GateKind.SHIFT, (2,), k=10),
-        GateOp(GateKind.SHIFT, (0,), k=2),
-        GateOp(GateKind.HADAMARD, (0,)),
-        GateOp(GateKind.CPHASE, (1, 0), theta=thetas[0]),
-        GateOp(GateKind.CPHASE, (2, 0), theta=thetas[1]),
-        GateOp(GateKind.HADAMARD, (0,)),
-    )
-    circuit = Circuit(d, RegisterLayout(d, (("r", 3),)), ops)
-    return circuit, 2, False, False, [(thetas[0], 5), (thetas[1], 10)], {1: 5, 2: 10}
-
-
 @settings(deadline=None, max_examples=300)
 @given(_column_runs())
-@example(_seed_109_run())
 def test_a_column_snaps_as_its_vector_would(run):
+    # the column snaps exactly when every phase is a builder's angle and
+    # their turns, added to the column's x/d, make a whole number of 1/d
     circuit, x, first, second, phases, controls = run
-    d, atol = circuit.base, simulator._SNAP_ATOL
-    state = execute(circuit)
-    got = state.amplitudes.reshape(d, -1)  # qudit 0 on the first axis
+    d = circuit.base
+    exact = {
+        s * theta: Fraction(s, d**k) for k in (1, 2) for theta in _turn(d, k) for s in (1, -1)
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        widened = _spy(patch, "_widen")
+        state = execute(circuit)
     want = execute(circuit, as_dense(zero_state(circuit.layout))).amplitudes.reshape(d, -1)
-    # the vector the ramp would be, and its largest level but the peak
-    levels = np.arange(d)
-    angle = sum(theta * level for theta, level in phases) % (2 * np.pi)
-    column = gates._dft(d, first)[:, x] * np.exp(1j * angle * levels)
-    mags = np.abs(gates._dft(d, second) @ column)
-    top = int(mags.argmax())
-    off = np.delete(mags, top).max()
-    snaps = 0 in state.digits
-    if snaps:  # the dense run, its other levels of qudit 0 dropped
-        assert state.digits == {0: top, **controls}
-        assert np.max(np.abs(np.delete(want, top, axis=0))) <= atol * 1.01
-        want = np.where(levels[:, None] == top, want, 0)
+    got = state.amplitudes.reshape(d, -1)  # qudit 0 on the first axis
+    assert np.max(np.abs(got - want)) <= 1e-12
+    if all(theta in exact for theta, _ in phases):
+        turns = Fraction(-x if first else x, d) + sum(exact[t] * level for t, level in phases)
+        snaps = (turns * d).denominator == 1
+    else:
+        snaps = False
+    assert (0 in state.digits) == snaps
+    assert bool(widened) != snaps
+    if snaps:  # at the peak level of the dense run, and nowhere else
+        j = int(turns * d) * (1 if second else -1) % d
+        assert state.digits == {0: j, **controls}
+        assert np.max(np.abs(np.delete(want, j, axis=0))) <= 1e-12
     else:
         assert state.digits == controls
-    assert np.max(np.abs(got - want)) <= 1e-12
-    # the closed form decides as the exact vector does, except within 1% of
-    # _SNAP_ATOL, where rounding may tip either
-    assert snaps or off > atol * 0.99
-    assert not snaps or off < atol * 1.01
 
 
 def test_an_adder_from_digits_widens_nothing(monkeypatch):
