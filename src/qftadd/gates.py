@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import GateKind, GateOp
+from .circuit import _HADAMARD, GateOp
 
 # Above this many columns the block-diagonal Hadamard costs more flops
 # than a batched d x d product saves in per-batch overhead (measured at
@@ -62,7 +62,7 @@ def apply_op(psi: np.ndarray, d: int, m: int, op: GateOp, axes: Sequence[int]) -
     """Apply a HADAMARD or SHIFT on the one axis in ``axes`` of psi; returns a new vector."""
     (t,) = axes
     lead, trail = d**t, d ** (m - t - 1)
-    if op.kind is GateKind.HADAMARD:
+    if op.kind is _HADAMARD:
         return _hadamard(psi, d, lead, trail, op.dagger).reshape(-1)
     # SHIFT: |j> -> |(j + k) mod d>
     return np.roll(psi.reshape(lead, d, trail), op.k, axis=1).reshape(-1)

@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import _MAX_TURN, Circuit, GateKind, _turn
+from .circuit import _CPHASE, _HADAMARD, _MAX_TURN, _SHIFT, _SWAP, Circuit, _turn
 from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size
 from .gates import apply_op, phase
 
@@ -46,6 +46,10 @@ FINAL_NORM_ATOL = 1e-9
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
 # ``shots`` outcomes, so this bounds the digit text rendered from one.
 MAX_SHOT_DIGITS = 2**24
+# The dense part of a state held all as digits; read-only, so each state
+# takes a copy, which costs less than building it with ``np.ones``.
+_ONE = np.ones(1, dtype=np.complex128)
+_ONE.flags.writeable = False
 
 
 @dataclass
@@ -130,7 +134,7 @@ def _weight(dense: np.ndarray) -> float:
     """The sum of squared magnitudes, as one dot product with no temporary;
     one amplitude is read without numpy."""
     if dense.size == 1:
-        return abs(complex(dense[0])) ** 2
+        return abs(dense.item()) ** 2
     return float(np.vdot(dense, dense).real)
 
 
@@ -176,7 +180,7 @@ def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> S
                 f"got a width-{ds.width} digit string"
             )
     digits = [dig for ds in register_digits for dig in ds.digits]
-    return StateVector(layout.base, len(digits), np.ones(1), dict(enumerate(digits)))
+    return StateVector(layout.base, len(digits), _ONE, dict(enumerate(digits)))
 
 
 def zero_state(layout: RegisterLayout) -> StateVector:
@@ -187,7 +191,7 @@ def zero_state(layout: RegisterLayout) -> StateVector:
     q = layout.total_qudits
     state = object.__new__(StateVector)
     state.base, state.num_qudits = layout.base, q
-    state.dense, state.digits = np.ones(1, dtype=np.complex128), dict.fromkeys(range(q), 0)
+    state.dense, state.digits = _ONE.copy(), dict.fromkeys(range(q), 0)
     return state
 
 
@@ -348,17 +352,18 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     dense = [qi for qi in range(q) if qi not in digits]  # the axes of psi, in order
     # qudit -> numerator m of its phase ramp exp(2*pi*i*m*k/D)/sqrt(d)
     factors: dict[int, int] = {}
-    psi, scalar, levels = state.dense, 1.0, np.arange(d)
+    psi, scalar = state.dense, 1.0
     D, table = _numerators(d, q)
     column = D // d  # the numerator of 2*pi/d
+    HADAMARD, CPHASE, SWAP, SHIFT = _HADAMARD, _CPHASE, _SWAP, _SHIFT  # local names, read per op
 
     def settle(qi: int) -> np.ndarray:
         """Take the ramp on ``qi`` out as a vector."""
-        return np.exp(2j * math.pi * (factors.pop(qi) % D / D) * levels) / math.sqrt(d)
+        return np.exp(2j * math.pi * (factors.pop(qi) % D / D) * np.arange(d)) / math.sqrt(d)
 
     for op in circuit.ops:
         kind, qs, t = op.kind, op.qudits, op.qudits[0]
-        if kind is GateKind.CPHASE:
+        if kind is CPHASE:
             x, y = digits.get(t), digits.get(qs[1])
             if x == 0 or y == 0:  # a digit end at level 0: identity
                 continue
@@ -369,7 +374,7 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             if level is not None and end in factors and (m := table.get(op.theta)):  # phi-ADD
                 factors[end] += m * level
                 continue
-        elif kind is GateKind.SWAP:
+        elif kind is SWAP:
             a, b = qs
             for held in (digits, factors):  # each entry to the other qudit
                 u, v = held.pop(a, None), held.pop(b, None)
@@ -381,12 +386,12 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
                 dense = [qs[qi == t] if qi in qs else qi for qi in dense]
             continue
         elif t in digits:
-            if kind is GateKind.SHIFT:
+            if kind is SHIFT:
                 digits[t] = (digits[t] + op.k) % d
             else:
                 factors[t] = (-column if op.dagger else column) * digits.pop(t)
             continue
-        elif kind is GateKind.HADAMARD and t in factors and not factors[t] % column:
+        elif kind is HADAMARD and t in factors and not factors[t] % column:
             # the DFT column j, under a DFT of sign s, is the digit -s*j
             j = factors.pop(t) // column
             digits[t] = (j if op.dagger else -j) % d
@@ -398,8 +403,9 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             psi, dense = _widen(psi, d, dense, wide)
             state.dense = psi
         axes = [dense.index(qi) for qi in qs if qi not in digits]
-        if kind is GateKind.CPHASE:
+        if kind is CPHASE:
             # a dense end ranges over the levels, the first along a column
+            levels = np.arange(d)
             x, y = digits.get(t, levels[:, None]), digits.get(qs[1], levels)
             phase(psi, d, len(dense), axes, np.exp(1j * op.theta * x * y))
         else:
@@ -410,7 +416,7 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         psi = psi.reshape((d,) * len(dense)).transpose(np.argsort(dense)).reshape(-1)
     if scalar != 1.0:
         if psi.size == 1:  # a Python product, not a numpy call
-            psi[0] = complex(psi[0]) * scalar
+            psi[0] = psi.item() * scalar
         else:
             psi *= scalar
     state.dense, state.digits = psi, digits
@@ -503,7 +509,8 @@ def measure(
     qudits = [operator.index(x) for x in qudits]
     if not qudits:
         raise ValueError("must measure at least one qudit")
-    if len(set(qudits)) != len(qudits):
+    distinct = set(qudits)
+    if len(distinct) != len(qudits):
         raise ValueError(f"measured qudits must be distinct, got {qudits}")
     for qi in qudits:
         if not 0 <= qi < state.num_qudits:
@@ -513,7 +520,7 @@ def measure(
     if noise is None:
         noise = NoiseConfig()
     d, known, p = state.base, state.digits, noise.readout_flip_probability
-    read = all(qi in known for qi in qudits)
+    read = known.keys() >= distinct
     if read:  # the marginal is one-hot on the known digits
         total = _weight(state.dense)
         if not abs(total - 1.0) <= FINAL_NORM_ATOL:

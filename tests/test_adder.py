@@ -28,7 +28,7 @@ from qftadd import (
     to_integer,
     zero_state,
 )
-from qftadd.adder import _design_fans, _shift
+from qftadd.adder import _design_body, _shift
 
 
 def result_probability(spec, state, value):
@@ -254,11 +254,54 @@ def test_fans_are_built_once_per_design():
     spans = {name: circ.ops[lo:hi] for name, lo, hi in circ.labels}
     for i in (2, 3):
         assert build_adder_component(circ.layout, i, +1).ops == spans[f"component a{i - 1}"]
-    assert _design_fans.cache_info().maxsize == 128
-    # a one-input design has no fans: it neither hits nor fills the cache
-    before = _design_fans.cache_info()
-    build_full_adder(AdderSpec(d, n, 1, Mode.ADD, (4,)))
-    assert _design_fans.cache_info() == before
+    assert _design_body.cache_info().maxsize == 256
+    # a one-input design has no fans: its body is the two ladders alone
+    layout = adder_layout(d, n, 1)
+    body, labels = _design_body(d, n, 1, 1)
+    assert body == build_qft(layout, range(n)).ops + build_iqft(layout, range(n)).ops
+    assert labels == (("qft", 0, len(body) // 2), ("iqft", len(body) // 2, len(body)))
+
+
+def _ladder_and_fan_adder(spec):
+    """The adder assembled from its public parts: encoding shifts from the
+    input digits, then the QFT, one fan per extra input and the IQFT, each
+    built on its own, with labels counted as they join."""
+    layout, d, n, t = spec.layout, spec.base, spec.digits_per_input, spec.ancillas
+    encode = [
+        GateOp(GateKind.SHIFT, (t + i * n + pos,), k=digit)
+        for i, value in enumerate(spec.inputs)
+        for pos, digit in enumerate(from_integer(value, d, n).digits)
+        if digit
+    ]
+    span = range(t + n)
+    parts = [("encode", tuple(encode)), ("qft", build_qft(layout, span).ops)]
+    for i in range(1, spec.num_inputs):
+        parts.append((f"component a{i}", build_adder_component(layout, i + 1, spec.mode.sign).ops))
+    parts.append(("iqft", build_iqft(layout, span).ops))
+    ops, labels = [], []
+    for name, part in parts:
+        labels.append((name, len(ops), len(ops) + len(part)))
+        ops.extend(part)
+    return tuple(ops), tuple(labels)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 11, 16])
+def test_cached_body_equals_the_ladder_and_fan_construction(d):
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 3):
+        for N in (1, 2, 4):
+            for mode in Mode:
+                inputs = tuple(int(x) for x in rng.integers(0, d**n, N))
+                spec = AdderSpec(d, n, N, mode, inputs)
+                circ = build_full_adder(spec)
+                assert (circ.ops, circ.labels) == _ladder_and_fan_adder(spec)
+                # a second spec of the design, with no shifts, holds the same
+                # body objects
+                k = circ.labels[0][2]  # the end of "encode"
+                other = build_full_adder(AdderSpec(d, n, N, mode, (0,) * N))
+                assert other.labels[0] == ("encode", 0, 0)
+                assert len(other.ops) == len(circ.ops) - k
+                assert all(a is b for a, b in zip(other.ops, circ.ops[k:]))
 
 
 def test_encoding_shifts_are_shared_where_input_digits_agree():

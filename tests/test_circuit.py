@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -47,6 +48,13 @@ def test_gate_op_validation():
     for theta in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="theta"):
             GateOp(GateKind.CPHASE, (0, 1), theta=theta)
+
+
+@pytest.mark.parametrize("kind", ["CPHASE", "cphase", None, 1])
+def test_gate_op_names_a_kind_that_is_no_gate_kind(kind):
+    # a kind's name is no kind: the error says so, not a bare KeyError
+    with pytest.raises(ValueError, match=re.escape(f"kind must be a GateKind, got {kind!r}")):
+        GateOp(kind, (0, 1), theta=1.0)
 
 
 def test_circuit_rejects_out_of_range_ops():

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -132,6 +135,29 @@ def test_register_layout_zero_width_register():
     assert layout.total_qudits == 2
     assert list(layout.register_range(0)) == []
     assert layout.register_start(1) == 0
+
+
+def test_register_layout_width_is_cached_without_changing_the_dataclass():
+    def observe(layout):
+        copy = pickle.loads(pickle.dumps(layout))
+        wider = dataclasses.replace(layout, registers=(("x", 4),))
+        return (
+            layout == RegisterLayout(3, (("anc", 1), ("a0", 2))),
+            hash(layout),
+            repr(layout),
+            [f.name for f in dataclasses.fields(layout)],
+            (copy, hash(copy), copy.total_qudits),
+            (dataclasses.replace(layout), dataclasses.replace(layout, base=5)),
+            (wider, wider.total_qudits),
+        )
+
+    layout = RegisterLayout(3, (("anc", 1), ("a0", 2)))
+    before = observe(layout)
+    assert layout.total_qudits == 3
+    assert observe(layout) == before
+    assert before[-1][1] == 4  # a replaced layout sums its own registers
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.total_qudits = 7
 
 
 def test_register_layout_duplicate_names():

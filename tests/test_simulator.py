@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -96,6 +97,24 @@ def test_measure_selected_qudits_only():
     for form in (state, as_dense(state)):
         assert measure(form, [0, 1], shots=16).counts == {"10": 16}
         assert measure(form, [2], shots=16).counts == {"1": 16}
+
+
+def test_zero_states_share_no_amplitude():
+    layout = RegisterLayout(3, (("r", 2),))
+    first = zero_state(layout)
+    first.dense[0] = 0.5j
+    assert zero_state(layout).dense[0] == 1 + 0j
+    one = simulator._ONE
+    assert not one.flags.writeable and one.tolist() == [1 + 0j]
+    assert not np.shares_memory(basis_state(layout, [DigitString(3, (1, 2))]).dense, one)
+    # a CPHASE between two digits at nonzero levels scales the one amplitude
+    # in place, from the default start, twice over
+    shifts = tuple(GateOp(GateKind.SHIFT, (qi,), k=1) for qi in (0, 1))
+    circuit = Circuit(3, layout, (*shifts, GateOp(GateKind.CPHASE, (0, 1), theta=0.7)))
+    runs = [execute(circuit) for _ in range(2)]
+    assert [state.dense.tolist() for state in runs] == [[cmath.exp(0.7j)]] * 2
+    assert runs[0].dense is not runs[1].dense
+    assert one.tolist() == [1 + 0j]
 
 
 def test_measure_validates_selection():
