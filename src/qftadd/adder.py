@@ -15,7 +15,9 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import _CPHASE, _SHIFT, Circuit, GateOp, _check_span, _circuit, _qft_ladder, _turn
+from .circuit import (
+    _CPHASE, _SHIFT, Circuit, GateOp, _Body, _check_span, _circuit, _qft_ladder, _turn,
+)
 from .core import RegisterLayout
 
 
@@ -127,14 +129,15 @@ def _fan(d: int, q_f: int, source: range, sign: int) -> list[GateOp]:
 
 # One entry holds the design's fans, about 200 B per op, and a reference to
 # each op of its QFT and IQFT, which ``_qft_ladder`` keeps: the fans of
-# (2,16,64) are 14,616 ops, about 3.0 MB traced.  256 entries, because
-# perfbench's batch-small deals its 300 specs over up to 135 designs, and a
-# 128-entry cache, missing on every one of them in turn, doubled their build.
+# (2,16,64) are 14,616 ops, about 3.0 MB traced.  Once the design is
+# exported the entry also holds the JSON text of its body, about 120 B per
+# op: 1.9 MB for (2,16,64).  256 entries, because perfbench's batch-small
+# deals its 300 specs over up to 135 designs, and a 128-entry cache,
+# missing on every one of them in turn, doubled their build.
 @functools.lru_cache(maxsize=256)
-def _design_body(
-    d: int, n: int, num_inputs: int, sign: int
-) -> tuple[tuple[GateOp, ...], tuple[tuple[str, int, int], ...]]:
-    """Every op of one adder design after its encoding shifts, and their labels.
+def _design_body(d: int, n: int, num_inputs: int, sign: int) -> _Body:
+    """Every op of one adder design after its encoding shifts, their labels
+    and kind tally, and the JSON text once the design is exported.
 
     The ops are the QFT on the span, the fan of each of registers
     2..num_inputs (``n*t + n*(n+1)//2`` ops each) and the IQFT; the labels
@@ -154,7 +157,7 @@ def _design_body(
     for name, part in parts:
         labels.append((name, len(ops), len(ops) + len(part)))
         ops.extend(part)
-    return tuple(ops), tuple(labels)
+    return _Body(tuple(ops), tuple(labels))
 
 
 def build_adder_component(
@@ -221,10 +224,10 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
     """
     layout = spec.layout  # read once: each read is an ``adder_layout`` call
     encode = _encoding_ops(spec, layout.registers[0][1])
-    body, labels = _design_body(spec.base, spec.digits_per_input, spec.num_inputs, spec.mode.sign)
+    body = _design_body(spec.base, spec.digits_per_input, spec.num_inputs, spec.mode.sign)
     k = len(encode)
-    labels = (("encode", 0, k), *((name, lo + k, hi + k) for name, lo, hi in labels))
-    return _circuit(layout, (*encode, *body), labels)
+    labels = (("encode", 0, k), *[(name, lo + k, hi + k) for name, lo, hi in body.labels])
+    return _circuit(layout, (*encode, *body.ops), labels, body)
 
 
 def classical_oracle(spec: AdderSpec) -> int:

@@ -123,15 +123,40 @@ class Circuit:
 
     def tally(self) -> dict[GateKind, int]:
         """Per-kind gate counts, recomputed from the op list."""
-        kinds = [op.kind for op in self.ops]
-        return {kind: kinds.count(kind) for kind in GateKind}
+        return _tally(self.ops)
+
+    def __getstate__(self) -> dict:
+        # an adder's ``_body`` stays out of pickles and copies, as it stays
+        # out of ==, hash, repr and ``dataclasses.replace``
+        return {name: value for name, value in self.__dict__.items() if name != "_body"}
 
 
-def _circuit(layout: RegisterLayout, ops: Sequence[GateOp], labels: Sequence) -> Circuit:
-    """The ``Circuit`` of ops this package built on ``layout``'s qudits, with
-    labels of ``(str, int, int)`` spans: none of the constructor's checks."""
+def _tally(ops: Sequence[GateOp]) -> dict[GateKind, int]:
+    """Per-kind counts of ``ops``, in ``GateKind`` order, absent kinds as 0."""
+    kinds = [op.kind for op in ops]
+    return {kind: kinds.count(kind) for kind in GateKind}
+
+
+class _Body:
+    """One adder design's ops after its encoding shifts, their labels and
+    kind tally, and, from the design's first export on, the JSON text of the
+    ops as ``circuit_to_json`` writes them inside the op list."""
+
+    __slots__ = ("ops", "labels", "tally", "json")
+
+    def __init__(self, ops: tuple[GateOp, ...], labels: tuple[tuple[str, int, int], ...]):
+        self.ops, self.labels, self.tally = ops, labels, _tally(ops)
+        self.json: str | None = None
+
+
+def _circuit(layout: RegisterLayout, ops: tuple, labels: tuple, body: _Body) -> Circuit:
+    """The adder ``Circuit`` of ``ops`` built on ``layout``'s qudits, ending
+    with ``body``'s ops, with labels of ``(str, int, int)`` spans: none of
+    the constructor's checks.  It keeps ``body`` as the private ``_body``,
+    which no dataclass method sees."""
     circuit = object.__new__(Circuit)
-    circuit.__dict__.update(base=layout.base, layout=layout, ops=tuple(ops), labels=tuple(labels))
+    fields = {"base": layout.base, "layout": layout, "ops": ops, "labels": labels, "_body": body}
+    object.__setattr__(circuit, "__dict__", fields)
     return circuit
 
 
@@ -255,11 +280,37 @@ def circuit_to_json(circuit: Circuit) -> str:
     pieces: each kind's fixed text, and each qudit index, nonzero angle's
     tail and shift's tail, rendered on its first use in the call.  An op
     adds references to those strings, and the output is copied once.
+
+    A circuit from ``build_full_adder`` carries its design's cached body.
+    On the design's first export the body's ops are written that way and
+    joined into one text kept with the body, so every export of the design
+    writes only its encoding shifts and joins that text.
     """
     registers = [{"name": name, "size": size} for name, size in circuit.layout.registers]
     header = json.dumps({"base": circuit.base, "registers": registers}, indent=2)
     if not circuit.ops:
         return f'{header[:-2]},\n  "ops": []\n}}\n'
+    parts = [header[:-2], ',\n  "ops": [\n']
+    body = circuit.__dict__.get("_body")
+    if body is None:
+        _write_ops(circuit.ops, parts)
+    else:
+        if body.json is None:
+            text: list[str] = []
+            _write_ops(body.ops, text)
+            body.json = "".join(text)
+        encode = circuit.ops[: len(circuit.ops) - len(body.ops)]
+        if encode:
+            _write_ops(encode, parts)
+            parts.append(",\n")
+        parts.append(body.json)
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
+
+
+def _write_ops(ops: Sequence[GateOp], parts: list[str]) -> None:
+    """Append the pieces of the non-empty ``ops`` as the op list holds them,
+    with ``",\\n"`` between two ops and none after the last."""
     cphase, hadamard, swap = _CPHASE, _HADAMARD, _SWAP
     cp_head, h_head, swap_head, shift_head = (
         _OP_HEAD[kind] for kind in (cphase, hadamard, swap, _SHIFT)
@@ -275,10 +326,9 @@ def circuit_to_json(circuit: Circuit) -> str:
     names: dict[int, str] = {}
     thetas: dict[float, str] = {}
     shifts: dict[int, str] = {}
-    parts = [header[:-2], ',\n  "ops": [\n']
     extend = parts.extend
     filled = None  # the op whose pieces were filled last
-    for op in circuit.ops:
+    for op in ops:
         kind, q = op.kind, op.qudits
         while True:
             try:
@@ -306,8 +356,6 @@ def circuit_to_json(circuit: Circuit) -> str:
                 elif op.k is not None:
                     shifts[op.k] = _K_TAIL.format(op.k)
     parts[-1] = parts[-1][:-2]  # the last op ends the list, with no ",\n"
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
 from .circuit import circuit_to_json, circuit_to_qasm, circuit_to_text
 from .core import _check_size
-from .resources import gate_count_formula, resource_report, sweep, sweep_to_csv
+from .resources import _sweep_csv, gate_count_formula, resource_report
 
 
 # Most ops ``add``, ``sub``, ``export-circuit`` and ``gate-count --verify``
@@ -53,9 +53,12 @@ def _flag(name: str) -> Iterator[None]:
 def _write_artifact(text: str, output: str) -> None:
     if output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as err:
+        raise CliError(f"--output: {err}") from None
 
 
 def _parse_inputs(args: argparse.Namespace) -> tuple[int, ...]:
@@ -130,8 +133,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     with _flag("--bases"):
         bases = [int(tok) for tok in args.bases.split(",") if tok.strip()]
     with _flag("--bases/--max-capacity"):
-        rows = sweep(bases, args.max_capacity)
-    _write_artifact(sweep_to_csv(rows), args.output)
+        text = _sweep_csv(bases, args.max_capacity)
+    _write_artifact(text, args.output)
     return 0
 
 
@@ -199,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--verify",
         action="store_true",
-        help="also build the circuit and reconcile its tally",
+        help="also reconcile the formula with the built circuit's tally, "
+        "counted once per design from its cached body",
     )
     sub.set_defaults(handler=_run_gate_count)
 

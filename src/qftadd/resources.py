@@ -13,9 +13,9 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
+from .adder import AdderSpec, Mode, _design_body, required_ancillas
 from .circuit import GateKind
 
 
@@ -77,7 +77,12 @@ class ResourceReport:
 
 
 def resource_report(base: int, digits_per_input: int, num_inputs: int) -> ResourceReport:
-    """Build the all-zero-input adder and compare its tally to the formula."""
+    """Compare the formula with the tally of the all-zero-input adder.
+
+    That adder has no encoding shifts, so its tally is the one its design's
+    cached body counted once from the built ops; the first report of a
+    design builds the body, and the report holds a copy of the tally.
+    """
     spec = AdderSpec(
         base=base,
         digits_per_input=digits_per_input,
@@ -85,7 +90,7 @@ def resource_report(base: int, digits_per_input: int, num_inputs: int) -> Resour
         mode=Mode.ADD,
         inputs=(0,) * num_inputs,
     )
-    circuit = build_full_adder(spec)
+    body = _design_body(spec.base, spec.digits_per_input, spec.num_inputs, 1)
     t = spec.ancillas
     return ResourceReport(
         base=base,
@@ -93,7 +98,7 @@ def resource_report(base: int, digits_per_input: int, num_inputs: int) -> Resour
         num_inputs=num_inputs,
         ancillas=t,
         formula_count=gate_count_formula(digits_per_input, num_inputs, t),
-        tally=circuit.tally(),
+        tally=body.tally,
         capacity=capacity(digits_per_input, t, base),
     )
 
@@ -108,9 +113,11 @@ class SweepRow(NamedTuple):
 
 
 # Most rows ``sweep`` may build.  At base 2 the rows grow about as fast as
-# the capacity cap: caps of 2**16 and 2**20 give 65,519 and 1,048,555 rows,
-# built in 0.04 s and 1.1 s.  ``qftadd sweep`` at 2**18 (262,125 rows) takes
-# 0.6 s and 93 MB of peak RSS in a fresh process (2-core VM, Python 3.11).
+# the capacity cap: caps of 2**16, 2**18 and 2**20 give 65,519, 262,125 and
+# 1,048,555 rows; ``sweep`` builds the first two in 0.02 s and 0.09 s.
+# ``qftadd sweep``, which builds no row and writes the CSV a block at a
+# time, takes 0.31 s and 45 MB of peak RSS at 2**18 in a fresh process
+# (0.63 s and 93 MB through ``SweepRow``s; 2-core VM, Python 3.11).
 MAX_SWEEP_ROWS = 2**18
 
 
@@ -128,6 +135,19 @@ def sweep(d_values: Sequence[int], max_capacity: int) -> list[SweepRow]:
     1..k-1)`` rows.  Raises ValueError if their total exceeds
     ``MAX_SWEEP_ROWS``, before any row is built.
     """
+    rows = []
+    row = functools.partial(tuple.__new__, SweepRow)
+    for d, n, t, cap, inputs, counts in _sweep_blocks(d_values, max_capacity):
+        block = zip(repeat(d), repeat(n), inputs, repeat(t), repeat(cap), counts)
+        rows.extend(map(row, block))
+    return rows
+
+
+def _sweep_blocks(
+    d_values: Sequence[int], max_capacity: int
+) -> Iterator[tuple[int, int, int, int, range, range]]:
+    """``sweep``'s checks, then its rows one block per (d, n, t), in order:
+    ``(d, n, t, capacity, the N range, the gate-count range)``."""
     bases = sorted({operator.index(d) for d in d_values})
     if not bases:
         raise ValueError("need at least one base to sweep")
@@ -143,24 +163,31 @@ def sweep(d_values: Sequence[int], max_capacity: int) -> list[SweepRow]:
         raise ValueError(
             f"the sweep has {count} rows, over the limit of {MAX_SWEEP_ROWS}"
         )
-    rows = []
-    row = functools.partial(tuple.__new__, SweepRow)
     for d, k in widest.items():
         for w in range(2, k + 1):  # the span t + n, so capacity d**w
             cap = d**w
             for n in range(1, w):
                 t = w - n  # required_ancillas(N, d) for each N below
                 inputs = range(max(2, d ** (t - 1) + 1), d**t + 1)
-                # a block at a time: the count is linear in N
+                # the count is linear in N
                 g = _gate_count(n, inputs[0], t)
                 step = _gate_count(n, inputs[0] + 1, t) - g
-                counts = range(g, g + step * len(inputs), step)
-                block = zip(repeat(d), repeat(n), inputs, repeat(t), repeat(cap), counts)
-                rows.extend(map(row, block))
-    return rows
+                yield d, n, t, cap, inputs, range(g, g + step * len(inputs), step)
+
+
+_CSV_HEADER = "d,n,N,t,capacity,gate_count\n"
 
 
 def sweep_to_csv(rows: Iterable[SweepRow]) -> str:
     """CSV with header d,n,N,t,capacity,gate_count and LF line endings."""
     lines = ["%d,%d,%d,%d,%d,%d\n" % row for row in rows]
-    return "d,n,N,t,capacity,gate_count\n" + "".join(lines)
+    return _CSV_HEADER + "".join(lines)
+
+
+def _sweep_csv(d_values: Sequence[int], max_capacity: int) -> str:
+    """``sweep_to_csv(sweep(d_values, max_capacity))``, written a block at a
+    time: one template per block, filled with each N and gate count."""
+    lines = [_CSV_HEADER]
+    for d, n, t, cap, inputs, counts in _sweep_blocks(d_values, max_capacity):
+        lines += map(f"{d},{n},%d,{t},{cap},%d\n".__mod__, zip(inputs, counts))
+    return "".join(lines)

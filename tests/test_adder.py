@@ -257,9 +257,10 @@ def test_fans_are_built_once_per_design():
     assert _design_body.cache_info().maxsize == 256
     # a one-input design has no fans: its body is the two ladders alone
     layout = adder_layout(d, n, 1)
-    body, labels = _design_body(d, n, 1, 1)
-    assert body == build_qft(layout, range(n)).ops + build_iqft(layout, range(n)).ops
-    assert labels == (("qft", 0, len(body) // 2), ("iqft", len(body) // 2, len(body)))
+    body = _design_body(d, n, 1, 1)
+    ops = body.ops
+    assert ops == build_qft(layout, range(n)).ops + build_iqft(layout, range(n)).ops
+    assert body.labels == (("qft", 0, len(ops) // 2), ("iqft", len(ops) // 2, len(ops)))
 
 
 def _ladder_and_fan_adder(spec):

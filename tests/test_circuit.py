@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import itertools
 import json
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -26,6 +29,7 @@ from qftadd import (
     execute,
     zero_state,
 )
+from qftadd.adder import _design_body
 
 
 def qft_layout(d, q):
@@ -260,6 +264,58 @@ def test_json_matches_the_reference_writer_on_adders():
         inputs = tuple((7 * i + 3) % d**n for i in range(N))
         circ = build_full_adder(AdderSpec(d, n, N, mode, inputs))
         assert circuit_to_json(circ) == reference_json(circ), (d, n, N, mode)
+
+
+def plain(circ):
+    """The same circuit through the public constructor, with no adder body."""
+    return Circuit(circ.base, circ.layout, circ.ops, circ.labels)
+
+
+BODY_DESIGNS = [
+    *itertools.product((2, 3, 4, 7, 11, 16), (1, 2, 3), (1, 2, 3, 4, 5)), (2, 16, 64)
+]
+
+
+def test_an_adders_json_is_the_plain_writers_on_first_and_repeated_export():
+    _design_body.cache_clear()  # so each design's first export writes its body
+    for (d, n, N), mode in itertools.product(BODY_DESIGNS, Mode):
+        nonzero = tuple((7 * i + 3) % d**n for i in range(N))
+        circuits = [build_full_adder(AdderSpec(d, n, N, mode, inputs))
+                    for inputs in [(0,) * N, nonzero, nonzero]]
+        body = _design_body(d, n, N, mode.sign)
+        assert body.json is None, (d, n, N, mode)
+        kept = []
+        for circ in circuits:
+            assert circuit_to_json(circ) == circuit_to_json(plain(circ)), (d, n, N, mode)
+            kept.append(body.json)
+        assert kept[0] is not None and all(text is kept[0] for text in kept)
+        assert circuit_to_json(circuits[0]) == reference_json(circuits[0])
+        # the stored text is the body's own op list, ops joined by ",\n"
+        assert json.loads(f"[{body.json}]") == json.loads(circuit_to_json(circuits[0]))["ops"]
+
+
+def test_an_adders_body_is_private():
+    circ = build_full_adder(AdderSpec(3, 2, 4, Mode.SUB, (1, 8, 0, 5)))
+    circuit_to_json(circ)  # the body now holds its text
+    other = plain(circ)
+    assert "_body" in vars(circ) and "_body" not in vars(other)
+    assert circ == other and hash(circ) == hash(other) and repr(circ) == repr(other)
+    assert pickle.dumps(circ) == pickle.dumps(other)
+    # a circuit made from an adder's fields holds no body, and takes the plain path
+    made = [
+        pickle.loads(pickle.dumps(circ)),
+        copy.copy(circ),
+        copy.deepcopy(circ),
+        dataclasses.replace(circ),
+        dataclasses.replace(circ, ops=circ.ops[1:], labels=()),
+        dataclasses.replace(circ, ops=circ.ops[:-1], labels=()),
+        concat([circ]),
+        concat([circ, circ]),
+    ]
+    for made_circ in made:
+        assert "_body" not in vars(made_circ)
+        assert circuit_to_json(made_circ) == reference_json(made_circ)
+    assert made[0] == circ and made[3] == circ
 
 
 def test_json_matches_the_reference_writer_on_edge_cases():

@@ -377,6 +377,20 @@ def test_add_sub_print_the_oracle_for_any_base(spec):
         assert parse_digit_text(key, spec.base).width == spec.result_width
 
 
+@pytest.mark.parametrize("args", [
+    ["add", "--base", "2", "--digits", "2", "--inputs", "3,2"],
+    ["sub", "--base", "3", "--digits", "2", "--inputs", "8,2"],
+    ["sweep", "--bases", "2,4", "--max-capacity", "64"],
+    ["export-circuit", "--base", "2", "--digits", "2", "--inputs", "3,2"],
+], ids=["add", "sub", "sweep", "export-circuit"])
+def test_an_unwritable_output_names_the_flag(args, capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "out"
+    code, _, err = run_cli([*args, "--output", str(missing)], capsys)
+    assert code == 2
+    assert err.startswith("error: --output: ") and str(missing) in err, err
+    assert not missing.parent.exists()
+
+
 def test_gate_count_plain(capsys):
     code, out, _ = run_cli(
         ["gate-count", "--base", "4", "--digits", "1", "--num-inputs", "4"], capsys

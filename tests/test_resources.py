@@ -5,8 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qftadd import (
+    AdderSpec,
     GateKind,
+    Mode,
+    build_full_adder,
     capacity,
+    cli,
     gate_count_formula,
     required_ancillas,
     resource_report,
@@ -86,6 +90,27 @@ def test_reconciliation_grid():
                     continue
                 report = resource_report(d, n, N)
                 assert report.reconciled, (d, n, N, report.formula_count, report.tally_count)
+
+
+def test_report_tally_is_the_built_adders():
+    # criterion 8's grid (d in 2..5, n in 1..2, N in 1..5), widened to d in
+    # 2..16 and n in 1..3: building alone has no amplitude cap
+    for d in range(2, 17):
+        for n in (1, 2, 3):
+            for N in range(1, 6):
+                built = build_full_adder(AdderSpec(d, n, N, Mode.ADD, (0,) * N)).tally()
+                tally = resource_report(d, n, N).tally
+                assert tally == built and list(tally) == list(built), (d, n, N)
+
+
+def test_a_report_owns_its_tally():
+    # the design's tally is counted once and shared; each report holds a copy
+    first = resource_report(3, 2, 4)
+    want = dict(first.tally)
+    first.tally[GateKind.CPHASE] += 1
+    del first.tally[GateKind.SWAP]
+    assert resource_report(3, 2, 4).tally == want
+    assert resource_report(3, 2, 4).reconciled
 
 
 def test_sweep_sorted_and_bounded():
@@ -195,11 +220,15 @@ def reference_csv(rows):
 
 
 @pytest.mark.parametrize("bases", [[2], [3], [2, 4], [2, 3, 5], [7, 16], [2, 3, 4, 5, 8]])
-def test_sweep_and_csv_match_the_reference(bases):
+def test_sweep_and_csv_match_the_reference(bases, capsys):
     for cap in SWEEP_CAPS:
         rows = sweep(bases, cap)
         assert rows == reference_sweep(bases, cap), (bases, cap)
         assert sweep_to_csv(rows) == reference_csv(rows), (bases, cap)
+        # the CLI writes the same CSV a block at a time, with no rows
+        argv = ["sweep", "--bases", ",".join(map(str, bases)), "--max-capacity", str(cap)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == sweep_to_csv(rows), (bases, cap)
 
 
 def test_sweep_row_is_an_immutable_tuple_of_its_fields():
