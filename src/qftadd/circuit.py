@@ -80,6 +80,15 @@ class GateOp:
             object.__setattr__(self, "theta", float(self.theta))
         if (self.k is not None) != (kind is _SHIFT):
             raise ValueError("k is required for SHIFT and forbidden otherwise")
+        # the builders pass a bool, which costs one identity test; a numpy
+        # bool is told by its type's name (numpy 2's, numpy 1's), so that
+        # building a circuit loads no numpy
+        if (dagger := self.dagger).__class__ is not bool:
+            if not isinstance(dagger, int) and str(type(dagger)) not in (
+                "<class 'numpy.bool'>", "<class 'numpy.bool_'>"
+            ) or dagger not in (0, 1):
+                raise ValueError(f"dagger must be a bool, 0 or 1, got {dagger!r}")
+            object.__setattr__(self, "dagger", bool(dagger))
         if self.dagger and kind is not _HADAMARD:
             raise ValueError("dagger applies to HADAMARD only")
         if self.k is not None and self.k < 0:
@@ -208,10 +217,7 @@ def _qft_ladder(d: int, lo: int, width: int, sign: int) -> tuple[GateOp, ...]:
     for pos in range(width):
         ops.append(GateOp(_HADAMARD, (lo + pos,), dagger=sign < 0))
         for s in range(2, width - pos + 1):
-            theta = sign * _turn(d, s)[0]
-            ops.append(
-                GateOp(_CPHASE, (lo + pos + s - 1, lo + pos), theta=theta)
-            )
+            ops.append(GateOp(_CPHASE, (lo + pos + s - 1, lo + pos), theta=sign * _turn(d, s)[0]))
     for i in range(width // 2):
         ops.append(GateOp(_SWAP, (lo + i, lo + width - 1 - i)))
     return tuple(ops if sign > 0 else ops[::-1])
@@ -368,9 +374,8 @@ def circuit_to_qasm(circuit: Circuit) -> str:
         if size == 0:
             continue
         lines.append(f"qreg {name}[{size}];")
-        start = circuit.layout.register_start(i)
-        for off in range(size):
-            names[start + off] = f"{name}[{off}]"
+        span = circuit.layout.register_range(i)
+        names.update((qi, f"{name}[{off}]") for off, qi in enumerate(span))
     for op in circuit.ops:
         args = ",".join(names[qi] for qi in op.qudits)
         if op.kind is _HADAMARD:
@@ -394,9 +399,7 @@ def circuit_to_text(circuit: Circuit) -> str:
         headers.setdefault(lo, []).append(f"# {name}")
     for i, op in enumerate(circuit.ops):
         lines.extend(headers.get(i, ()))
-        parts = [op.kind.value.lower()]
-        if op.dagger:
-            parts[0] += "+"
+        parts = [op.kind.value.lower() + ("+" if op.dagger else "")]
         if op.theta is not None:
             parts.append(f"theta={op.theta:.17g}")
         if op.k is not None:

@@ -66,7 +66,7 @@ def _parse_inputs(args: argparse.Namespace) -> tuple[int, ...]:
     if not 2 <= radix <= 36:  # int() would read radix 0 as "guess"
         raise CliError(f"--inputs-base: must be in [2, 36], got {radix}")
     with _flag("--inputs"):
-        return tuple(int(tok, radix) for tok in args.inputs.split(",") if tok.strip())
+        return tuple(int(tok, radix) for tok in args.inputs.split(","))
 
 
 def _check_ops(base: int, digits: int, num_inputs: int) -> None:
@@ -131,7 +131,7 @@ def _run_gate_count(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     with _flag("--bases"):
-        bases = [int(tok) for tok in args.bases.split(",") if tok.strip()]
+        bases = [int(tok) for tok in args.bases.split(",")]
     with _flag("--bases/--max-capacity"):
         text = _sweep_csv(bases, args.max_capacity)
     _write_artifact(text, args.output)

@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuit import _CPHASE, _HADAMARD, _MAX_TURN, _SHIFT, _SWAP, Circuit, _turn
-from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size
+from .core import DigitString, RegisterLayout, _check_size
 from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
@@ -63,9 +63,9 @@ class StateVector:
     state.  The state takes a copy of the ``dense`` it is given.
 
     ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
-    each read builds it anew with :meth:`widened`, and returns it
-    read-only.  :meth:`probabilities` never builds it: it squares the
-    dense part and places that in one float buffer.  ``execute`` may hold
+    each read builds it anew, each digit qudit at its digit, and returns
+    it read-only.  :meth:`probabilities` never builds it: it is the
+    marginal of all qudits, one float buffer.  ``execute`` may hold
     further qudits as phase ramps while it runs, but a state it returns
     has only digits and a dense part.
     """
@@ -100,30 +100,22 @@ class StateVector:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        full = self.widened()
+        full = _placed(self.dense, self.base, range(self.num_qudits), self.digits)
         if self.digits:
             full.flags.writeable = False
         return full
 
-    def widened(self) -> np.ndarray:
-        """The full ``base**num_qudits`` vector, each digit qudit at its digit.
-
-        With no digits this is ``dense`` itself; otherwise a new buffer,
-        whose size is checked against ``MAX_AMPLITUDES`` before allocating.
-        """
-        return _placed(self.dense, self.base, range(self.num_qudits), self.digits)
-
     def probabilities(self) -> np.ndarray:
         """``|amplitudes|**2``, the full ``base**num_qudits`` float64 vector.
 
-        Squares the dense part only and places it in one float buffer, each
-        digit qudit at its digit, so no complex full vector is built: 8 bytes
-        per amplitude, not 24.  A zero amplitude squares to 0.0, so the
-        values are those of ``np.abs(amplitudes) ** 2`` bit for bit.  With
-        digits, the size is checked against ``MAX_AMPLITUDES`` before the
-        full buffer is allocated.
+        The marginal of every qudit in order: the dense part squared into
+        one float buffer, each digit qudit at its digit, so no complex full
+        vector is built: 8 bytes per amplitude, not 24.  A zero amplitude
+        squares to 0.0, so the values are those of ``np.abs(amplitudes) ** 2``
+        bit for bit.  With digits, the size is checked against
+        ``MAX_AMPLITUDES`` before the full buffer is allocated.
         """
-        return _placed(np.abs(self.dense) ** 2, self.base, range(self.num_qudits), self.digits)
+        return _marginal(self, range(self.num_qudits))
 
     def norm_error(self) -> float:
         """Absolute deviation of the squared-magnitude sum from 1."""
@@ -438,15 +430,23 @@ def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:
     """Exact outcome distribution of ``qudits`` in the given order.
 
     Sums squared magnitudes over the dense part only; a measured qudit
-    with a known digit always reads that level.
+    with a known digit always reads that level.  The dense part is squared
+    once, into one float buffer already in the measured order, so its
+    rows are views: 8 bytes per dense amplitude, in any order.  Measured
+    axes that trail in increasing order keep the dense order, and their
+    rows are summed strided: a copy would sum them in another order, which
+    can change the last bit of the marginal and so a seeded draw.  With no
+    dense axis left unmeasured there is no sum.
     """
     d, known = state.base, state.digits
     dense = [qi for qi in range(state.num_qudits) if qi not in known]
     free = [dense.index(qi) for qi in qudits if qi not in known]
-    probs = (np.abs(state.dense) ** 2).reshape((d,) * len(dense))
-    moved = np.moveaxis(probs, free, range(len(free)))
-    summed = moved.reshape(d ** len(free), -1).sum(axis=1)
-    return _placed(summed, d, qudits, known)
+    rest = len(dense) - len(free)
+    view = np.moveaxis(state.dense.reshape((d,) * len(dense)), free, range(len(free)))
+    probs = np.abs(view, order="K" if free == [*range(rest, len(dense))] else "C") ** 2
+    if rest:
+        probs = probs.reshape(d ** len(free), -1).sum(axis=1)
+    return _placed(probs.reshape(-1), d, qudits, known)
 
 
 def _noisy_read(channel: np.ndarray, digits: Sequence[int]) -> np.ndarray:
@@ -530,11 +530,7 @@ def measure(
             for qi in qudits:  # MSB first
                 value = value * d + known[qi]
             return _histogram(d, width, {value: shots})
-    if d**width > MAX_AMPLITUDES:
-        raise ValueError(
-            f"{width} measured base-{d} qudits need a marginal the size of "
-            f"{d}**{width} amplitudes, over the limit of {MAX_AMPLITUDES}"
-        )
+    _check_size(d, width)
     if p > 0.0:
         channel = np.full((d, d), p / (d - 1))
         np.fill_diagonal(channel, 1.0 - p)

@@ -52,6 +52,16 @@ def test_gate_op_validation():
     for theta in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="theta"):
             GateOp(GateKind.CPHASE, (0, 1), theta=theta)
+    # a dagger that is no bool, 0 or 1 is refused, naming it
+    for dagger in ("yes", 0.5, 1.0, 2, -1, None, [], np.array([True])):
+        with pytest.raises(ValueError, match="dagger"):
+            GateOp(GateKind.HADAMARD, (0,), dagger=dagger)
+    # the others are stored as the bool: equal, hashed and shown as that op
+    for dagger in (True, False, 0, 1, np.True_, np.False_):
+        op = GateOp(GateKind.HADAMARD, (0,), dagger=dagger)
+        plain = GateOp(GateKind.HADAMARD, (0,), dagger=bool(dagger))
+        assert op.dagger is bool(dagger) and op == plain and hash(op) == hash(plain)
+        assert repr(op) == repr(plain)
 
 
 @pytest.mark.parametrize("kind", ["CPHASE", "cphase", None, 1])

@@ -158,6 +158,13 @@ def test_validation_failures_name_the_flag(capsys):
          "--digits", "digits_per_input must be >= 1, got 0"),
         (["sweep", "--bases", "2,zz", "--max-capacity", "16"], "--bases",
          "invalid literal"),
+        # an empty token is no input and no base: refused, not dropped
+        (["add", "--base", "2", "--digits", "2", "--inputs", "1,,2"], "--inputs",
+         "invalid literal"),
+        (["add", "--base", "2", "--digits", "2", "--inputs", "1,2,"], "--inputs",
+         "invalid literal"),
+        (["sweep", "--bases", "2,,4", "--max-capacity", "16"], "--bases",
+         "invalid literal"),
         (["sweep", "--bases", "1", "--max-capacity", "16"], "--bases",
          "base must be >= 2"),
         (["sweep", "--bases", "2", "--max-capacity", "0"], "--max-capacity",

@@ -189,9 +189,9 @@ def test_state_vector_with_digits():
         StateVector(3, 3, dense, {3: 0})
     with pytest.raises(ValueError):
         StateVector(3, 3, dense, {1: 3})
-    # widening builds a new buffer and leaves the state's digits as they are
-    wide = state.widened()
-    assert wide.flags.writeable and np.array_equal(wide, full)
+    # each read builds a new buffer and leaves the state's digits as they are
+    wide = state.amplitudes
+    assert wide is not full and np.array_equal(wide, full)
     assert state.digits == {1: 2} and state.dense.shape == (9,)
 
 

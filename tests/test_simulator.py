@@ -673,7 +673,7 @@ def test_probabilities_are_the_squared_widened_vector_bit_for_bit(d, digits):
     state = StateVector(d, 3, dense / np.linalg.norm(dense), digits)
     probs = state.probabilities()
     assert probs.dtype == np.float64 and probs.shape == (d**3,)
-    assert np.array_equal(probs, np.abs(state.widened()) ** 2)
+    assert np.array_equal(probs, np.abs(state.amplitudes) ** 2)
 
 
 def test_probabilities_hold_one_float_per_amplitude():
@@ -698,6 +698,60 @@ def test_probabilities_over_the_limit_fail_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10
+
+
+def _reference_marginal(state, qudits):
+    """``_marginal`` as it was when it squared the dense part in dense order
+    and copied that into the measured order: frozen, as the reference its
+    values and summation order must keep byte for byte."""
+    d, known = state.base, state.digits
+    dense = [qi for qi in range(state.num_qudits) if qi not in known]
+    free = [dense.index(qi) for qi in qudits if qi not in known]
+    probs = (np.abs(state.dense) ** 2).reshape((d,) * len(dense))
+    moved = np.moveaxis(probs, free, range(len(free)))
+    summed = moved.reshape(d ** len(free), -1).sum(axis=1)
+    return simulator._placed(summed, d, qudits, known)
+
+
+def _measured_orders(q, rng):
+    """Leading, trailing, middle, reversed and shuffled runs of each width
+    1..q over q qudits, and some scattered picks; the all-qudit reads too."""
+    orders = set()
+    for width in range(1, q + 1):
+        mid = (q - width) // 2
+        for run in (range(width), range(q - width, q), range(mid, mid + width)):
+            orders.update({tuple(run), tuple(reversed(run)), tuple(rng.permutation(run))})
+        orders.update(tuple(rng.choice(q, width, replace=False)) for _ in range(3))
+    return sorted(orders)
+
+
+@pytest.mark.parametrize("d, q", [(2, 12), (3, 7), (5, 5), (11, 3), (37, 2)])
+@pytest.mark.parametrize("held", ["none", "some", "all"])
+def test_marginal_is_byte_equal_to_the_reference_in_any_order(d, q, held):
+    rng = np.random.default_rng(d * q)
+    picked = {"none": [], "some": [1, q - 1][: q - 1], "all": range(q)}[held]
+    digits = {int(qi): int(rng.integers(d)) for qi in picked}
+    free = q - len(digits)
+    dense = rng.normal(size=d**free) + 1j * rng.normal(size=d**free)
+    dense[1::5] = 0  # zeros too, but never the one amplitude of an all-digit state
+    state = StateVector(d, q, dense / np.linalg.norm(dense), digits)
+    orders = _measured_orders(q, rng)
+    assert tuple(range(q)) in orders and tuple(range(q - 1, -1, -1)) in orders
+    for order in orders:
+        got, want = simulator._marginal(state, order), _reference_marginal(state, order)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), order
+    assert state.probabilities().tobytes() == _reference_marginal(state, range(q)).tobytes()
+
+
+@pytest.mark.parametrize("qudits", [[19, 18, 17, 16], [5, 0, 19], [5, 6], [0, 1, 2, 3]])
+def test_measure_holds_one_float_per_dense_amplitude_in_any_order(qudits):
+    # the dense part is squared straight into the measured order: one buffer
+    rng = np.random.default_rng(20)
+    dense = rng.normal(size=2**20) + 1j * rng.normal(size=2**20)
+    state = StateVector(2, 20, dense / np.linalg.norm(dense))
+    histogram, peak = _traced_peak(lambda: measure(state, qudits, 1024, NoiseConfig(seed=3)))
+    assert histogram.shots == 1024
+    assert peak <= 8 * 2**20 + 64 * 2**10
 
 
 def test_norm_error_holds_no_temporary():
