@@ -7,9 +7,8 @@ plain function calls.  Exit codes: 0 success, 2 flag validation error
 The library owns its checks.  The CLI re-raises a ValueError from a
 library call, or from ``int()`` on a token, as an error naming the flag
 or flags fed to that call.  It checks only what the library cannot: the
-``--inputs-base`` radix and, before building, ``--shots``, the op count,
-since building alone takes time that grows as digits squared, and, with
-noise, the span size, which bounds the marginal of a noisy readout.
+``--inputs-base`` radix and, before building, ``--shots`` and the op
+count, since building alone takes time that grows as digits squared.
 
 Only ``add`` and ``sub`` simulate.  They import ``simulator`` when they
 run, so ``gate-count``, ``sweep`` and ``export-circuit`` load no numpy.
@@ -25,7 +24,6 @@ from typing import Iterator, Sequence
 
 from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
 from .circuit import circuit_to_json, circuit_to_qasm, circuit_to_text
-from .core import _check_size
 from .resources import _sweep_csv, gate_count_formula, resource_report
 
 
@@ -94,16 +92,13 @@ def _run_add_sub(args: argparse.Namespace) -> int:
         _check_shots(args.shots, spec.result_width)
     with _flag("--noise/--seed"):
         noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
-    # before building, whose op count grows as digits squared; the span is
-    # the measured register, and only a noisy readout of it builds a marginal
+    # before building, whose op count grows as digits squared
     with _flag("--digits/--inputs"):
-        if noise.readout_flip_probability > 0.0:
-            _check_size(spec.base, spec.result_width)
         _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
     with _flag("--base/--digits"):
         circuit = build_full_adder(spec)
-    # from digits, the adder ends all digits: no widening, and no marginal
-    # but the noisy one checked above
+    # from digits, the adder ends all digits: no widening, and a noisy
+    # readout past the amplitude cap draws each digit on its own
     histogram = measure(execute(circuit), range(spec.result_width), args.shots, noise)
     _write_artifact(histogram_to_json(histogram), args.output)
     tallies = histogram.tallies

@@ -18,8 +18,13 @@ NoiseConfig, making every histogram reproducible bit for bit.  A readout of
 known digits, which ends every adder run from digits, builds no exact
 marginal.  Without noise it draws nothing: every shot reads those digits,
 as the draw would.  With noise, its marginal is the outer product of one
-channel column per digit.  The per-axis channel passes run only when a
+channel column per digit, or, past the amplitude cap, each digit of each
+shot is drawn on its own.  The per-axis channel passes run only when a
 measured qudit is in the dense part.
+
+A full vector placed around digits, as ``probabilities()`` and
+``amplitudes`` return, comes from a private anonymous map once it is
+large: only its written pages are resident.
 
 A histogram holds outcomes as integers; digit text is rendered only where
 text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
@@ -28,9 +33,12 @@ text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
 from __future__ import annotations
 
 import cmath
+import collections
+import contextlib
 import functools
 import json
 import math
+import mmap
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -39,7 +47,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuit import _CPHASE, _HADAMARD, _MAX_TURN, _SHIFT, _SWAP, Circuit, _turn
-from .core import DigitString, RegisterLayout, _check_size
+from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size
 from .gates import apply_op, phase
 
 FINAL_NORM_ATOL = 1e-9
@@ -138,16 +146,49 @@ def _placed(
     in ``digits`` is at its level, and zero elsewhere.
 
     With no qudit in ``digits`` that is ``values`` itself; otherwise a new
-    buffer of its dtype, whose size is checked before allocating.
+    buffer of its dtype, whose size is checked before allocating, from
+    ``_zeros``: only the pages ``values`` is written to are resident.
     """
     index = tuple(digits.get(qi, slice(None)) for qi in qudits)
     free = index.count(slice(None))
     if free == len(index):
         return values
     _check_size(d, len(index))
-    full = np.zeros((d,) * len(index), dtype=values.dtype)
+    full = _zeros((d,) * len(index), values.dtype)
     full[index] = values.reshape((d,) * free)
     return full.reshape(-1)
+
+
+# Zero buffers of at least this many bytes are mapped, not taken from the
+# heap.  Once glibc's sliding mmap threshold has risen past a buffer, as it
+# does after the first large one is freed, ``np.zeros`` takes it from the
+# heap and writes every page.  perfbench's dense-sim reads five one-hot
+# vectors of 1 to 16 MB; mapping them took its peak RSS from 55 to 42 MB
+# (BENCH_43.json), while batch-small and readout-design, whose placed
+# buffers are all under 128 KB, did not move (2-core VM, Python 3.11,
+# numpy 2.4).
+_MAP_BYTES = 2**21
+
+
+def _zeros(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """``np.zeros(shape, dtype)``; from ``_MAP_BYTES`` on, a view of a
+    private anonymous map, writable and unmapped with its last view.
+
+    A page of the map is backed only once written: a read of any other
+    maps the kernel's zero page and adds nothing to the resident set.  The
+    huge-page advice, where the platform has it, makes that one fault per
+    huge page, not per 4 KiB page, so a full read costs what it did from
+    the heap; a platform that refuses the advice keeps small pages.
+    """
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _MAP_BYTES:
+        return np.zeros(shape, dtype)
+    buffer = mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY)
+    advice = getattr(mmap, "MADV_HUGEPAGE", None)
+    if advice is not None:
+        with contextlib.suppress(OSError):
+            buffer.madvise(advice)
+    return np.frombuffer(buffer, dtype).reshape(shape)
 
 
 def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> StateVector:
@@ -465,6 +506,41 @@ def _noisy_read(channel: np.ndarray, digits: Sequence[int]) -> np.ndarray:
     return probs.reshape(len(channel), -1).T.reshape(-1)
 
 
+def _read_each(digits: Sequence[int], d: int, p: float, shots: int, seed: int) -> dict[int, int]:
+    """Tallies of ``shots`` noisy reads of known ``digits``, MSB first, in
+    increasing value, each digit drawn on its own: with probability ``p`` it
+    flips to one of the other d - 1 levels, uniformly.
+
+    The readout of a span whose ``d**width`` marginal is over the cap; it
+    draws shots x width flips, which ``MAX_SHOT_DIGITS`` bounds.
+    """
+    rng = np.random.default_rng(seed)
+    reads = np.tile(np.array(digits, dtype=np.int64 if d <= 2**63 else object), (shots, 1))
+    flip = rng.random(reads.shape) < p
+    levels = reads[flip]
+    # the r-th of the other levels of x, r in [0, d - 1), is r + (r >= x)
+    others = _uniform(rng, d - 1, levels.size)
+    reads[flip] = others + (others >= levels)
+    # each shot's value as a Python int, MSB first: d**width may pass int64
+    values = functools.reduce(lambda value, col: value * d + col, reads.T.astype(object))
+    tallies = collections.Counter(values.tolist())
+    return {value: tallies[value] for value in sorted(tallies)}
+
+
+def _uniform(rng: np.random.Generator, high: int, size: int) -> np.ndarray:
+    """``size`` uniform ints in [0, high), exactly.  Past int64, each is the
+    top bits of 32-bit words of ``rng``, redrawn while it is ``high`` or more."""
+    if high <= 2**63:
+        return rng.integers(high, size=size)
+    bits = (high - 1).bit_length()
+    out = np.empty(0, dtype=object)
+    while out.size < size:  # a draw is kept with probability over 1/2
+        words = rng.integers(2**32, size=(-(-bits // 32), size - out.size), dtype=np.uint64)
+        draws = functools.reduce(lambda v, w: v << 32 | w, words.astype(object)) >> -bits % 32
+        out = np.concatenate([out, draws[draws < high]])
+    return out
+
+
 def _check_shots(shots: int, width: int) -> None:
     """Raise ValueError unless 1 <= shots and shots * width <= MAX_SHOT_DIGITS."""
     if shots < 1:
@@ -496,15 +572,18 @@ def measure(
     histogram is that outcome with all shots, built with no marginal and no
     draw, at any width.  With noise, the noisy marginal is built directly as
     the outer product of one channel column per digit, bit for bit what the
-    passes give.  Only a readout with a measured qudit in the dense part
-    builds the exact marginal and runs the passes, at
-    O(width * d**(width+1)).
+    passes give.  Past ``core.MAX_AMPLITUDES`` outcomes there is no
+    marginal: each shot draws each digit on its own, a flip with the
+    noise's probability to a uniform other level, from a generator seeded
+    as the draw's.  Only a readout with a measured qudit in the dense part
+    builds the exact marginal, placing its known digits through
+    ``_placed``, and runs the passes, at O(width * d**(width+1)).
 
     Raises ValueError, before allocating, if ``shots * len(qudits)``
-    exceeds ``MAX_SHOT_DIGITS``, or if a marginal is built (noise above 0,
-    or a measured qudit in the dense part) and its ``d**len(qudits)``
-    entries exceed ``core.MAX_AMPLITUDES``.  Raises RuntimeError if the
-    state's probabilities sum to more than ``FINAL_NORM_ATOL`` off 1.
+    exceeds ``MAX_SHOT_DIGITS``, or if a measured qudit is in the dense
+    part and the ``d**len(qudits)`` entries of the marginal exceed
+    ``core.MAX_AMPLITUDES``.  Raises RuntimeError if the state's
+    probabilities sum to more than ``FINAL_NORM_ATOL`` off 1.
     """
     qudits = [operator.index(x) for x in qudits]
     if not qudits:
@@ -530,6 +609,9 @@ def measure(
             for qi in qudits:  # MSB first
                 value = value * d + known[qi]
             return _histogram(d, width, {value: shots})
+        if d**width > MAX_AMPLITUDES:  # no marginal: each digit drawn on its own
+            levels = [known[qi] for qi in qudits]
+            return _histogram(d, width, _read_each(levels, d, p, shots, noise.seed))
     _check_size(d, width)
     if p > 0.0:
         channel = np.full((d, d), p / (d - 1))

@@ -169,9 +169,7 @@ def test_validation_failures_name_the_flag(capsys):
          "base must be >= 2"),
         (["sweep", "--bases", "2", "--max-capacity", "0"], "--max-capacity",
          "max_capacity must be"),
-        # over the size limits, rejected before the state or samples exist
-        (["add", "--base", "2", "--digits", "30", "--inputs", "1,2,3", "--noise", "0.1"],
-         "--digits", "2**32 amplitudes"),
+        # over the shot limit, rejected before the state or samples exist
         (["add", "--base", "2", "--digits", "1", "--inputs", "1,1",
           "--shots", str(2**24)], "--shots", f"{2**25} digits"),
     ]
@@ -291,25 +289,31 @@ def test_size_checked_before_building(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_full_adder", refuse)
     for command in ("add", "sub"):
         args = [command, "--base", "2", "--digits", "600", "--inputs", "1,1"]
-        # a noisy readout's marginal bounds the span; without noise, the op count holds
-        for extra, reason in [(["--noise", "0.1"], "amplitudes"), ([], f"{cli.MAX_OPS}")]:
+        # with noise or without, the op count holds
+        for extra in (["--noise", "0.1"], []):
             code, _, err = run_cli([*args, *extra], capsys)
             assert code == 2
-            assert "--digits/--inputs" in err and reason in err, err
+            assert "--digits/--inputs" in err and f"{cli.MAX_OPS}" in err, err
 
 
-def test_add_checks_the_span_only_for_a_noisy_readout(capsys, monkeypatch):
-    # (2,30,3) has a 32-qubit span, which a noiseless readout reads as digits
-    args = ["add", "--base", "2", "--digits", "30", "--inputs", "1,2,3", "--shots", "16"]
-    code, out, err = run_cli(args, capsys)
-    assert code == 0, err
-    assert out.strip().endswith("value=6")
-    # with noise its 2**32 marginal is refused, before building
-    built = []
-    monkeypatch.setattr(cli, "build_full_adder", built.append)
-    code, _, err = run_cli([*args, "--noise", "0.1"], capsys)
-    assert code == 2 and built == []
-    assert "--digits" in err and "2**32 amplitudes" in err
+def test_add_reads_a_noisy_span_past_the_cap(capsys):
+    # (2,30,3) has a 32-qubit span and (100000,2,2) a 100000**3 one: both over
+    # the dense limit, read as digits without noise and drawn per digit with it
+    cases = [("2", "30", "1,2,3", "0.01", 6), ("100000", "2", "1,2", "0.1", 3)]
+    for base, digits, inputs, noise, value in cases:
+        args = ["add", "--base", base, "--digits", digits, "--inputs", inputs, "--shots", "64"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        assert out.strip().endswith(f"value={value}")
+        noisy = [*args, "--noise", noise, "--seed", "5"]
+        code, out, err = run_cli(noisy, capsys)
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        assert lines[-1].endswith(f"value={value}")
+        payload = json.loads("\n".join(lines[:-1]))
+        assert payload["shots"] == 64 and len(payload["counts"]) > 1
+        # seeded: the same flags give the same output
+        assert run_cli(noisy, capsys)[1] == out
 
 
 def test_op_count_checked_before_building(capsys, monkeypatch):

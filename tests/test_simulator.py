@@ -1,8 +1,15 @@
 import cmath
+import copy
+import gc
 import itertools
 import json
 import math
+import mmap
+import os
+import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -700,6 +707,130 @@ def test_probabilities_over_the_limit_fail_before_allocating():
     assert peak < 64 * 2**10
 
 
+# the last three of perfbench's dense-sim designs, each ending on digits
+_ONE_HOT_DESIGNS = [(4, 3, 3, (5, 60, 33)), (3, 4, 3, (80, 7, 41)), (5, 2, 4, (7, 24, 0, 13))]
+
+_RESIDENT_SCRIPT = """
+import gc
+from qftadd import AdderSpec, Mode, build_full_adder, execute
+
+def peak():  # VmHWM, the resident high-water mark of this process, in KiB
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+states = [execute(build_full_adder(AdderSpec(d, n, N, Mode.ADD, inputs)))
+          for d, n, N, inputs in {designs}]
+gc.collect()
+before = peak()
+for _ in range(4):
+    for state in states:
+        for read in (state.probabilities, lambda: state.amplitudes):
+            full = read()
+            total = full.sum()
+            del full
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc/self/status")
+def test_full_reads_of_digit_states_keep_only_written_pages_resident():
+    # 4**10, 3**13 and 5**9 entries, one of them nonzero: 8 to 31 MB a read,
+    # read 24 times in a fresh process; only the pages written are resident.
+    # The peak is VmHWM, not ru_maxrss, which a child starts at the peak of
+    # the process that launched it (here the test run's), masking any rise.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _RESIDENT_SCRIPT.format(designs=_ONE_HOT_DESIGNS)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 8 * 2**10  # KiB
+
+
+def _heap_placed(values, d, qudits, digits):
+    """``_placed`` with its buffer from ``np.zeros``: the reference."""
+    index = tuple(digits.get(qi, slice(None)) for qi in qudits)
+    full = np.zeros((d,) * len(index), dtype=values.dtype)
+    full[index] = values.reshape((d,) * index.count(slice(None)))
+    return full.reshape(-1)
+
+
+def _mapped(array):
+    """Whether ``array`` is a view of a memory map."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(getattr(array, "obj", array), mmap.mmap)
+
+
+def _one_hot_reads(state):
+    """``probabilities()`` and ``amplitudes`` of ``state``, and the same
+    vectors built on the heap, read-only where ``amplitudes`` is."""
+    q = range(state.num_qudits)
+    probs = _heap_placed(np.abs(state.dense) ** 2, state.base, q, state.digits)
+    amps = _heap_placed(state.dense, state.base, q, state.digits)
+    amps.flags.writeable = False
+    return [(state.probabilities(), probs), (state.amplitudes, amps)]
+
+
+@pytest.mark.parametrize("design", _ONE_HOT_DESIGNS)
+def test_a_mapped_vector_behaves_as_a_heap_one(design):
+    d, n, N, inputs = design
+    state = execute(build_full_adder(AdderSpec(d, n, N, Mode.ADD, inputs)))
+    assert state.digits and state.dense.size == 1
+    for got, want in _one_hot_reads(state):
+        assert got.nbytes >= simulator._MAP_BYTES and _mapped(got)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for flag in ("WRITEABLE", "C_CONTIGUOUS", "ALIGNED"):
+            assert got.flags[flag] == want.flags[flag], flag
+        for twin in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+            assert twin.dtype == got.dtype and twin.tobytes() == want.tobytes()
+        assert pickle.loads(pickle.dumps(got)).flags.writeable == (
+            pickle.loads(pickle.dumps(want)).flags.writeable
+        )
+        # a slice around the one entry outlives the vector and its map
+        hot = int(np.flatnonzero(got)[0])
+        part = got[max(hot - 3, 0) : hot + 4]
+        del got
+        gc.collect()
+        assert part.tobytes() == want[max(hot - 3, 0) : hot + 4].tobytes()
+    # probabilities() stays writable, and amplitudes with digits read-only
+    probs = state.probabilities()
+    probs[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = 0.5
+
+
+def test_small_placed_vectors_stay_on_the_heap():
+    state = execute(build_full_adder(AdderSpec(3, 2, 3, Mode.ADD, (4, 8, 2))))
+    assert state.digits
+    for got, want in _one_hot_reads(state):
+        assert got.nbytes < simulator._MAP_BYTES and not _mapped(got)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("advice", ["missing", "refused"])
+def test_placed_vectors_without_the_huge_page_advice(advice, monkeypatch):
+    if advice == "missing":
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    else:  # an advice the kernel does not know: madvise raises OSError
+        monkeypatch.setattr(mmap, "MADV_HUGEPAGE", 12345, raising=False)
+    d, n, N, inputs = _ONE_HOT_DESIGNS[-1]
+    state = execute(build_full_adder(AdderSpec(d, n, N, Mode.ADD, inputs)))
+    for got, want in _one_hot_reads(state):
+        assert _mapped(got)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.flags.writeable == want.flags.writeable
+    # a marginal with a dense qudit, placed around the digits, too
+    mixed = StateVector(5, 10, np.full(5, 5**-0.5), dict.fromkeys(range(1, 10), 2))
+    got = simulator._marginal(mixed, range(10))
+    assert _mapped(got)
+    assert got.tobytes() == _reference_marginal(mixed, range(10)).tobytes()
+
+
 def _reference_marginal(state, qudits):
     """``_marginal`` as it was when it squared the dense part in dense order
     and copied that into the measured order: frozen, as the reference its
@@ -1008,14 +1139,72 @@ def test_marginal_over_the_limit_fails_before_allocating():
     # 40 tracked qubits hold one amplitude: read without noise, they need no marginal
     state = StateVector(2, 40, np.ones(1), dict.fromkeys(range(40), 0))
     assert measure(state, range(40), 1).counts == {"0" * 40: 1}
-    # with noise, or with a dense qudit measured, their marginal would need 2**40
+    # with noise they draw each digit on its own, and build no marginal either
+    assert measure(state, range(40), 1, NoiseConfig(0.1)).shots == 1
+    # with a dense qudit measured, the marginal would need 2**40
     mixed = StateVector(2, 40, np.array([1.0, 0.0]), dict.fromkeys(range(39), 0))
-    for held, noise in [(state, NoiseConfig(0.1)), (mixed, None)]:
-        with pytest.raises(ValueError, match=r"2\*\*40 amplitudes"):
-            measure(held, range(40), 1, noise)
+    with pytest.raises(ValueError, match=r"2\*\*40 amplitudes"):
+        measure(mixed, range(40), 1, NoiseConfig(0.1))
     # a 2**20 marginal is within it
     assert measure(mixed, [*range(19), 39], 1).counts == {"0" * 20: 1}
     assert measure(state, range(20), 1, NoiseConfig(0.1)).shots == 1
+
+
+def _flips(histogram, digits):
+    """Per measured position, how many shots read it off its known digit, and
+    the levels those shots read."""
+    d, width = histogram.base, histogram.width
+    flips, levels = [0] * width, []
+    for value, count in histogram.tallies.items():
+        read = from_integer(value, d, width).digits
+        for pos, (x, y) in enumerate(zip(read, digits)):
+            if x != y:
+                flips[pos] += count
+                levels += [x] * count
+    return flips, levels
+
+
+def test_a_noisy_readout_past_the_cap_draws_each_digit_on_its_own():
+    # 100000**3 outcomes: no marginal; each digit flips alone, to another level
+    spec = AdderSpec(100000, 2, 2, Mode.ADD, (1, 2))
+    state = execute(build_full_adder(spec))
+    width = spec.result_width
+    assert 100000**width > MAX_AMPLITUDES and state.dense.size == 1
+    digits = [state.digits[qi] for qi in range(width)]
+    shots, p = 20000, 0.1
+    histogram = measure(state, range(width), shots, NoiseConfig(p, seed=3))
+    assert histogram.shots == shots and list(histogram.tallies) == sorted(histogram.tallies)
+    assert all(type(v) is int and type(c) is int for v, c in histogram.tallies.items())
+    flips, levels = _flips(histogram, digits)
+    # each rate within 5 sigma of p: sqrt(p * (1 - p) / shots) is 0.0021
+    assert all(abs(f / shots - p) < 0.011 for f in flips), flips
+    # the flipped levels are spread over the other 99,999: mean within 5 sigma
+    assert len(set(levels)) > 0.95 * len(levels)
+    assert abs(np.mean(levels) - 50000) < 5 * 28868 / math.sqrt(len(levels))
+    # seeded: the same seed draws the same histogram, another seed another
+    assert measure(state, range(width), shots, NoiseConfig(p, seed=3)) == histogram
+    assert measure(state, range(width), shots, NoiseConfig(p, seed=4)) != histogram
+    # a sure flip moves every digit, to each other level alike: 3**17 outcomes
+    state = StateVector(3, 17, np.ones(1), dict.fromkeys(range(17), 0))
+    assert 3**17 > MAX_AMPLITUDES
+    flips, levels = _flips(measure(state, range(17), 600, NoiseConfig(1.0)), [0] * 17)
+    assert flips == [600] * 17
+    # levels 1 and 2 each half of 10,200 reads; one sigma is 0.005
+    counts = np.bincount(levels, minlength=3)
+    assert counts[0] == 0 and abs(counts[1] / counts.sum() - 0.5) < 0.025, counts
+
+
+def test_a_noisy_readout_past_int64_levels_draws_each_digit_on_its_own():
+    # levels past 2**63 are drawn from 32-bit words, each below d - 1
+    d = 2**64 + 13
+    state = StateVector(d, 3, np.ones(1), {0: d - 1, 1: 0, 2: 2**63})
+    digits = [d - 1, 0, 2**63]
+    histogram = measure(state, range(3), 4000, NoiseConfig(0.5, seed=9))
+    assert histogram.shots == 4000 and list(histogram.tallies) == sorted(histogram.tallies)
+    assert measure(state, range(3), 4000, NoiseConfig(0.5, seed=9)) == histogram
+    flips, levels = _flips(histogram, digits)
+    assert all(abs(f / 4000 - 0.5) < 0.04 for f in flips), flips
+    assert all(0 <= x < d for x in levels) and len(set(levels)) == len(levels)
 
 
 @st.composite
