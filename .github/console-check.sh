@@ -10,7 +10,10 @@
 # 100000**3 span, past the dense limit, draws each digit on its own and
 # exits 0.  Then the sweep the CLI writes a block at a time must be the
 # library's CSV, and an export whose body text is kept must match the plain
-# writer on the first and on a repeated export.  Last, an empty token in
+# writer on the first and on a repeated export.  A base-16 SUB export, whose
+# header and SHIFTs are written without the json module's indent encoder,
+# must be the text json.dumps(indent=2) makes of its own parse, an oracle
+# apart from the writer.  Last, an empty token in
 # --inputs exits 2 naming the flag (the status is captured, as the script
 # runs under bash -e).
 set -euo pipefail
@@ -37,6 +40,11 @@ for _ in range(2):
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     assert out.getvalue() == want
+"
+qftadd export-circuit --base 16 --digits 3 --inputs 4095,17,256,3840,9 --mode sub --format json | python -c "
+import json, sys
+text = sys.stdin.read()
+assert text == json.dumps(json.loads(text), indent=2) + '\\n'
 "
 status=0; err=$(qftadd add --base 2 --digits 2 --inputs 1,,2 2>&1 >/dev/null) || status=$?
 test "$status" -eq 2

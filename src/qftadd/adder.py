@@ -189,7 +189,9 @@ def build_adder_component(
 
 
 # One entry per (qudit, level) in use, about 310 B each: 4096 (1.3 MB) fits
-# every benchmarked layout, whose workloads use at most about 750.
+# every benchmarked layout, whose workloads use at most about 750.  Exporting
+# the op keeps its JSON text in ``circuit._shift_json``, sized alike: about
+# 290 B more per (qudit, level), 137 B of it the text.
 @functools.lru_cache(maxsize=4096)
 def _shift(qudit: int, k: int) -> GateOp:
     """The SHIFT by ``k`` on ``qudit``, built and validated once while cached."""
@@ -227,7 +229,7 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
     body = _design_body(spec.base, spec.digits_per_input, spec.num_inputs, spec.mode.sign)
     k = len(encode)
     labels = (("encode", 0, k), *[(name, lo + k, hi + k) for name, lo, hi in body.labels])
-    return _circuit(layout, (*encode, *body.ops), labels, body)
+    return _circuit(layout, tuple(encode) + body.ops, labels, body)
 
 
 def classical_oracle(spec: AdderSpec) -> int:

@@ -30,6 +30,7 @@ from qftadd import (
     zero_state,
 )
 from qftadd.adder import _design_body
+from qftadd.circuit import _shift_json
 
 
 def qft_layout(d, q):
@@ -105,6 +106,24 @@ def test_circuit_labels_take_integer_bounds():
     circ = Circuit(2, layout, ops, labels=labels)
     assert circ.labels == (("empty", 0, 0), ("all", 0, end), ("end", end, end))
     assert all(type(lo) is int and type(hi) is int for _, lo, hi in circ.labels)
+
+
+@pytest.mark.parametrize("base", [np.int64(3), np.uint8(3)], ids=["int64", "uint8"])
+def test_circuit_stores_an_integer_base(base):
+    layout = qft_layout(3, 2)
+    ops = build_qft(layout, range(2)).ops
+    circ, plain_circ = Circuit(base, layout, ops), Circuit(3, layout, ops)
+    assert type(circ.base) is int and circ == plain_circ and hash(circ) == hash(plain_circ)
+    assert circuit_to_json(circ) == circuit_to_json(plain_circ) == reference_json(plain_circ)
+    got = execute(circ, zero_state(layout)).amplitudes
+    assert np.array_equal(got, execute(plain_circ, zero_state(layout)).amplitudes)
+
+
+@pytest.mark.parametrize("base", [3.0, np.float64(3.0), Fraction(3), "3", None])
+def test_circuit_refuses_a_non_integer_base(base):
+    layout = qft_layout(3, 2)
+    with pytest.raises(TypeError, match=re.escape(f"base must be an int, got {base!r}")):
+        Circuit(base, layout, ())
 
 
 def test_qft_tally():
@@ -378,6 +397,55 @@ def test_json_pieces_join_for_the_empty_circuit():
         circ = Circuit(2, layout, ())
         assert circuit_to_json(circ) == reference_json(circ)
         assert json.loads(circuit_to_json(circ))["ops"] == []
+
+
+# register names json.dumps escapes: quotes, backslashes, controls, non-ASCII
+# (as \u escapes) and a lone surrogate
+ODD_NAMES = ['q"uote', "back\\slash", "new\nline", "nul\x00", "d\u00e9j\u00e0 \u2603 \U0001f600",
+             "lone \ud800", "", "\t\x1f\x7f"]
+HEADER_LAYOUTS = {
+    "no registers": RegisterLayout(5, ()),
+    "one empty register": RegisterLayout(2, (("anc", 0),)),
+    "empty registers around": RegisterLayout(3, (("anc", 0), ("a0", 2), ("mid", 0), ("a1", 1), ("end", 0))),
+    "odd names": RegisterLayout(7, tuple((name, i % 3) for i, name in enumerate(ODD_NAMES))),
+    "a large base": RegisterLayout(2**70 + 1, (("a", 1), ("b", 0))),
+    "65 registers": RegisterLayout(2, (("anc", 6), *((f"a{i}", 16) for i in range(64)))),
+}
+
+
+@pytest.mark.parametrize("layout", HEADER_LAYOUTS.values(), ids=HEADER_LAYOUTS)
+def test_json_header_is_the_encoders(layout):
+    q = layout.total_qudits
+    op_lists = [()]
+    if q:
+        op_lists += [(GateOp(GateKind.SHIFT, (q - 1,), k=1),),
+                     (GateOp(GateKind.HADAMARD, (0,)), GateOp(GateKind.SHIFT, (q - 1,), k=3))]
+    for ops in op_lists:
+        circ = Circuit(layout.base, layout, ops)
+        assert circuit_to_json(circ) == reference_json(circ), ops
+    registers = json.loads(circuit_to_json(Circuit(layout.base, layout, ())))["registers"]
+    assert [(reg["name"], reg["size"]) for reg in registers] == list(layout.registers)
+
+
+# the pieces the op list writer joined for a SHIFT before its text was cached
+OLD_SHIFT_TAIL = '\n      ],\n      "k": {}\n    }},\n'
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 100000])
+def test_shift_text_is_the_old_pieces(d):
+    layout = RegisterLayout(d, (("wide", 2**64 + 3),))
+    qudits = [0, 1, 63, 64, 65, 4095, 2**39, 2**63, 2**64 + 2]
+    levels = [0, 1, d - 1, d, d + 1, 10 * d, 2**64 + 7]
+    want_head = '    {\n      "kind": "SHIFT",\n      "qudits": [\n        '
+    for qudit, k in itertools.product(qudits, levels):
+        assert _shift_json(qudit, k) == want_head + str(qudit) + OLD_SHIFT_TAIL.format(k)
+    ops = [GateOp(GateKind.SHIFT, (qudit,), k=k) for qudit, k in itertools.product(qudits, levels)]
+    for op_list in [ops, ops[::-1], ops[:1], [GateOp(GateKind.HADAMARD, (2,)), *ops[::7]]]:
+        circ = Circuit(d, layout, op_list)
+        assert circuit_to_json(circ) == reference_json(circ)
+    # one text per (qudit, level), cached across calls, bounded as adder._shift
+    assert _shift_json(64, d) is _shift_json(64, d)
+    assert _shift_json.cache_info().maxsize == 4096
 
 
 def test_json_pieces_join_for_one_pair_at_many_angles():

@@ -1,5 +1,7 @@
 import cmath
+import collections
 import copy
+import functools
 import gc
 import itertools
 import json
@@ -1205,6 +1207,51 @@ def test_a_noisy_readout_past_int64_levels_draws_each_digit_on_its_own():
     flips, levels = _flips(histogram, digits)
     assert all(abs(f / 4000 - 0.5) < 0.04 for f in flips), flips
     assert all(0 <= x < d for x in levels) and len(set(levels)) == len(levels)
+
+
+def _reference_read_each(digits, d, p, shots, seed):
+    """``simulator._read_each`` as it was before it tallied in int64: every
+    shot's value a Python int, counted in a ``Counter``."""
+    rng = np.random.default_rng(seed)
+    reads = np.tile(np.array(digits, dtype=np.int64 if d <= 2**63 else object), (shots, 1))
+    flip = rng.random(reads.shape) < p
+    levels = reads[flip]
+    others = simulator._uniform(rng, d - 1, levels.size)
+    reads[flip] = others + (others >= levels)
+    values = functools.reduce(lambda value, col: value * d + col, reads.T.astype(object))
+    tallies = collections.Counter(values.tolist())
+    return {value: tallies[value] for value in sorted(tallies)}
+
+
+# (d, width) with d**width just under, at and just over 2**63, and small
+_READ_EACH_SPANS = {
+    "3 digits under": (2**21 - 1, 3),
+    "3 digits at": (2**21, 3),
+    "3 digits over": (2**21 + 1, 3),
+    "2 digits under": (3037000499, 2),
+    "2 digits over": (3037000500, 2),
+    "1 digit at": (2**63, 1),
+    "1 digit over": (2**63 + 1, 1),
+    "13 base-28 digits under": (28, 13),
+    "base 100000": (100000, 3),
+}
+
+
+@pytest.mark.parametrize("d, width", _READ_EACH_SPANS.values(), ids=_READ_EACH_SPANS)
+def test_read_each_tallies_as_the_reference(monkeypatch, d, width):
+    fits = d**width <= 2**63
+    if fits:  # the int64 tally counts no Python ints
+        monkeypatch.setattr(simulator, "collections", None)
+    # the top digits make the largest value, d**width - 1
+    tallies = []
+    for digits in [[d - 1] * width, [d - 1, *range(width - 1)], [0] * width]:
+        for p, shots in [(0.3, 3000), (1.0, 500), (0.01, 1)]:
+            got = simulator._read_each(digits, d, p, shots, 11)
+            want = _reference_read_each(digits, d, p, shots, 11)
+            assert list(got.items()) == list(want.items()), (digits, p)
+            assert all(type(v) is int and type(c) is int for v, c in got.items())
+            tallies.append(got)
+    assert d**width - 1 in tallies[0]
 
 
 @st.composite
