@@ -1,14 +1,16 @@
 """Qudit QFT arithmetic: build, simulate and cost adder/subtractor circuits.
 
 The package is organized bottom-up: digit and register primitives
-(`core`), the circuit IR with QFT builders (`circuit`), one kernel per
-gate kind (`gates`), the arithmetic constructions (`adder`), state
-vectors, execution and measurement (`simulator`), and gate-count analysis
-(`resources`).  `cli` wraps it all for the command line.
+(`core`), the circuit IR with QFT builders (`circuit`), the arithmetic
+constructions (`adder`), state vectors, the gate kernels, execution and
+measurement (`simulator`), and gate-count analysis (`resources`).  `cli`
+wraps it all for the command line.
 
-Only `simulator` and `gates` import numpy, and the package loads them on
-first use of a simulator name (PEP 562 `__getattr__`), so `import qftadd`
-and the design path (build, count, sweep, export) load no numpy.
+Only `simulator` imports numpy, and the package loads it on first use of
+a simulator name (PEP 562 `__getattr__`), so `import qftadd` and the
+design path (build, count, sweep, export) load no numpy.
+`ResourceReport`, the type `resource_report` returns, is importable by
+name but left out of `__all__`.
 """
 
 from .adder import (
@@ -82,7 +84,6 @@ __all__ = [
     "Mode",
     "NoiseConfig",
     "RegisterLayout",
-    "ResourceReport",
     "StateVector",
     "SweepRow",
     "adder_layout",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import (
-    _CPHASE, _SHIFT, Circuit, GateOp, _Body, _check_span, _circuit, _qft_ladder, _turn,
+    _CPHASE, Circuit, GateOp, _Body, _check_span, _circuit, _qft_ladder, _shift, _turn,
 )
 from .core import RegisterLayout
 
@@ -188,29 +188,20 @@ def build_adder_component(
     return Circuit(layout.base, layout, tuple(ops))
 
 
-# One entry per (qudit, level) in use, about 310 B each: 4096 (1.3 MB) fits
-# every benchmarked layout, whose workloads use at most about 750.  Exporting
-# the op keeps its JSON text in ``circuit._shift_json``, sized alike: about
-# 290 B more per (qudit, level), 137 B of it the text.
-@functools.lru_cache(maxsize=4096)
-def _shift(qudit: int, k: int) -> GateOp:
-    """The SHIFT by ``k`` on ``qudit``, built and validated once while cached."""
-    return GateOp(_SHIFT, (qudit,), k=k)
-
-
 def _encoding_ops(spec: AdderSpec, t: int) -> list[GateOp]:
-    """One shared ``_shift`` per nonzero input digit, MSB first, below ``t``
-    ancillas; ``spec`` checked every input."""
-    ops = []
+    """One shared SHIFT from ``circuit._shift`` per nonzero input digit, MSB
+    first, below ``t`` ancillas; ``spec`` checked every input."""
+    ops, shift = [], _shift
     d, n = spec.base, spec.digits_per_input
-    for i, value in enumerate(spec.inputs):
-        qudit, shifts = t + (i + 1) * n, []  # past register i + 1's last digit
-        while value:  # LSB first, so a zero input divmods nothing
+    end = t + len(spec.inputs) * n  # past the last register's last digit
+    for value in reversed(spec.inputs):  # each LSB first, then all reversed
+        qudit, end = end, end - n
+        while value:  # a zero input divmods nothing
             qudit -= 1
             value, digit = divmod(value, d)
             if digit:
-                shifts.append(_shift(qudit, digit))
-        ops.extend(reversed(shifts))
+                ops.append(shift(qudit, digit)[0])
+    ops.reverse()
     return ops
 
 

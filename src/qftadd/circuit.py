@@ -327,25 +327,29 @@ def circuit_to_json(circuit: Circuit) -> str:
     return "".join(parts)
 
 
-# One entry per (qudit, level) exported, as ``adder._shift`` keeps one op per
-# (qudit, level) built, and as many: about 290 B traced each, 137 B of it the
-# text (1.2 MB at 4096 entries).
+# One entry per (qudit, level) in use, about 530 B traced: the op, its
+# text (137 B of it) and their pair.  4096 entries (2.2 MB) fit every
+# benchmarked layout, whose workloads use at most about 750.
 @functools.lru_cache(maxsize=4096)
-def _shift_json(qudit: int, k: int) -> str:
-    """The text of the SHIFT by ``k`` on ``qudit`` in the op list, through the
-    ``",\\n"`` before the next op."""
-    return f'{_OP_HEAD[_SHIFT]}{qudit}\n      ],\n      "k": {k}\n    }},\n'
+def _shift(qudit: int, k: int) -> tuple[GateOp, str]:
+    """The SHIFT by ``k`` on ``qudit``, built and validated once while
+    cached, and its text in the op list through the ``",\\n"`` before the
+    next op.  ``adder`` builds its encoding shifts from it, so the ops of
+    two adders are shared where their input digits agree, and
+    ``_write_ops`` writes every SHIFT from it."""
+    op = GateOp(_SHIFT, (qudit,), k=k)
+    return op, f'{_OP_HEAD[_SHIFT]}{qudit}\n      ],\n      "k": {k}\n    }},\n'
 
 
 def _write_ops(ops: Sequence[GateOp], parts: list[str]) -> None:
     """Append the pieces of the non-empty ``ops`` as the op list holds them,
     with ``",\\n"`` between two ops and none after the last.  A SHIFT is one
-    piece, its text cached per ``(qudit, k)`` across calls by ``_shift_json``;
+    piece, its text cached per ``(qudit, k)`` across calls by ``_shift``;
     every other op is made of pieces rendered on their first use in the
     call."""
     cphase, hadamard, swap = _CPHASE, _HADAMARD, _SWAP
     cp_head, h_head, swap_head = (_OP_HEAD[kind] for kind in (cphase, hadamard, swap))
-    shift_json = _shift_json
+    shift = _shift
     # Plain dicts, filled when an op's pieces miss and the op is then
     # written once more: a second miss raises its KeyError, so a fill that
     # misses its own key fails instead of spinning.  A qudit miss renders
@@ -371,7 +375,7 @@ def _write_ops(ops: Sequence[GateOp], parts: list[str]) -> None:
                 elif kind is swap:
                     extend((swap_head, names[q[0]], _BETWEEN, names[q[1]], _TAIL))
                 else:
-                    append(shift_json(q[0], op.k))
+                    append(shift(q[0], op.k)[1])
                 break
             except KeyError:  # the call's first use of a qudit or a nonzero angle
                 if op is filled:  # its own fill missed a key

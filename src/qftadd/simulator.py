@@ -1,15 +1,19 @@
-"""State vectors, circuit execution into them, and shot-based measurement.
+"""State vectors, the gate kernels, circuit execution and shot-based measurement.
 
-With ``gates``, this is the only module that imports numpy.  The package
-imports it on first use of one of its names, so building, costing and
-exporting circuits never load numpy.
+This is the only module that imports numpy.  The package imports it on
+first use of one of its names, so building, costing and exporting
+circuits never load numpy.
 
 ``execute`` holds each qudit as a digit, a phase ramp (one integer
 numerator over a power of d) or an axis of the dense part, so an adder run from
 digits (Draper's phi-ADD on a product state) never builds its Fourier span:
 each angle the builders write is looked up to its exact numerator, and a
 ramp snaps back to a digit by integer division alone.  A SWAP only renames
-qudits; other ops on the dense part run on the gate kernels in ``gates``.
+qudits; other ops on the dense part run on the gate kernels, :func:`phase`
+and :func:`apply_op`.  Each takes ``psi``, the ``d**m`` amplitudes of the
+dense part, and the positions of its targets in it, repeats none of the
+checks that ``GateOp``, ``Circuit`` and ``execute`` make, and works on a
+reshaped view of at most five axes, never on a ``d**m x d**m`` operator.
 
 Measurement samples from the exact marginal of the selected qudits and
 never collapses the state, so repeated calls on one state are allowed.
@@ -26,8 +30,9 @@ A full vector placed around digits, as ``probabilities()`` and
 ``amplitudes`` return, comes from a private anonymous map once it is
 large: only its written pages are resident.
 
-A histogram holds outcomes as integers; digit text is rendered only where
-text is asked for, by ``counts``, ``top_outcome`` and ``histogram_to_json``.
+A histogram holds outcomes as integers; digit text is rendered, by
+``core._digit_text``, only where text is asked for: by ``counts``,
+``top_outcome`` and ``histogram_to_json``.
 """
 
 from __future__ import annotations
@@ -42,13 +47,12 @@ import mmap
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import _CPHASE, _HADAMARD, _MAX_TURN, _SHIFT, _SWAP, Circuit, _turn
-from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size
-from .gates import apply_op, phase
+from .circuit import _CPHASE, _HADAMARD, _MAX_TURN, _SHIFT, _SWAP, Circuit, GateOp, _turn
+from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size, _digit_text
 
 FINAL_NORM_ATOL = 1e-9
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
@@ -288,38 +292,13 @@ class Histogram:
     @functools.cached_property
     def counts(self) -> dict[str, int]:
         """The tallies keyed by digit text, in increasing value; rendered once."""
-        text = self._digit_text()
+        text = _digit_text(self.base, self.width)
         return {text(value): count for value, count in self.tallies.items()}
 
     def top_outcome(self) -> str:
         """Digit text of the most frequent outcome; ties break toward the smaller value."""
         # max keeps the first of equal counts, and tallies run in increasing value
-        return self._digit_text()(max(self.tallies, key=self.tallies.__getitem__))
-
-    def _digit_text(self) -> Callable[[int], str]:
-        """The text of an outcome, ``from_integer(value, base, width).to_string()``,
-        joined from digit texts each rendered on its first use in the call.
-
-        The digit texts are kept because ``str`` per digit is most of the
-        cost: 207,027 keys (d=2, width 20) take 0.47 s with them and 0.95 s
-        with ``join(map(str, ...))`` (2-core VM, Python 3.11).  A dict, not a
-        ``range(base)`` table, so a huge base costs only the digits used."""
-        d, positions = self.base, range(self.width)
-        join = ("" if d <= 10 else "-").join
-        digits: dict[int, str] = {}
-
-        def text(value: int) -> str:
-            chars = []
-            for _ in positions:  # LSB first
-                value, rem = divmod(value, d)
-                try:
-                    chars.append(digits[rem])
-                except KeyError:
-                    chars.append(digits.setdefault(rem, str(rem)))
-            chars.reverse()
-            return join(chars)
-
-        return text
+        return _digit_text(self.base, self.width)(max(self.tallies, key=self.tallies.__getitem__))
 
 
 def _histogram(base: int, width: int, tallies: dict[int, int]) -> Histogram:
@@ -465,6 +444,79 @@ def _widen(psi: np.ndarray, d: int, dense: list[int], vectors: dict) -> tuple:
     _check_size(d, len(dense) + len(vectors))
     outer = functools.reduce(np.multiply.outer, vectors.values())
     return np.multiply.outer(psi, outer).reshape(-1), [*dense, *vectors]
+
+
+def _view(psi: np.ndarray, d: int, m: int, axes: Sequence[int]) -> np.ndarray:
+    """psi over ``m`` qudits viewed with each of ``axes`` as a d-axis of its
+    own, between the merged runs of the others: ``(lead, d, trail)`` for one
+    axis, ``(lead, d, mid, d, trail)`` for two.  psi is one-dimensional, so
+    the reshape is a view at any stride and an in-place product writes
+    through."""
+    shape, start = [], 0
+    for ax in sorted(axes):
+        shape += [d ** (ax - start), d]
+        start = ax + 1
+    return psi.reshape(*shape, d ** (m - start))
+
+
+def phase(psi: np.ndarray, d: int, m: int, axes: Sequence[int], table: np.ndarray) -> None:
+    """Scale psi in place by ``table[x, y, ...]`` at levels x, y, ... on ``axes``.
+
+    The kernel of every CPHASE that reaches the dense part: the diagonal
+    ``exp(i*theta*x*y)`` with two dense ends, or with one and the other's
+    level fixed.  ``table`` holds ``d**len(axes)`` entries in any shape, for
+    one or two axes; with two it must be symmetric, as ``exp(i*theta*x*y)``
+    is.
+    """
+    view = _view(psi, d, m, axes)
+    view *= table.reshape((d, 1) * len(axes))
+
+
+def apply_op(psi: np.ndarray, d: int, m: int, op: GateOp, axes: Sequence[int]) -> np.ndarray:
+    """Apply a HADAMARD or SHIFT on the one axis in ``axes`` of psi; returns a
+    new vector, so a gate holds at most two vectors at once."""
+    view = _view(psi, d, m, axes)
+    if op.kind is _HADAMARD:
+        return _hadamard(view, d, op.dagger).reshape(-1)
+    # SHIFT: |j> -> |(j + k) mod d>
+    return np.roll(view, op.k, axis=1).reshape(-1)
+
+
+# Above this many columns the block-diagonal Hadamard costs more flops
+# than a batched d x d product saves in per-batch overhead (measured at
+# 2^20 amplitudes for d in 2..16).
+_BLOCK_HADAMARD_MAX = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _dft(d: int, dagger: bool) -> np.ndarray:
+    """d-level Hadamard: entry (m, j) = exp(2*pi*i*j*m/d) / sqrt(d); cached, read-only."""
+    levels = np.arange(d)
+    sign = -1.0 if dagger else 1.0
+    dft = np.exp(sign * 2j * np.pi * np.outer(levels, levels) / d) / np.sqrt(d)
+    dft.flags.writeable = False
+    return dft
+
+
+def _hadamard(view: np.ndarray, d: int, dagger: bool) -> np.ndarray:
+    """Contract the DFT over the middle axis of ``view``, shaped (lead, d, trail).
+
+    The DFT is symmetric, so it equals its transpose in either form.
+    With a short trailing axis, one GEMM against the block-diagonal
+    ``F (x) I_trail`` avoids ``lead`` tiny matrix products; otherwise a
+    batched ``F @ view`` runs ``lead`` products of width ``trail``.  Summed
+    over every target, each single form was slower than the pair (README,
+    "Simulation and noise"): at d=2 on 2**20 amplitudes the batched product
+    took about 4x as long, ``tensordot`` 4x and ``np.fft`` 8-9x.
+    """
+    lead, _, trail = view.shape
+    dft = _dft(d, dagger)
+    if d * trail <= _BLOCK_HADAMARD_MAX:
+        block = (dft[:, None, :, None] * np.eye(trail)[None, :, None, :]).reshape(
+            d * trail, d * trail
+        )
+        return view.reshape(lead, d * trail) @ block
+    return np.matmul(dft, view)
 
 
 def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:

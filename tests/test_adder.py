@@ -28,7 +28,8 @@ from qftadd import (
     to_integer,
     zero_state,
 )
-from qftadd.adder import _design_body, _shift
+from qftadd.adder import _design_body
+from qftadd.circuit import _shift
 
 
 def result_probability(spec, state, value):
@@ -73,6 +74,10 @@ def test_spec_validation():
         AdderSpec(base=2, digits_per_input=2, num_inputs=3, mode=Mode.ADD, inputs=(1, 0))
     with pytest.raises(ValueError):
         AdderSpec(base=2, digits_per_input=0, num_inputs=1, mode=Mode.ADD, inputs=(0,))
+    with pytest.raises(ValueError, match="num_inputs must be >= 1, got 0"):
+        AdderSpec(base=2, digits_per_input=2, num_inputs=0, mode=Mode.ADD, inputs=())
+    with pytest.raises(ValueError, match="mode must be a Mode, got 'add'"):
+        AdderSpec(base=2, digits_per_input=2, num_inputs=1, mode="add", inputs=(1,))
 
 
 def test_component_tally():
@@ -103,6 +108,9 @@ def test_component_rejects_fourier_span_sources():
         build_adder_component(layout, 3, +1)
     with pytest.raises(ValueError):
         build_adder_component(layout, 2, 2)
+    empty = RegisterLayout(2, (("anc", 1), ("a0", 1), ("b", 0)))
+    with pytest.raises(ValueError, match="source register 2 is empty"):
+        build_adder_component(empty, 2, +1)
 
 
 def digit_rows(d, layout, joint_index):

@@ -30,7 +30,7 @@ from qftadd import (
     zero_state,
 )
 from qftadd.adder import _design_body
-from qftadd.circuit import _shift_json
+from qftadd.circuit import _shift
 
 
 def qft_layout(d, q):
@@ -50,6 +50,10 @@ def test_gate_op_validation():
         GateOp(GateKind.SHIFT, (0,))  # missing k
     with pytest.raises(ValueError):
         GateOp(GateKind.CPHASE, (0, 1), theta=0.1, dagger=True)
+    with pytest.raises(ValueError, match="non-negative"):
+        GateOp(GateKind.HADAMARD, (-1,))
+    with pytest.raises(ValueError, match="shift amount must be non-negative, got -1"):
+        GateOp(GateKind.SHIFT, (0,), k=-1)
     for theta in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="theta"):
             GateOp(GateKind.CPHASE, (0, 1), theta=theta)
@@ -76,6 +80,8 @@ def test_circuit_rejects_out_of_range_ops():
     layout = qft_layout(2, 2)
     with pytest.raises(ValueError):
         Circuit(2, layout, (GateOp(GateKind.HADAMARD, (2,)),))
+    with pytest.raises(ValueError, match="circuit base 3 != layout base 2"):
+        Circuit(3, layout, ())
 
 
 # each label is refused by Circuit; the circuit has two ops
@@ -227,6 +233,8 @@ def test_concat_layout_mismatch():
     b = build_qft(qft_layout(3, 2), range(2))
     with pytest.raises(ValueError):
         concat([a, b])
+    with pytest.raises(ValueError, match="at least one circuit"):
+        concat([])
 
 
 def test_concat_offsets_labels():
@@ -438,14 +446,15 @@ def test_shift_text_is_the_old_pieces(d):
     levels = [0, 1, d - 1, d, d + 1, 10 * d, 2**64 + 7]
     want_head = '    {\n      "kind": "SHIFT",\n      "qudits": [\n        '
     for qudit, k in itertools.product(qudits, levels):
-        assert _shift_json(qudit, k) == want_head + str(qudit) + OLD_SHIFT_TAIL.format(k)
+        assert _shift(qudit, k)[1] == want_head + str(qudit) + OLD_SHIFT_TAIL.format(k)
     ops = [GateOp(GateKind.SHIFT, (qudit,), k=k) for qudit, k in itertools.product(qudits, levels)]
     for op_list in [ops, ops[::-1], ops[:1], [GateOp(GateKind.HADAMARD, (2,)), *ops[::7]]]:
         circ = Circuit(d, layout, op_list)
         assert circuit_to_json(circ) == reference_json(circ)
-    # one text per (qudit, level), cached across calls, bounded as adder._shift
-    assert _shift_json(64, d) is _shift_json(64, d)
-    assert _shift_json.cache_info().maxsize == 4096
+    # one op and text per (qudit, level), cached across calls and bounded
+    assert _shift(64, d) is _shift(64, d)
+    assert _shift(64, d)[0] == GateOp(GateKind.SHIFT, (64,), k=d)
+    assert _shift.cache_info().maxsize == 4096
 
 
 def test_json_pieces_join_for_one_pair_at_many_angles():
@@ -540,3 +549,11 @@ def test_text_export_mentions_labels():
     # a label that starts after the last op closes the listing
     tail = Circuit(2, layout, ops, labels=(("qft", 0, len(ops)), ("done", len(ops), len(ops))))
     assert circuit_to_text(tail).splitlines()[-1] == "# done"
+    # nonzero inputs encode as SHIFTs, each listed with its level: base 5,
+    # t = 1, 7 = 12 on qudits 1-2 and 9 = 14 on qudits 3-4
+    loaded = build_full_adder(AdderSpec(5, 2, 2, Mode.ADD, (7, 9)))
+    lines = circuit_to_text(loaded).splitlines()
+    start = lines.index("# encode")
+    assert lines[start + 1 : start + 6] == [
+        "  shift k=1 q1", "  shift k=2 q2", "  shift k=1 q3", "  shift k=4 q4", "# qft"
+    ]

@@ -163,6 +163,9 @@ def test_validation_failures_name_the_flag(capsys):
          "invalid literal"),
         (["add", "--base", "2", "--digits", "2", "--inputs", "1,2,"], "--inputs",
          "invalid literal"),
+        # int() reads radix 0 as "guess", and no radix past 36
+        *((["add", "--base", "2", "--digits", "2", "--inputs", "1", "--inputs-base", radix],
+           "--inputs-base", f"must be in [2, 36], got {radix}") for radix in ("0", "1", "37")),
         (["sweep", "--bases", "2,,4", "--max-capacity", "16"], "--bases",
          "invalid literal"),
         (["sweep", "--bases", "1", "--max-capacity", "16"], "--bases",

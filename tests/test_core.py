@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,10 @@ def test_from_integer_overflow():
         from_integer(4, 2, 2)
     with pytest.raises(ValueError):
         from_integer(-1, 2, 4)
+    with pytest.raises(ValueError, match="base must be >= 2, got 1"):
+        from_integer(0, 1, 2)
+    with pytest.raises(ValueError, match="width must be >= 0, got -1"):
+        from_integer(0, 2, -1)
 
 
 @given(st.integers(2, 16), st.integers(1, 12), st.data())
@@ -111,6 +116,22 @@ def test_parse_digit_text_wide_base():
     ds = DigitString(12, (11, 0, 3))
     assert ds.to_string() == "11-0-3"
     assert parse_digit_text("11-0-3", 12) == ds
+
+
+@pytest.mark.parametrize("base", [2, 10, 11, 37])
+def test_round_trip_at_width_zero(base):
+    # the empty text is the width-0 string on both sides of the separator rule
+    ds = from_integer(0, base, 0)
+    assert ds.to_string() == ""
+    assert parse_digit_text("", base) == ds == DigitString(base, ())
+
+
+@pytest.mark.parametrize(
+    "text, base", [("1--2", 12), ("-1", 12), ("1-", 12), ("1-x", 37), ("1-2", 10), ("1x", 2)]
+)
+def test_parse_digit_text_quotes_a_malformed_text(text, base):
+    with pytest.raises(ValueError, match=re.escape(f"digit text {text!r}")):
+        parse_digit_text(text, base)
 
 
 @pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
@@ -163,11 +184,17 @@ def test_register_layout_width_is_cached_without_changing_the_dataclass():
 def test_register_layout_duplicate_names():
     with pytest.raises(ValueError):
         RegisterLayout(2, (("a", 1), ("a", 2)))
+    with pytest.raises(ValueError, match="base must be >= 2, got 1"):
+        RegisterLayout(1, (("a", 1),))
+    with pytest.raises(ValueError, match="register 'b' has negative size -1"):
+        RegisterLayout(2, (("a", 1), ("b", -1)))
 
 
 def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector(2, 2, np.zeros(3))
+    with pytest.raises(ValueError, match="base must be >= 2, got 1"):
+        StateVector(1, 2, np.ones(1))
     state = StateVector(2, 2, np.array([1, 0, 0, 0]))
     assert state.dense.size == 4
     assert state.norm_error() < 1e-12
@@ -230,6 +257,10 @@ def test_basis_state_wrong_width():
     layout = RegisterLayout(2, (("anc", 1), ("a0", 1)))
     with pytest.raises(ValueError):
         basis_state(layout, [DigitString(2, (0, 0)), DigitString(2, (0,))])
+    with pytest.raises(ValueError, match="layout has 2 register"):
+        basis_state(layout, [DigitString(2, (0,))])
+    with pytest.raises(ValueError, match="'anc' has base 3, layout has base 2"):
+        basis_state(layout, [DigitString(3, (0,)), DigitString(2, (0,))])
 
 
 def test_zero_state():

@@ -136,6 +136,12 @@ def test_measure_validates_selection():
         measure(state, [5], shots=4)
     with pytest.raises(ValueError):
         measure(state, [0], shots=0)
+    # a dense part off the unit norm, read from known digits and from a marginal
+    known = StateVector(2, 2, np.array([2.0, 0.0]), {0: 1})
+    with pytest.raises(RuntimeError, match="marginal probabilities sum to 4.0"):
+        measure(known, [0], shots=4)
+    with pytest.raises(RuntimeError, match="marginal probabilities sum to 4.0"):
+        measure(known, [0, 1], shots=4)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             StateVector(2, 2, np.array([bad, 0.0, 0.0, 0.0]))
