@@ -8,7 +8,8 @@
 # noise, one subtracts (the adder body is cached per sign), and one sums
 # fifty base-1000 inputs exactly, on digits.  A noisy readout of a
 # 100000**3 span, past the dense limit, draws each digit on its own and
-# exits 0.  Then the sweep the CLI writes a block at a time must be the
+# exits 0, and one of a 100000**2 span builds one flip column per digit,
+# not the 100000 x 100000 channel.  Then the sweep the CLI writes a block at a time must be the
 # library's CSV, and an export whose body text is kept must match the plain
 # writer on the first and on a repeated export.  A base-16 SUB export, whose
 # header and SHIFTs are written without the json module's indent encoder,
@@ -27,6 +28,7 @@ qftadd add --base 11 --digits 3 --inputs 1330,7,512 --noise 0.05 --shots 64
 qftadd sub --base 4 --digits 3 --inputs 60,7,9 | grep value=44
 qftadd add --base 1000 --digits 2 --inputs "$(python -c "print(','.join(['999999'] * 50))")" | grep value=49999950
 qftadd add --base 100000 --digits 2 --inputs 1,2 --noise 0.1 | grep value=3
+qftadd add --base 100000 --digits 1 --inputs 7 --noise 0.1 | grep value=7
 cmp <(qftadd sweep --bases 2,3,4,5,8 --max-capacity 4096) <(python -c "from qftadd import sweep, sweep_to_csv; print(sweep_to_csv(sweep([2, 3, 4, 5, 8], 4096)), end='')")
 python -c "
 import contextlib, io

@@ -351,8 +351,8 @@ def _write_ops(ops: Sequence[GateOp], parts: list[str]) -> None:
     cp_head, h_head, swap_head = (_OP_HEAD[kind] for kind in (cphase, hadamard, swap))
     shift = _shift
     # Plain dicts, filled when an op's pieces miss and the op is then
-    # written once more: a second miss raises its KeyError, so a fill that
-    # misses its own key fails instead of spinning.  A qudit miss renders
+    # written once more, which cannot miss: the fill adds the very keys it
+    # reads, the op's int qudits and its finite angle.  A qudit miss renders
     # the aligned block of 64 indices around it: filled one index at a
     # time, the misses made (2,16,64) 4.5 ms instead of 3.3 (2-core VM,
     # Python 3.11).  So at most 64 index texts are made per qudit the ops
@@ -361,7 +361,6 @@ def _write_ops(ops: Sequence[GateOp], parts: list[str]) -> None:
     names: dict[int, str] = {}
     thetas: dict[float, str] = {}
     append, extend = parts.append, parts.extend
-    filled = None  # the op whose pieces were filled last
     for op in ops:
         kind, q = op.kind, op.qudits
         while True:
@@ -378,9 +377,6 @@ def _write_ops(ops: Sequence[GateOp], parts: list[str]) -> None:
                     append(shift(q[0], op.k)[1])
                 break
             except KeyError:  # the call's first use of a qudit or a nonzero angle
-                if op is filled:  # its own fill missed a key
-                    raise
-                filled = op
                 for qi in q:
                     if qi not in names:
                         block = range(qi & -64, (qi | 63) + 1)

@@ -119,16 +119,15 @@ def parse_digit_text(text: str, base: int) -> DigitString:
     """Inverse of :meth:`DigitString.to_string` for the same base.
 
     The empty text is the width-0 string at any base.  Raises ValueError,
-    quoting ``text``, if a digit token is no decimal integer, such as the
-    empty token of ``"1--2"``.
+    quoting ``text``, unless each digit token is a run of ASCII decimal
+    digits: not the empty token of ``"1--2"``, nor a sign, a space, an
+    underscore or a non-ASCII digit, all of which ``int`` accepts.
     """
     separator = _separator(base)
     tokens = text.split(separator) if separator and text else text
-    try:
-        digits = tuple(map(int, tokens))
-    except ValueError:
-        raise ValueError(f"malformed base-{base} digit text {text!r}") from None
-    return DigitString(base, digits)
+    if not text.isascii() or not all(map(str.isdigit, tokens)):
+        raise ValueError(f"malformed base-{base} digit text {text!r}")
+    return DigitString(base, tuple(map(int, tokens)))
 
 
 def to_integer(digit_string: DigitString) -> int:

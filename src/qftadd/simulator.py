@@ -22,9 +22,10 @@ NoiseConfig, making every histogram reproducible bit for bit.  A readout of
 known digits, which ends every adder run from digits, builds no exact
 marginal.  Without noise it draws nothing: every shot reads those digits,
 as the draw would.  With noise, its marginal is the outer product of one
-channel column per digit, or, past the amplitude cap, each digit of each
-shot is drawn on its own.  The per-axis channel passes run only when a
-measured qudit is in the dense part.
+flip column per digit, or, past the amplitude cap, each digit of each shot
+is drawn on its own.  The d x d channel and its per-axis passes exist only
+when a measured qudit is in the dense part; the channel and the Hadamard
+are sized against ``core.MAX_AMPLITUDES`` before they are built.
 
 A full vector placed around digits, as ``probabilities()`` and
 ``amplitudes`` return, comes from a private anonymous map once it is
@@ -37,7 +38,6 @@ A histogram holds outcomes as integers; digit text is rendered, by
 
 from __future__ import annotations
 
-import cmath
 import collections
 import contextlib
 import functools
@@ -334,16 +334,17 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     turns a digit x into the ramp m = +-x*D/d, the DFT column x.  A
     HADAMARD on a ramp snaps it back to the digit -+m/(D/d) mod d, exactly,
     when D/d divides m.  A SHIFT adds to a digit; a SWAP renames its two
-    qudits, whatever their forms.  A CPHASE between two digits scales a
-    global float scalar; with a digit end at level x and a ramp end, and
-    an angle that is bit for bit one the builders write for +-2*pi/d**k
+    qudits, whatever their forms.  A CPHASE with a digit end at level 0 is
+    the identity; with a digit end at level x and a ramp end, and an angle
+    that is bit for bit one the builders write for +-2*pi/d**k
     (``circuit._turn``), it adds x times that angle's numerator +-D/d**k
     to m (phi-ADD).  Every other op, a SHIFT, another angle or a HADAMARD
     on a ramp that D/d does not divide among them, first widens its ramps
-    into trailing axes of the dense part and runs its gate kernel; a
-    CPHASE kernel reads a digit end as its level.  Ramps left at the end
-    are widened the same way, and the dense axes are put in increasing
-    qudit order.  So an adder run from digits ends all digits, at any base
+    into trailing axes of the dense part and runs its gate kernel.  A
+    CPHASE kernel reads a digit end as its level, so one between two
+    digits multiplies the dense part by its phase: there is no global
+    scalar.  Ramps left at the end are widened the same way, and the dense
+    axes are put in increasing qudit order.  So an adder run from digits ends all digits, at any base
     and width, and one without digits runs every other op on its kernel:
     the tests' reference.
 
@@ -364,7 +365,7 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     dense = [qi for qi in range(q) if qi not in digits]  # the axes of psi, in order
     # qudit -> numerator m of its phase ramp exp(2*pi*i*m*k/D)/sqrt(d)
     factors: dict[int, int] = {}
-    psi, scalar = state.dense, 1.0
+    psi = state.dense
     D, table = _numerators(d, q)
     column = D // d  # the numerator of 2*pi/d
     HADAMARD, CPHASE, SWAP, SHIFT = _HADAMARD, _CPHASE, _SWAP, _SHIFT  # local names, read per op
@@ -378,9 +379,6 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         if kind is CPHASE:
             x, y = digits.get(t), digits.get(qs[1])
             if x == 0 or y == 0:  # a digit end at level 0: identity
-                continue
-            if x is not None and y is not None:
-                scalar *= cmath.exp(1j * op.theta * x * y)
                 continue
             end, level = (t, y) if x is None else (qs[1], x)
             if level is not None and end in factors and (m := table.get(op.theta)):  # phi-ADD
@@ -426,11 +424,6 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         psi, dense = _widen(psi, d, dense, {qi: settle(qi) for qi in list(factors)})
     if dense != sorted(dense):  # the axes in increasing qudit order, as documented
         psi = psi.reshape((d,) * len(dense)).transpose(np.argsort(dense)).reshape(-1)
-    if scalar != 1.0:
-        if psi.size == 1:  # a Python product, not a numpy call
-            psi[0] = psi.item() * scalar
-        else:
-            psi *= scalar
     state.dense, state.digits = psi, digits
     drift = state.norm_error()
     if not drift <= FINAL_NORM_ATOL:
@@ -463,10 +456,10 @@ def phase(psi: np.ndarray, d: int, m: int, axes: Sequence[int], table: np.ndarra
     """Scale psi in place by ``table[x, y, ...]`` at levels x, y, ... on ``axes``.
 
     The kernel of every CPHASE that reaches the dense part: the diagonal
-    ``exp(i*theta*x*y)`` with two dense ends, or with one and the other's
-    level fixed.  ``table`` holds ``d**len(axes)`` entries in any shape, for
-    one or two axes; with two it must be symmetric, as ``exp(i*theta*x*y)``
-    is.
+    ``exp(i*theta*x*y)`` with two dense ends, with one and the other's
+    level fixed, or with none, both levels fixed: one phase on all of psi.
+    ``table`` holds ``d**len(axes)`` entries in any shape, for up to two
+    axes; with two it must be symmetric, as ``exp(i*theta*x*y)`` is.
     """
     view = _view(psi, d, m, axes)
     view *= table.reshape((d, 1) * len(axes))
@@ -488,9 +481,17 @@ def apply_op(psi: np.ndarray, d: int, m: int, op: GateOp, axes: Sequence[int]) -
 _BLOCK_HADAMARD_MAX = 64
 
 
+def _check_square(d: int, name: str) -> None:
+    """Raise ValueError if the d x d matrix ``name`` exceeds MAX_AMPLITUDES entries."""
+    if d * d > MAX_AMPLITUDES:
+        limit = f"over the limit of {MAX_AMPLITUDES}"
+        raise ValueError(f"the {d} x {d} {name} needs {d}**2 entries, {limit}")
+
+
 @functools.lru_cache(maxsize=64)
 def _dft(d: int, dagger: bool) -> np.ndarray:
     """d-level Hadamard: entry (m, j) = exp(2*pi*i*j*m/d) / sqrt(d); cached, read-only."""
+    _check_square(d, "Hadamard")
     levels = np.arange(d)
     sign = -1.0 if dagger else 1.0
     dft = np.exp(sign * 2j * np.pi * np.outer(levels, levels) / d) / np.sqrt(d)
@@ -542,9 +543,10 @@ def _marginal(state: StateVector, qudits: Sequence[int]) -> np.ndarray:
     return _placed(probs.reshape(-1), d, qudits, known)
 
 
-def _noisy_read(channel: np.ndarray, digits: Sequence[int]) -> np.ndarray:
+def _noisy_read(d: int, p: float, digits: Sequence[int]) -> np.ndarray:
     """The noisy marginal of known ``digits``, MSB first: the outer product of
-    their ``channel`` columns, since each digit flips alone.
+    one flip column per digit, ``p/(d-1)`` with ``1-p`` at the digit, since
+    each digit flips alone: O(width * d) floats, not the d x d channel.
 
     It equals bit for bit what ``measure``'s per-axis passes give from the
     one-hot marginal.  Each entry is the same product of channel entries,
@@ -552,10 +554,12 @@ def _noisy_read(channel: np.ndarray, digits: Sequence[int]) -> np.ndarray:
     leave theirs, so that its sum adds them in the same order; that axis
     then moves innermost, to read MSB first.
     """
-    cols = [channel[:, x] for x in digits]
+    cols = [np.full(d, p / (d - 1)) for _ in digits]
+    for col, x in zip(cols, digits):
+        col[x] = 1.0 - p
     probs = np.multiply.outer(cols[-1], functools.reduce(np.multiply.outer, cols[:-1], 1.0))
     probs /= probs.sum()
-    return probs.reshape(len(channel), -1).T.reshape(-1)
+    return probs.reshape(d, -1).T.reshape(-1)
 
 
 def _read_each(digits: Sequence[int], d: int, p: float, shots: int, seed: int) -> dict[int, int]:
@@ -631,24 +635,26 @@ def measure(
     qudits, shots, noise) give identical histograms.
 
     When every measured qudit is a digit of ``state``, the marginal is
-    one-hot.  Without noise the draw puts every shot on it, so the
-    histogram is that outcome with all shots, built with no marginal and no
-    draw, at any width.  With noise, the noisy marginal is built directly as
-    the outer product of one channel column per digit, bit for bit what the
-    passes give.  Past ``core.MAX_AMPLITUDES`` outcomes there is no
+    one-hot, and one branch reads it.  Without noise the draw puts every
+    shot on it, so the histogram is that outcome with all shots, built with
+    no marginal and no draw, at any width.  With noise, the noisy marginal
+    is built directly as the outer product of one flip column per digit
+    (``_noisy_read``), bit for bit what the passes give, and no d x d
+    channel exists.  Past ``core.MAX_AMPLITUDES`` outcomes there is no
     marginal: each shot draws each digit on its own, a flip with the
     noise's probability to a uniform other level, from a generator seeded
     as the draw's, and the shots are tallied in int64 wherever
     ``d**len(qudits)`` fits (``_read_each``).  Only a readout with a
     measured qudit in the dense part builds the exact marginal, placing its
-    known digits through ``_placed``, and runs the passes, at
-    O(width * d**(width+1)).
+    known digits through ``_placed``, and, with noise, the channel and its
+    passes, at O(width * d**(width+1)).
 
     Raises ValueError, before allocating, if ``shots * len(qudits)``
     exceeds ``MAX_SHOT_DIGITS``, or if a measured qudit is in the dense
-    part and the ``d**len(qudits)`` entries of the marginal exceed
-    ``core.MAX_AMPLITUDES``.  Raises RuntimeError if the state's
-    probabilities sum to more than ``FINAL_NORM_ATOL`` off 1.
+    part and the ``d**len(qudits)`` entries of the marginal, or with noise
+    the d x d entries of the channel, exceed ``core.MAX_AMPLITUDES``.
+    Raises RuntimeError if the state's probabilities sum to more than
+    ``FINAL_NORM_ATOL`` off 1.
     """
     qudits = [operator.index(x) for x in qudits]
     if not qudits:
@@ -664,8 +670,7 @@ def measure(
     if noise is None:
         noise = NoiseConfig()
     d, known, p = state.base, state.digits, noise.readout_flip_probability
-    read = known.keys() >= distinct
-    if read:  # the marginal is one-hot on the known digits
+    if known.keys() >= distinct:  # the marginal is one-hot on the known digits
         total = _weight(state.dense)
         if not abs(total - 1.0) <= FINAL_NORM_ATOL:
             raise RuntimeError(f"marginal probabilities sum to {total!r}")
@@ -674,22 +679,21 @@ def measure(
             for qi in qudits:  # MSB first
                 value = value * d + known[qi]
             return _histogram(d, width, {value: shots})
+        levels = [known[qi] for qi in qudits]
         if d**width > MAX_AMPLITUDES:  # no marginal: each digit drawn on its own
-            levels = [known[qi] for qi in qudits]
             return _histogram(d, width, _read_each(levels, d, p, shots, noise.seed))
-    _check_size(d, width)
-    if p > 0.0:
-        channel = np.full((d, d), p / (d - 1))
-        np.fill_diagonal(channel, 1.0 - p)
-    if read:  # with noise: a noiseless read returned above
-        marginal = _noisy_read(channel, [known[qi] for qi in qudits])
+        marginal = _noisy_read(d, p, levels)
     else:
+        _check_size(d, width)
         marginal = _marginal(state, qudits)
         total = float(marginal.sum())
         if not abs(total - 1.0) <= FINAL_NORM_ATOL:
             raise RuntimeError(f"marginal probabilities sum to {total!r}")
         marginal = marginal / total
         if p > 0.0:
+            _check_square(d, "readout channel")
+            channel = np.full((d, d), p / (d - 1))
+            np.fill_diagonal(channel, 1.0 - p)
             probs = marginal.reshape((d,) * width)
             for ax in range(width):
                 probs = np.moveaxis(np.tensordot(channel, probs, axes=(1, ax)), 0, ax)

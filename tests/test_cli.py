@@ -301,8 +301,13 @@ def test_size_checked_before_building(capsys, monkeypatch):
 
 def test_add_reads_a_noisy_span_past_the_cap(capsys):
     # (2,30,3) has a 32-qubit span and (100000,2,2) a 100000**3 one: both over
-    # the dense limit, read as digits without noise and drawn per digit with it
-    cases = [("2", "30", "1,2,3", "0.01", 6), ("100000", "2", "1,2", "0.1", 3)]
+    # the dense limit, read as digits without noise and drawn per digit with
+    # it.  (100000,1,1)'s span is under it, but its 100000 x 100000 channel
+    # is not: a readout of known digits builds one flip column per digit.
+    cases = [
+        ("2", "30", "1,2,3", "0.01", 6), ("100000", "2", "1,2", "0.1", 3),
+        ("100000", "1", "7", "0.1", 7),
+    ]
     for base, digits, inputs, noise, value in cases:
         args = ["add", "--base", base, "--digits", digits, "--inputs", inputs, "--shots", "64"]
         code, out, err = run_cli(args, capsys)

@@ -127,7 +127,13 @@ def test_round_trip_at_width_zero(base):
 
 
 @pytest.mark.parametrize(
-    "text, base", [("1--2", 12), ("-1", 12), ("1-", 12), ("1-x", 37), ("1-2", 10), ("1x", 2)]
+    "text, base",
+    [
+        ("1--2", 12), ("-1", 12), ("1-", 12), ("1-x", 37), ("1-2", 10), ("1x", 2),
+        # tokens int() reads, but no digit text: an underscore, a space and a
+        # sign, and a non-ASCII decimal digit
+        ("1_0-3", 12), (" 1-+2", 12), ("\u0663", 10),
+    ],
 )
 def test_parse_digit_text_quotes_a_malformed_text(text, base):
     with pytest.raises(ValueError, match=re.escape(f"digit text {text!r}")):

@@ -447,6 +447,79 @@ def test_execute_digit_tracking_matches_dense_on_adders():
     assert checked == 188
 
 
+def _superposed_designs(rng):
+    """A seeded grid of (d, n, count) with d in 2..16 and at most 2**14
+    amplitudes: every d, each with one n and count drawn among those that fit."""
+    for d in range(2, 17):
+        fits = [
+            (n, count)
+            for n in range(1, 4)
+            for count in range(2, 6)
+            if d ** AdderSpec(d, n, count, Mode.ADD, (0,) * count).layout.total_qudits <= 2**14
+        ]
+        if fits:
+            yield (d, *fits[rng.integers(len(fits))])
+
+
+def test_adder_permutes_a_superposed_state_exactly():
+    # Draper's adder adds into any span value s (anc and a0 together):
+    # |s, a1, .., a{N-1}> goes to |s +- (a1 + .. + a{N-1}) mod d**w, a1, ..>.
+    # So on a random complex state every amplitude, with its phase, lands
+    # on its permuted index; the want is built by indexing, not by execute.
+    rng = np.random.default_rng(47)
+    checked = 0
+    for d, n, count in [(2, 2, 3), (4, 1, 4), (12, 1, 2), *_superposed_designs(rng)]:
+        for mode in Mode:
+            spec = AdderSpec(d, n, count, mode, (0,) * count)
+            layout = spec.layout
+            q, w = layout.total_qudits, layout.register_start(2)
+            psi = rng.normal(size=d**q) + 1j * rng.normal(size=d**q)
+            psi /= np.linalg.norm(psi)
+            out = execute(build_full_adder(spec), StateVector(d, q, psi)).amplitudes
+            shape = (d**w, *[d**n] * (count - 1))
+            index = np.indices(shape, sparse=True)
+            want = np.zeros(shape, dtype=complex)
+            want[((index[0] + mode.sign * sum(index[1:])) % d**w, *index[1:])] = psi.reshape(shape)
+            assert np.max(np.abs(out - want.reshape(-1))) <= 1e-12, (d, n, count, mode)
+            checked += 1
+    assert checked == 2 * 18
+
+
+def test_adder_on_uniform_inputs_reads_their_convolution():
+    # a0 a seeded digit value, a1..a{N-1} each put in a uniform superposition
+    # by HADAMARDs after the encoding shifts: the span marginal is a0 plus
+    # (or minus) the convolution of the uniform inputs, mod d**w
+    rng = np.random.default_rng(1)
+    checked = 0
+    for d, n, count in [(2, 2, 3), (3, 1, 4), (5, 1, 3), *_superposed_designs(rng)]:
+        for mode in Mode:
+            inputs = tuple(int(rng.integers(0, d**n)) for _ in range(count))
+            spec = AdderSpec(d, n, count, mode, inputs)
+            circuit = build_full_adder(spec)
+            layout = circuit.layout
+            # by name: "anc" also starts with "a"
+            sources = [
+                qi
+                for i, (name, _) in enumerate(layout.registers)
+                if name[0] == "a" and name[1:].isdigit() and name != "a0"
+                for qi in layout.register_range(i)
+            ]
+            assert len(sources) == (count - 1) * n
+            (encoded,) = [hi for name, _, hi in circuit.labels if name == "encode"]
+            hadamards = tuple(GateOp(GateKind.HADAMARD, (qi,)) for qi in sources)
+            ops = circuit.ops[:encoded] + hadamards + circuit.ops[encoded:]
+            state = execute(Circuit(d, layout, ops))
+            w = layout.register_start(2)
+            span = state.probabilities().reshape(d**w, -1).sum(axis=1)
+            want = np.zeros(d**w)
+            want[inputs[0]] = 1.0
+            for _ in range(count - 1):  # one uniform input at a time
+                want = sum(np.roll(want, mode.sign * u) for u in range(d**n)) / d**n
+            assert np.max(np.abs(span - want)) <= 1e-12, (d, n, count, mode)
+            checked += 1
+    assert checked == 2 * 18
+
+
 def test_execute_digit_tracking_matches_dense_on_mixed_circuit(monkeypatch):
     kernels = _spy(monkeypatch, "apply_op")
     d = 3
@@ -661,6 +734,27 @@ def test_size_limits_fail_before_allocating():
     state = zero_state(RegisterLayout(2, (("r", 2),)))
     with pytest.raises(ValueError, match=f"{2**25} digits"):
         measure(state, [0, 1], shots=2**24)
+    # one qudit at d = 100000 fits, but a d x d matrix of it would take
+    # 74.5 GiB: the Hadamard a dense HADAMARD needs, and the readout channel
+    # of a noisy dense readout
+    d = 100000
+    flip = Circuit(d, RegisterLayout(d, (("r", 1),)), (
+        GateOp(GateKind.HADAMARD, (0,)), GateOp(GateKind.SHIFT, (0,), k=1), GateOp(GateKind.HADAMARD, (0,))
+    ))
+    uniform = StateVector(d, 1, np.full(d, d**-0.5))
+    cases = [
+        ("Hadamard", lambda: execute(flip)),
+        ("readout channel", lambda: measure(uniform, [0], 10, NoiseConfig(0.1, 1))),
+    ]
+    for name, call in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{d} x {d} {name} needs {d}\\*\\*2 entries"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24, (name, peak)
 
 
 def _traced_peak(call):
