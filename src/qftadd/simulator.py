@@ -329,29 +329,28 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
 
     The default start is ``zero_state(circuit.layout)``.  While it runs,
     each qudit is a digit, a phase ramp ``exp(2*pi*i*m*k/D)/sqrt(d)`` at
-    level k held as its integer numerator m over a power D of d (in tensor
-    product with the rest), or an axis of the dense part.  A HADAMARD
-    turns a digit x into the ramp m = +-x*D/d, the DFT column x.  A
-    HADAMARD on a ramp snaps it back to the digit -+m/(D/d) mod d, exactly,
-    when D/d divides m.  A SHIFT adds to a digit; a SWAP renames its two
+    level k held as its integer numerator m over a power D of d, or an
+    axis of the dense part.  A HADAMARD turns a digit x into the ramp
+    m = +-x*D/d, and snaps a ramp back to the digit -+m/(D/d) mod d when
+    D/d divides m.  A SHIFT adds to a digit; a SWAP renames its two
     qudits, whatever their forms.  A CPHASE with a digit end at level 0 is
-    the identity; with a digit end at level x and a ramp end, and an angle
-    that is bit for bit one the builders write for +-2*pi/d**k
-    (``circuit._turn``), it adds x times that angle's numerator +-D/d**k
-    to m (phi-ADD).  Every other op, a SHIFT, another angle or a HADAMARD
-    on a ramp that D/d does not divide among them, first widens its ramps
-    into trailing axes of the dense part and runs its gate kernel.  A
-    CPHASE kernel reads a digit end as its level, so one between two
-    digits multiplies the dense part by its phase: there is no global
-    scalar.  Ramps left at the end are widened the same way, and the dense
-    axes are put in increasing qudit order.  So an adder run from digits ends all digits, at any base
-    and width, and one without digits runs every other op on its kernel:
-    the tests' reference.
+    the identity; with a digit end at level x, a ramp end and an angle bit
+    for bit one the builders write for +-2*pi/d**k (``circuit._turn``), it
+    adds x times that angle's numerator +-D/d**k to m (phi-ADD).  Every
+    other op first widens its ramps into trailing axes of the dense part
+    and runs its kernel.  A CPHASE kernel reads a digit end as its level
+    and builds the d levels only for a dense end, so one between two
+    nonzero digits multiplies the dense part by one phase, at any base.
+    Ramps left at the end are widened the same way, and the dense axes
+    are put in increasing qudit order.  So an adder run from digits ends
+    all digits, at any base and width, and one without digits runs every
+    other op on its kernel: the tests' reference.
 
     Raises ValueError, before allocating, if a widening would exceed
     ``core.MAX_AMPLITUDES``.  ``initial`` is then unchanged if no op had
-    reached its dense part; otherwise its ``digits`` are as given and its
-    ``dense`` is the dense part at the refused op: no longer one state.
+    reached its dense part, a CPHASE between two nonzero digits among
+    them; otherwise its ``digits`` are as given and its ``dense`` is the
+    dense part at the refused op: no longer one state.
     Raises RuntimeError if the final norm drifts from 1 by more than 1e-9:
     an ``initial`` that was not normalized, or a broken gate.
     """
@@ -414,9 +413,10 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             state.dense = psi
         axes = [dense.index(qi) for qi in qs if qi not in digits]
         if kind is CPHASE:
-            # a dense end ranges over the levels, the first along a column
-            levels = np.arange(d)
-            x, y = digits.get(t, levels[:, None]), digits.get(qs[1], levels)
+            x, y = digits.get(t), digits.get(qs[1])
+            if axes:  # a dense end ranges over the levels, the first along a column
+                levels = np.arange(d)
+                x, y = levels[:, None] if x is None else x, levels if y is None else y
             phase(psi, d, len(dense), axes, np.exp(1j * op.theta * x * y))
         else:
             psi = state.dense = apply_op(psi, d, len(dense), op, axes)

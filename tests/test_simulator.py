@@ -124,6 +124,13 @@ def test_zero_states_share_no_amplitude():
     assert [state.dense.tolist() for state in runs] == [[cmath.exp(0.7j)]] * 2
     assert runs[0].dense is not runs[1].dense
     assert one.tolist() == [1 + 0j]
+    # past int64 levels the phase is one product: no row of d levels is built
+    d = 2**64 + 13
+    layout = RegisterLayout(d, (("r", 2),))
+    shifts = (GateOp(GateKind.SHIFT, (0,), k=d - 1), GateOp(GateKind.SHIFT, (1,), k=2**63))
+    state = execute(Circuit(d, layout, (*shifts, GateOp(GateKind.CPHASE, (0, 1), theta=0.7))))
+    assert state.digits == {0: d - 1, 1: 2**63} and state.dense.size == 1
+    assert abs(state.dense[0] - cmath.exp(1j * 0.7 * (d - 1) * 2**63)) < 1e-12
 
 
 def test_measure_validates_selection():
