@@ -9,14 +9,16 @@
 # fifty base-1000 inputs exactly, on digits.  A noisy readout of a
 # 100000**3 span, past the dense limit, draws each digit on its own and
 # exits 0, and one of a 100000**2 span builds one flip column per digit,
-# not the 100000 x 100000 channel.  Then the sweep the CLI writes a block at a time must be the
-# library's CSV, and an export whose body text is kept must match the plain
-# writer on the first and on a repeated export.  A base-16 SUB export, whose
-# header and SHIFTs are written without the json module's indent encoder,
-# must be the text json.dumps(indent=2) makes of its own parse, an oracle
-# apart from the writer.  Last, an empty token in
-# --inputs exits 2 naming the flag (the status is captured, as the script
-# runs under bash -e).
+# not the 100000 x 100000 channel.  Then the sweep the CLI writes a block
+# at a time must be the library's CSV, and an export whose header and body
+# texts are kept must match the plain writer on the first and on a
+# repeated export.  A base-16 SUB export, whose op list is written without
+# the json module's indent encoder, must be the text json.dumps(indent=2)
+# makes of its own parse, an oracle apart from the writer.  Last, an empty
+# token in --inputs exits 2 naming the flag, and a 100-million-digit add
+# exits 2 naming --shots within 10 s: its input check builds no 3**10**8,
+# which alone takes minutes (each status is captured, as the script runs
+# under bash -e).
 set -euo pipefail
 
 qftadd gate-count --base 4 --digits 3 --num-inputs 5 --verify
@@ -51,3 +53,6 @@ assert text == json.dumps(json.loads(text), indent=2) + '\\n'
 status=0; err=$(qftadd add --base 2 --digits 2 --inputs 1,,2 2>&1 >/dev/null) || status=$?
 test "$status" -eq 2
 grep -q -e --inputs <<< "$err"
+status=0; err=$(timeout 10 qftadd add --base 3 --digits 100000000 --inputs 1 2>&1 >/dev/null) || status=$?
+test "$status" -eq 2
+grep -q -e --shots <<< "$err"

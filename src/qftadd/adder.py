@@ -18,7 +18,7 @@ from enum import Enum
 from .circuit import (
     _CPHASE, Circuit, GateOp, _Body, _check_span, _circuit, _qft_ladder, _shift, _turn,
 )
-from .core import RegisterLayout
+from .core import RegisterLayout, _below
 
 
 class Mode(Enum):
@@ -93,12 +93,11 @@ class AdderSpec:
             raise ValueError(
                 f"expected {self.num_inputs} inputs, got {len(self.inputs)}"
             )
-        limit = self.base**self.digits_per_input
+        d, n = self.base, self.digits_per_input
         for i, value in enumerate(self.inputs):
-            if not 0 <= value < limit:
+            if value < 0 or not _below(value, d, n):
                 raise ValueError(
-                    f"input {i} is {value}, must be in [0, {limit}) for "
-                    f"{self.digits_per_input} base-{self.base} digits"
+                    f"input {i} is {value}, must be in [0, {d}**{n}) for {n} base-{d} digits"
                 )
 
     @property
@@ -131,13 +130,14 @@ def _fan(d: int, q_f: int, source: range, sign: int) -> list[GateOp]:
 # each op of its QFT and IQFT, which ``_qft_ladder`` keeps: the fans of
 # (2,16,64) are 14,616 ops, about 3.0 MB traced.  Once the design is
 # exported the entry also holds the JSON text of its body, about 120 B per
-# op: 1.9 MB for (2,16,64).  256 entries, because perfbench's batch-small
-# deals its 300 specs over up to 135 designs, and a 128-entry cache,
-# missing on every one of them in turn, doubled their build.
+# op (1.9 MB for (2,16,64)), and of its header, about 50 B per register.
+# 256 entries, because perfbench's batch-small deals its 300 specs over up
+# to 135 designs, and a 128-entry cache, missing on every one of them in
+# turn, doubled their build.
 @functools.lru_cache(maxsize=256)
 def _design_body(d: int, n: int, num_inputs: int, sign: int) -> _Body:
     """Every op of one adder design after its encoding shifts, their labels
-    and kind tally, and the JSON text once the design is exported.
+    and kind tally, and the JSON texts once the design is exported.
 
     The ops are the QFT on the span, the fan of each of registers
     2..num_inputs (``n*t + n*(n+1)//2`` ops each) and the IQFT; the labels

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import RegisterLayout
+from .core import RegisterLayout, _below
 
 
 class GateKind(Enum):
@@ -152,14 +152,15 @@ def _tally(ops: Sequence[GateOp]) -> dict[GateKind, int]:
 
 class _Body:
     """One adder design's ops after its encoding shifts, their labels and
-    kind tally, and, from the design's first export on, the JSON text of the
-    ops as ``circuit_to_json`` writes them inside the op list."""
+    kind tally, and, from the design's first export on, two texts of
+    ``circuit_to_json``: ``head``, the design's JSON through the ``[\\n``
+    that opens the op list, and ``json``, the ops as written inside it."""
 
-    __slots__ = ("ops", "labels", "tally", "json")
+    __slots__ = ("ops", "labels", "tally", "head", "json")
 
     def __init__(self, ops: tuple[GateOp, ...], labels: tuple[tuple[str, int, int], ...]):
         self.ops, self.labels, self.tally = ops, labels, _tally(ops)
-        self.json: str | None = None
+        self.head = self.json = None
 
 
 def _circuit(layout: RegisterLayout, ops: tuple, labels: tuple, body: _Body) -> Circuit:
@@ -193,7 +194,7 @@ _MAX_TURN = 2**1022
 def _check_span(d: int, width: int) -> None:
     """Raise ValueError if a Fourier span of ``width`` base-``d`` qudits needs
     an angle 2*pi/d**width past ``_MAX_TURN``."""
-    if d**width > _MAX_TURN:
+    if _below(_MAX_TURN, d, width):
         raise ValueError(
             f"a Fourier span of {width} base-{d} qudits needs the angle "
             f"2*pi/{d}**{width}, and {d}**{width} is over the limit of 2**1022"
@@ -280,49 +281,45 @@ _DAGGER_TAIL = '\n      ],\n      "dagger": true\n    },\n'
 _THETA_TAIL = '\n      ],\n      "theta": {!r}\n    }},\n'
 
 
+def _head(circuit: Circuit) -> str:
+    """The text ``json.dumps(payload, indent=2)`` writes for ``circuit``'s
+    payload up to its op list: everything before the ``[`` that opens it."""
+    registers = [{"name": name, "size": size} for name, size in circuit.layout.registers]
+    payload = {"base": circuit.base, "registers": registers, "ops": []}
+    return json.dumps(payload, indent=2)[:-4]  # less the empty op list's "[]\n}"
+
+
 def circuit_to_json(circuit: Circuit) -> str:
     """Serialize as {base, registers, ops}; angles are IEEE doubles.
 
-    The bytes are those of ``json.dumps(payload, indent=2) + "\\n"``, but no
-    ``indent`` encoder runs: it is pure Python, and took 0.18 ms for the
-    65 registers of (2,16,64).  The header is fixed text around
-    ``json.dumps`` of the base and of each register name, which escapes
-    them as the payload's encoder does.  The op list, whose fields are
-    ints, finite floats and fixed ASCII names, is one ``"".join`` of shared
-    pieces written by ``_write_ops``.  An op adds references to those
-    strings, and the output is copied once.
+    The bytes are those of ``json.dumps(payload, indent=2) + "\\n"``.  The
+    header, up to the op list, is that encoder's text of the payload with
+    no ops (``_head``).  The op list, whose fields are ints, finite floats
+    and fixed ASCII names, is one ``"".join`` of shared pieces written by
+    ``_write_ops``, with no ``indent`` encoder run on it: that encoder is
+    pure Python.  An op adds references to those strings, and the output
+    is copied once.
 
     A circuit from ``build_full_adder`` carries its design's cached body.
-    On the design's first export the body's ops are written that way and
-    joined into one text kept with the body, so every export of the design
-    writes only its encoding shifts, each one cached text, and joins that
-    text.
+    On the design's first export the header and the body's ops are
+    written that way and kept with the body as two texts, since both
+    depend on the design alone.  Every export of the design joins the
+    kept header, the cached text of each encoding shift and the kept body
+    text, and runs no encoder.
     """
-    registers = ",".join([
-        f'\n    {{\n      "name": {json.dumps(name)},\n      "size": {size}\n    }}'
-        for name, size in circuit.layout.registers
-    ])
-    parts = [
-        f'{{\n  "base": {json.dumps(circuit.base)},\n  "registers": [',
-        f"{registers}\n  ]" if registers else "]",
-    ]
-    if not circuit.ops:
-        parts.append(',\n  "ops": []\n}\n')
-        return "".join(parts)
-    parts.append(',\n  "ops": [\n')
     body = circuit.__dict__.get("_body")
     if body is None:
+        if not circuit.ops:
+            return _head(circuit) + "[]\n}\n"
+        parts = [_head(circuit), "[\n"]
         _write_ops(circuit.ops, parts)
     else:
         if body.json is None:
             text: list[str] = []
             _write_ops(body.ops, text)
-            body.json = "".join(text)
+            body.head, body.json = _head(circuit) + "[\n", "".join(text)
         encode = circuit.ops[: len(circuit.ops) - len(body.ops)]
-        if encode:
-            _write_ops(encode, parts)
-            parts.append(",\n")
-        parts.append(body.json)
+        parts = [body.head, *[_shift(op.qudits[0], op.k)[1] for op in encode], body.json]
     parts.append("\n  ]\n}\n")
     return "".join(parts)
 
@@ -335,8 +332,8 @@ def _shift(qudit: int, k: int) -> tuple[GateOp, str]:
     """The SHIFT by ``k`` on ``qudit``, built and validated once while
     cached, and its text in the op list through the ``",\\n"`` before the
     next op.  ``adder`` builds its encoding shifts from it, so the ops of
-    two adders are shared where their input digits agree, and
-    ``_write_ops`` writes every SHIFT from it."""
+    two adders are shared where their input digits agree, and every SHIFT
+    is written from its text."""
     op = GateOp(_SHIFT, (qudit,), k=k)
     return op, f'{_OP_HEAD[_SHIFT]}{qudit}\n      ],\n      "k": {k}\n    }},\n'
 

@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import _CPHASE, _HADAMARD, _MAX_TURN, _SHIFT, _SWAP, Circuit, GateOp, _turn
-from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _check_size, _digit_text
+from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _below, _check_size, _digit_text
 
 FINAL_NORM_ATOL = 1e-9
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
@@ -101,11 +101,12 @@ class StateVector:
                 raise ValueError(f"digit {level} out of range for base {self.base}")
         # its own writable copy: the caller's array may be read-only, or another state's
         self.dense = np.array(self.dense, dtype=np.complex128).reshape(-1)
-        free = self.num_qudits - len(self.digits)
-        if self.dense.shape[0] != self.base**free:
+        free, size = self.num_qudits - len(self.digits), self.dense.shape[0]
+        # size != base**free, building no power past twice size's bits
+        if _below(size, self.base, free) or not _below(size - 1, self.base, free):
             raise ValueError(
-                f"expected {self.base**free} amplitudes for {free} "
-                f"base-{self.base} qudits, got {self.dense.shape[0]}"
+                f"expected {self.base}**{free} amplitudes for {free} "
+                f"base-{self.base} qudits, got {size}"
             )
         if not np.isfinite(self.dense).all():
             raise ValueError("amplitudes must be finite, got NaN or infinity")
@@ -277,10 +278,10 @@ class Histogram:
         tallies = {operator.index(v): operator.index(c) for v, c in self.tallies.items()}
         if not tallies:
             raise ValueError("a histogram needs at least one outcome")
-        size = self.base**self.width
+        d, width = self.base, self.width
         for value, count in tallies.items():
-            if not 0 <= value < size:
-                raise ValueError(f"outcome {value} out of range [0, {size})")
+            if value < 0 or not _below(value, d, width):
+                raise ValueError(f"outcome {value} out of range [0, {d}**{width})")
             if count < 1:
                 raise ValueError(f"count for outcome {value} must be >= 1, got {count}")
         object.__setattr__(self, "tallies", MappingProxyType(dict(sorted(tallies.items()))))
@@ -413,7 +414,6 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             state.dense = psi
         axes = [dense.index(qi) for qi in qs if qi not in digits]
         if kind is CPHASE:
-            x, y = digits.get(t), digits.get(qs[1])
             if axes:  # a dense end ranges over the levels, the first along a column
                 levels = np.arange(d)
                 x, y = levels[:, None] if x is None else x, levels if y is None else y

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,16 @@ def test_a_span_past_the_float_range_is_refused_before_building():
         build_full_adder(spec)
     with pytest.raises(ValueError, match=r"111 base-1000 qudits .* 2\*\*1022"):
         build_adder_component(spec.layout, 2, 1)
+    # and with no power built: 3**10**7 alone takes seconds and 2 MB
+    wide = RegisterLayout(3, (("anc", 0), ("a0", 10**7), ("b", 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"10000000 base-3 qudits .* 3\*\*10000000 is over"):
+            build_adder_component(wide, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_component_shifts_fourier_state():

@@ -29,6 +29,7 @@ from qftadd import (
     execute,
     zero_state,
 )
+from qftadd import circuit as circuit_module
 from qftadd.adder import _design_body
 from qftadd.circuit import _shift
 
@@ -329,6 +330,31 @@ def test_an_adders_json_is_the_plain_writers_on_first_and_repeated_export():
         assert circuit_to_json(circuits[0]) == reference_json(circuits[0])
         # the stored text is the body's own op list, ops joined by ",\n"
         assert json.loads(f"[{body.json}]") == json.loads(circuit_to_json(circuits[0]))["ops"]
+
+
+def test_a_repeated_adder_export_runs_no_encoder(monkeypatch):
+    # after a design's first export, another adder of the design joins the
+    # kept header, its SHIFT texts and the kept body text
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for d, n, N, mode in [(2, 16, 64, Mode.ADD), (3, 8, 12, Mode.SUB), (16, 3, 40, Mode.SUB)]:
+        circuit_to_json(build_full_adder(AdderSpec(d, n, N, mode, (1,) * N)))
+        other = build_full_adder(AdderSpec(d, n, N, mode, tuple((7 * i + 3) % d**n for i in range(N))))
+        with monkeypatch.context() as patch:
+            patch.setattr(circuit_module.json, "dumps", spy("dumps", json.dumps))
+            patch.setattr(circuit_module, "_write_ops", spy("_write_ops", circuit_module._write_ops))
+            text = circuit_to_json(other)
+            assert calls == [], (d, n, N, mode)
+            want = circuit_to_json(plain(other))  # the body-less path runs both
+            assert calls == ["dumps", "_write_ops"]
+            calls.clear()
+        assert text == want == reference_json(other)
 
 
 def test_an_adders_body_is_private():

@@ -175,6 +175,12 @@ def test_validation_failures_name_the_flag(capsys):
         # over the shot limit, rejected before the state or samples exist
         (["add", "--base", "2", "--digits", "1", "--inputs", "1,1",
           "--shots", str(2**24)], "--shots", f"{2**25} digits"),
+        # and before any base**digits is built: 3**10**8 would take minutes
+        (["add", "--base", "3", "--digits", str(10**8), "--inputs", "1"], "--shots",
+         f"{1024 * 10**8} digits"),
+        # a bound past Python's 4,300-digit limit on int text, as base**digits
+        (["add", "--base", "10", "--digits", "5000", "--inputs=-1"], "--base/--digits/--inputs",
+         "input 0 is -1, must be in [0, 10**5000) for 5000 base-10 digits"),
     ]
     for args, flag, reason in cases:
         code, _, err = run_cli(args, capsys)

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qftadd import (
     to_integer,
     zero_state,
 )
+from qftadd.core import _below
 
 _PAIR = zero_state(RegisterLayout(2, (("r", 2),)))
 
@@ -100,6 +102,50 @@ def test_from_integer_overflow():
         from_integer(0, 1, 2)
     with pytest.raises(ValueError, match="width must be >= 0, got -1"):
         from_integer(0, 2, -1)
+    # the bound is exact where base**width has the value's bits or twice them
+    assert from_integer(3**40 - 1, 3, 40).digits == (2,) * 40
+    with pytest.raises(ValueError, match="does not fit in 40 base-3 digit"):
+        from_integer(3**40, 3, 40)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 7, 8, 10, 16, 255, 256, 257, 2**64 + 13])
+def test_below_is_value_under_the_power(base):
+    for width in range(7):
+        power = base**width
+        for value in (-power - 1, -1, 0, 1, power - 1, power, power + 1, 2 * power, power**2):
+            assert _below(value, base, width) == (value < power), (value, width)
+
+
+def test_a_huge_width_builds_no_power():
+    # at 10**6 digits, 3**10**6 alone takes 198 KB; each check, the error
+    # message included, stays far under it, and a power past Python's
+    # 4,300-digit limit on int text is written as base**width
+    cases = [
+        (lambda: AdderSpec(3, 10**6, 1, Mode.ADD, (1,)), None),
+        (lambda: AdderSpec(3, 10**6, 2, Mode.ADD, (1, -1)), r"input 1 is -1, must be in \[0, 3\*\*1000000\)"),
+        (lambda: Histogram(3, 10**6, {5: 2}), None),
+        (lambda: Histogram(3, 10**6, {-1: 1}), r"outcome -1 out of range \[0, 3\*\*1000000\)"),
+        (lambda: StateVector(3, 10**6, np.ones(1)), r"expected 3\*\*1000000 amplitudes"),
+    ]
+    for call, message in cases:
+        tracemalloc.start()
+        try:
+            if message is None:
+                call()
+            else:
+                with pytest.raises(ValueError, match=message):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, (message, peak)
+    # the repros at widths whose power has over 4,300 decimal digits
+    with pytest.raises(ValueError, match=r"must be in \[0, 10\*\*5000\) for 5000 base-10 digits"):
+        AdderSpec(10, 5000, 1, Mode.ADD, (-1,))
+    with pytest.raises(ValueError, match=r"expected 3\*\*10000 amplitudes for 10000 base-3 qudits, got 1"):
+        StateVector(3, 10**4, np.ones(1))
+    with pytest.raises(ValueError, match=r"outcome -1 out of range \[0, 10\*\*5000\)"):
+        Histogram(10, 5000, {-1: 1})
 
 
 @given(st.integers(2, 16), st.integers(1, 12), st.data())
@@ -133,6 +179,8 @@ def test_round_trip_at_width_zero(base):
         # tokens int() reads, but no digit text: an underscore, a space and a
         # sign, and a non-ASCII decimal digit
         ("1_0-3", 12), (" 1-+2", 12), ("\u0663", 10),
+        # a token past int()'s 4,300-digit limit on decimal text
+        pytest.param("1" * 5000 + "-2", 12, id="5000 ones-2-12"),
     ],
 )
 def test_parse_digit_text_quotes_a_malformed_text(text, base):
@@ -197,8 +245,11 @@ def test_register_layout_duplicate_names():
 
 
 def test_state_vector_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"expected 2\*\*2 amplitudes for 2 base-2 qudits, got 3"):
         StateVector(2, 2, np.zeros(3))
+    for size in (0, 1, 5, 8):
+        with pytest.raises(ValueError, match=f"got {size}$"):
+            StateVector(2, 2, np.ones(size))
     with pytest.raises(ValueError, match="base must be >= 2, got 1"):
         StateVector(1, 2, np.ones(1))
     state = StateVector(2, 2, np.array([1, 0, 0, 0]))
