@@ -15,9 +15,12 @@
 # repeated export.  A base-16 SUB export, whose op list is written without
 # the json module's indent encoder, must be the text json.dumps(indent=2)
 # makes of its own parse, an oracle apart from the writer.  Last, an empty
-# token in --inputs exits 2 naming the flag, and a 100-million-digit add
+# token in --inputs exits 2 naming the flag, a 100-million-digit add
 # exits 2 naming --shots within 10 s: its input check builds no 3**10**8,
-# which alone takes minutes (each status is captured, as the script runs
+# which alone takes minutes, and an input of 20,000 binary ones exits 2
+# naming its range: int() reads it, since its limit on decimal digits
+# spares power-of-two radices, and the message writes it as its size, not
+# as text past that limit (each status is captured, as the script runs
 # under bash -e).
 set -euo pipefail
 
@@ -56,3 +59,6 @@ grep -q -e --inputs <<< "$err"
 status=0; err=$(timeout 10 qftadd add --base 3 --digits 100000000 --inputs 1 2>&1 >/dev/null) || status=$?
 test "$status" -eq 2
 grep -q -e --shots <<< "$err"
+status=0; err=$(qftadd add --base 10 --digits 3 --inputs "$(python -c "print('1' * 20000)")" --inputs-base 2 2>&1 >/dev/null) || status=$?
+test "$status" -eq 2
+grep -q -F -e "input 0 is <20000-bit int>, must be in [0, 10**3)" <<< "$err"

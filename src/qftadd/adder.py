@@ -18,7 +18,7 @@ from enum import Enum
 from .circuit import (
     _CPHASE, Circuit, GateOp, _Body, _check_span, _circuit, _qft_ladder, _shift, _turn,
 )
-from .core import RegisterLayout, _below
+from .core import RegisterLayout, _below, _show
 
 
 class Mode(Enum):
@@ -42,9 +42,9 @@ def required_ancillas(num_inputs: int, base: int) -> int:
     """
     num_inputs, base = operator.index(num_inputs), operator.index(base)
     if num_inputs < 1:
-        raise ValueError(f"num_inputs must be >= 1, got {num_inputs}")
+        raise ValueError(f"num_inputs must be >= 1, got {_show(num_inputs)}")
     if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+        raise ValueError(f"base must be >= 2, got {_show(base)}")
     t = 0
     power = 1
     while power < num_inputs:
@@ -80,24 +80,25 @@ class AdderSpec:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "inputs", tuple(map(operator.index, self.inputs)))
         if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+            raise ValueError(f"base must be >= 2, got {_show(self.base)}")
         if self.digits_per_input < 1:
             raise ValueError(
-                f"digits_per_input must be >= 1, got {self.digits_per_input}"
+                f"digits_per_input must be >= 1, got {_show(self.digits_per_input)}"
             )
         if self.num_inputs < 1:
-            raise ValueError(f"num_inputs must be >= 1, got {self.num_inputs}")
+            raise ValueError(f"num_inputs must be >= 1, got {_show(self.num_inputs)}")
         if not isinstance(self.mode, Mode):
-            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
+            raise ValueError(f"mode must be a Mode, got {_show(self.mode)}")
         if len(self.inputs) != self.num_inputs:
             raise ValueError(
-                f"expected {self.num_inputs} inputs, got {len(self.inputs)}"
+                f"expected {_show(self.num_inputs)} inputs, got {len(self.inputs)}"
             )
         d, n = self.base, self.digits_per_input
         for i, value in enumerate(self.inputs):
             if value < 0 or not _below(value, d, n):
+                d, n = _show(d), _show(n)
                 raise ValueError(
-                    f"input {i} is {value}, must be in [0, {d}**{n}) for {n} base-{d} digits"
+                    f"input {i} is {_show(value)}, must be in [0, {d}**{n}) for {n} base-{d} digits"
                 )
 
     @property
@@ -173,16 +174,16 @@ def build_adder_component(
     Raises ValueError if ``d**q_F`` exceeds 2**1022, as ``build_qft`` does.
     """
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise ValueError(f"sign must be +1 or -1, got {_show(sign)}")
     if not 0 <= source_register < len(layout.registers):
-        raise IndexError(f"no register {source_register} in layout")
+        raise IndexError(f"no register {_show(source_register)} in layout")
     if source_register in (0, 1):
         raise ValueError(
             "source register overlaps the Fourier span (registers 0 and 1)"
         )
     source = layout.register_range(source_register)
     if len(source) == 0:
-        raise ValueError(f"source register {source_register} is empty")
+        raise ValueError(f"source register {_show(source_register)} is empty")
     _check_span(layout.base, layout.register_start(2))
     ops = _fan(layout.base, layout.register_start(2), source, sign)
     return Circuit(layout.base, layout, tuple(ops))

@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 
 from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
 from .circuit import circuit_to_json, circuit_to_qasm, circuit_to_text
+from .core import _show
 from .resources import _sweep_csv, gate_count_formula, resource_report
 
 
@@ -73,7 +74,7 @@ def _check_ops(base: int, digits: int, num_inputs: int) -> None:
     # the formula leaves out SHIFTs, at most one per input digit
     ops += num_inputs * digits
     if ops > MAX_OPS:
-        raise ValueError(f"the circuit may need {ops} ops, over the limit of {MAX_OPS}")
+        raise ValueError(f"the circuit may need {_show(ops)} ops, over the limit of {MAX_OPS}")
 
 
 def _build_spec(args: argparse.Namespace, mode: Mode) -> AdderSpec:

@@ -31,6 +31,20 @@ from typing import Callable
 MAX_AMPLITUDES = 2**26
 
 
+def _show(value: object) -> str:
+    """``repr(value)`` for an error message, except that an int past Python's
+    limit on int text (4,300 decimal digits by default), alone or in a tuple
+    or list, is written as its size, ``<16610-bit int>`` for ``10**5000``, so
+    that the message still names its own cause.  Called only on a path that
+    raises."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
+        return f"({', '.join(map(_show, value))})"
+
+
 def _below(value: int, base: int, width: int) -> bool:
     """``value < base**width`` for ``base >= 2`` and ``width >= 0``, with no
     power built past twice ``value``'s bits.  ``base**width`` is at least
@@ -45,9 +59,9 @@ def _below(value: int, base: int, width: int) -> bool:
 def _check_size(base: int, num_qudits: int) -> None:
     """Raise ValueError if ``base**num_qudits`` exceeds MAX_AMPLITUDES."""
     if _below(MAX_AMPLITUDES, base, num_qudits):
+        d, n = _show(base), _show(num_qudits)
         raise ValueError(
-            f"{num_qudits} base-{base} qudits need {base}**{num_qudits} "
-            f"amplitudes, over the limit of {MAX_AMPLITUDES}"
+            f"{n} base-{d} qudits need {d}**{n} amplitudes, over the limit of {MAX_AMPLITUDES}"
         )
 
 
@@ -61,11 +75,11 @@ class DigitString:
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", operator.index(self.base))
         if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+            raise ValueError(f"base must be >= 2, got {_show(self.base)}")
         object.__setattr__(self, "digits", tuple(map(operator.index, self.digits)))
         for dig in self.digits:
             if not 0 <= dig < self.base:
-                raise ValueError(f"digit {dig} out of range for base {self.base}")
+                raise ValueError(f"digit {_show(dig)} out of range for base {_show(self.base)}")
 
     @property
     def width(self) -> int:
@@ -110,14 +124,14 @@ def _digit_text(base: int, width: int) -> Callable[[int], str]:
 def from_integer(value: int, base: int, width: int) -> DigitString:
     """Expand ``value`` into ``width`` base-``base`` digits, MSB first."""
     if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+        raise ValueError(f"base must be >= 2, got {_show(base)}")
     if width < 0:
-        raise ValueError(f"width must be >= 0, got {width}")
+        raise ValueError(f"width must be >= 0, got {_show(width)}")
     if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
+        raise ValueError(f"value must be non-negative, got {_show(value)}")
     if not _below(value, base, width):
         raise ValueError(
-            f"value {value} does not fit in {width} base-{base} digit(s)"
+            f"value {_show(value)} does not fit in {_show(width)} base-{_show(base)} digit(s)"
         )
     digits = []
     for _ in range(width):
@@ -143,7 +157,7 @@ def parse_digit_text(text: str, base: int) -> DigitString:
             raise ValueError
         digits = tuple(map(int, tokens))
     except ValueError:
-        raise ValueError(f"malformed base-{base} digit text {text!r}") from None
+        raise ValueError(f"malformed base-{_show(base)} digit text {text!r}") from None
     return DigitString(base, digits)
 
 
@@ -172,7 +186,7 @@ class RegisterLayout:
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", operator.index(self.base))
         if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+            raise ValueError(f"base must be >= 2, got {_show(self.base)}")
         regs = tuple((str(name), operator.index(size)) for name, size in self.registers)
         object.__setattr__(self, "registers", regs)
         names = [name for name, _ in regs]
@@ -180,7 +194,7 @@ class RegisterLayout:
             raise ValueError(f"register names must be unique, got {names}")
         for name, size in regs:
             if size < 0:
-                raise ValueError(f"register {name!r} has negative size {size}")
+                raise ValueError(f"register {name!r} has negative size {_show(size)}")
 
     @functools.cached_property
     def total_qudits(self) -> int:

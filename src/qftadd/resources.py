@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .adder import AdderSpec, Mode, _design_body, required_ancillas
 from .circuit import GateKind
+from .core import _show
 
 
 def gate_count_formula(n: int, N: int, t: int) -> int:
@@ -30,11 +31,11 @@ def gate_count_formula(n: int, N: int, t: int) -> int:
     """
     n, N, t = operator.index(n), operator.index(N), operator.index(t)
     if n < 1:
-        raise ValueError(f"digits_per_input must be >= 1, got {n}")
+        raise ValueError(f"digits_per_input must be >= 1, got {_show(n)}")
     if N < 1:
-        raise ValueError(f"num_inputs must be >= 1, got {N}")
+        raise ValueError(f"num_inputs must be >= 1, got {_show(N)}")
     if t < 0:
-        raise ValueError(f"ancillas must be >= 0, got {t}")
+        raise ValueError(f"ancillas must be >= 0, got {_show(t)}")
     return _gate_count(n, N, t)
 
 
@@ -47,7 +48,7 @@ def capacity(n: int, t: int, d: int) -> int:
     """Number of distinct outputs the widened result register can hold."""
     n, t, d = operator.index(n), operator.index(t), operator.index(d)
     if n < 1 or t < 0 or d < 2:
-        raise ValueError(f"invalid sizes n={n}, t={t}, d={d}")
+        raise ValueError(f"invalid sizes n={_show(n)}, t={_show(t)}, d={_show(d)}")
     return d ** (t + n)
 
 
@@ -152,16 +153,16 @@ def _sweep_blocks(
     if not bases:
         raise ValueError("need at least one base to sweep")
     if bases[0] < 2:
-        raise ValueError(f"base must be >= 2, got {bases[0]}")
+        raise ValueError(f"base must be >= 2, got {_show(bases[0])}")
     max_capacity = operator.index(max_capacity)
     if max_capacity < 1:
-        raise ValueError(f"max_capacity must be >= 1, got {max_capacity}")
+        raise ValueError(f"max_capacity must be >= 1, got {_show(max_capacity)}")
     # the widest span k: d**(k+1) is the first power of d over the cap
     widest = {d: required_ancillas(max_capacity + 1, d) - 1 for d in bases}
     count = sum(d**j - 1 for d, k in widest.items() for j in range(1, k))
     if count > MAX_SWEEP_ROWS:
         raise ValueError(
-            f"the sweep has {count} rows, over the limit of {MAX_SWEEP_ROWS}"
+            f"the sweep has {_show(count)} rows, over the limit of {MAX_SWEEP_ROWS}"
         )
     for d, k in widest.items():
         for w in range(2, k + 1):  # the span t + n, so capacity d**w

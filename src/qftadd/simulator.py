@@ -52,7 +52,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import _CPHASE, _HADAMARD, _MAX_TURN, _SHIFT, _SWAP, Circuit, GateOp, _turn
-from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _below, _check_size, _digit_text
+from .core import MAX_AMPLITUDES, DigitString, RegisterLayout, _below, _check_size
+from .core import _digit_text, _show
 
 FINAL_NORM_ATOL = 1e-9
 # Most shots x width digits ``measure`` may sample.  A histogram has at most
@@ -74,12 +75,12 @@ class StateVector:
     state is their tensor product.  With no digits, ``dense`` is the whole
     state.  The state takes a copy of the ``dense`` it is given.
 
-    ``amplitudes`` is the full ``base**num_qudits`` vector.  With digits,
-    each read builds it anew, each digit qudit at its digit, and returns
-    it read-only.  :meth:`probabilities` never builds it: it is the
-    marginal of all qudits, one float buffer.  ``execute`` may hold
-    further qudits as phase ramps while it runs, but a state it returns
-    has only digits and a dense part.
+    ``amplitudes`` is the full ``base**num_qudits`` vector, read-only in
+    every form: with no digits a view of ``dense``, with digits built anew
+    on each read, each digit qudit at its digit.  :meth:`probabilities`
+    never builds it: it is the marginal of all qudits, one float buffer.
+    ``execute`` may hold further qudits as phase ramps while it runs, but
+    a state it returns has only digits and a dense part.
     """
 
     base: int
@@ -90,32 +91,33 @@ class StateVector:
     def __post_init__(self) -> None:
         self.base, self.num_qudits = operator.index(self.base), operator.index(self.num_qudits)
         if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+            raise ValueError(f"base must be >= 2, got {_show(self.base)}")
         self.digits = {
             operator.index(qi): operator.index(level) for qi, level in self.digits.items()
         }
         for qi, level in self.digits.items():
             if not 0 <= qi < self.num_qudits:
-                raise ValueError(f"digit qudit {qi} out of range for {self.num_qudits}")
+                raise ValueError(
+                    f"digit qudit {_show(qi)} out of range for {_show(self.num_qudits)}"
+                )
             if not 0 <= level < self.base:
-                raise ValueError(f"digit {level} out of range for base {self.base}")
+                raise ValueError(f"digit {_show(level)} out of range for base {_show(self.base)}")
         # its own writable copy: the caller's array may be read-only, or another state's
         self.dense = np.array(self.dense, dtype=np.complex128).reshape(-1)
         free, size = self.num_qudits - len(self.digits), self.dense.shape[0]
         # size != base**free, building no power past twice size's bits
         if _below(size, self.base, free) or not _below(size - 1, self.base, free):
+            d, free = _show(self.base), _show(free)
             raise ValueError(
-                f"expected {self.base}**{free} amplitudes for {free} "
-                f"base-{self.base} qudits, got {size}"
+                f"expected {d}**{free} amplitudes for {free} base-{d} qudits, got {size}"
             )
         if not np.isfinite(self.dense).all():
             raise ValueError("amplitudes must be finite, got NaN or infinity")
 
     @property
     def amplitudes(self) -> np.ndarray:
-        full = _placed(self.dense, self.base, range(self.num_qudits), self.digits)
-        if self.digits:
-            full.flags.writeable = False
+        full = _placed(self.dense, self.base, range(self.num_qudits), self.digits).view()
+        full.flags.writeable = False
         return full
 
     def probabilities(self) -> np.ndarray:
@@ -209,12 +211,12 @@ def basis_state(layout: RegisterLayout, register_digits: list[DigitString]) -> S
     for (name, size), ds in zip(layout.registers, register_digits):
         if ds.base != layout.base:
             raise ValueError(
-                f"digit string for register {name!r} has base {ds.base}, "
-                f"layout has base {layout.base}"
+                f"digit string for register {name!r} has base {_show(ds.base)}, "
+                f"layout has base {_show(layout.base)}"
             )
         if ds.width != size:
             raise ValueError(
-                f"register {name!r} holds {size} qudit(s), "
+                f"register {name!r} holds {_show(size)} qudit(s), "
                 f"got a width-{ds.width} digit string"
             )
     digits = [dig for ds in register_digits for dig in ds.digits]
@@ -248,10 +250,10 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         p = self.readout_flip_probability
         if not 0.0 <= p <= 1.0:
-            raise ValueError(f"readout_flip_probability must be in [0,1], got {p}")
+            raise ValueError(f"readout_flip_probability must be in [0,1], got {_show(p)}")
         object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {_show(self.seed)}")
 
 
 @dataclass(frozen=True)
@@ -274,16 +276,22 @@ class Histogram:
         object.__setattr__(self, "base", operator.index(self.base))
         object.__setattr__(self, "width", operator.index(self.width))
         if self.base < 2 or self.width < 1:
-            raise ValueError(f"need base >= 2 and width >= 1, got {self.base}, {self.width}")
+            raise ValueError(
+                f"need base >= 2 and width >= 1, got {_show(self.base)}, {_show(self.width)}"
+            )
         tallies = {operator.index(v): operator.index(c) for v, c in self.tallies.items()}
         if not tallies:
             raise ValueError("a histogram needs at least one outcome")
         d, width = self.base, self.width
         for value, count in tallies.items():
             if value < 0 or not _below(value, d, width):
-                raise ValueError(f"outcome {value} out of range [0, {d}**{width})")
+                raise ValueError(
+                    f"outcome {_show(value)} out of range [0, {_show(d)}**{_show(width)})"
+                )
             if count < 1:
-                raise ValueError(f"count for outcome {value} must be >= 1, got {count}")
+                raise ValueError(
+                    f"count for outcome {_show(value)} must be >= 1, got {_show(count)}"
+                )
         object.__setattr__(self, "tallies", MappingProxyType(dict(sorted(tallies.items()))))
 
     @property
@@ -348,19 +356,20 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     other op on its kernel: the tests' reference.
 
     Raises ValueError, before allocating, if a widening would exceed
-    ``core.MAX_AMPLITUDES``.  ``initial`` is then unchanged if no op had
-    reached its dense part, a CPHASE between two nonzero digits among
-    them; otherwise its ``digits`` are as given and its ``dense`` is the
-    dense part at the refused op: no longer one state.
+    ``core.MAX_AMPLITUDES``, even by one ramp: no ramp's vector, nor its
+    d levels, is built before the check.  ``initial`` is then unchanged
+    if no op had reached its dense part, a CPHASE between two nonzero
+    digits among them; otherwise its ``digits`` are as given and its
+    ``dense`` is the dense part at the refused op: no longer one state.
     Raises RuntimeError if the final norm drifts from 1 by more than 1e-9:
     an ``initial`` that was not normalized, or a broken gate.
     """
     d, q = circuit.base, circuit.layout.total_qudits
     state = zero_state(circuit.layout) if initial is None else initial
     if state.base != d:
-        raise ValueError(f"state base {state.base} != circuit base {d}")
+        raise ValueError(f"state base {_show(state.base)} != circuit base {_show(d)}")
     if state.num_qudits != q:
-        raise ValueError(f"state has {state.num_qudits} qudits, circuit layout has {q}")
+        raise ValueError(f"state has {state.num_qudits} qudits, circuit layout has {_show(q)}")
     digits = dict(state.digits)
     dense = [qi for qi in range(q) if qi not in digits]  # the axes of psi, in order
     # qudit -> numerator m of its phase ramp exp(2*pi*i*m*k/D)/sqrt(d)
@@ -369,11 +378,6 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     D, table = _numerators(d, q)
     column = D // d  # the numerator of 2*pi/d
     HADAMARD, CPHASE, SWAP, SHIFT = _HADAMARD, _CPHASE, _SWAP, _SHIFT  # local names, read per op
-
-    def settle(qi: int) -> np.ndarray:
-        """Take the ramp on ``qi`` out as a vector."""
-        return np.exp(2j * math.pi * (factors.pop(qi) % D / D) * np.arange(d)) / math.sqrt(d)
-
     for op in circuit.ops:
         kind, qs, t = op.kind, op.qudits, op.qudits[0]
         if kind is CPHASE:
@@ -407,10 +411,9 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             digits[t] = (j if op.dagger else -j) % d
             continue
         # the kernel, on the dense part widened by this op's ramps
-        wide = {qi: settle(qi) for qi in qs if qi in factors}
-        if wide:
+        if ramps := {qi: factors.pop(qi) for qi in qs if qi in factors}:
             # the state always holds the current vector, so a gate holds two at most
-            psi, dense = _widen(psi, d, dense, wide)
+            psi, dense = _widen(psi, d, dense, ramps, D)
             state.dense = psi
         axes = [dense.index(qi) for qi in qs if qi not in digits]
         if kind is CPHASE:
@@ -421,7 +424,7 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
         else:
             psi = state.dense = apply_op(psi, d, len(dense), op, axes)
     if factors:
-        psi, dense = _widen(psi, d, dense, {qi: settle(qi) for qi in list(factors)})
+        psi, dense = _widen(psi, d, dense, factors, D)
     if dense != sorted(dense):  # the axes in increasing qudit order, as documented
         psi = psi.reshape((d,) * len(dense)).transpose(np.argsort(dense)).reshape(-1)
     state.dense, state.digits = psi, digits
@@ -431,12 +434,15 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     return state
 
 
-def _widen(psi: np.ndarray, d: int, dense: list[int], vectors: dict) -> tuple:
-    """``psi`` over the qudits ``dense`` times a d-vector per qudit in ``vectors``,
-    as trailing axes, and its qudits; the size is checked before allocating."""
-    _check_size(d, len(dense) + len(vectors))
-    outer = functools.reduce(np.multiply.outer, vectors.values())
-    return np.multiply.outer(psi, outer).reshape(-1), [*dense, *vectors]
+def _widen(psi: np.ndarray, d: int, dense: list[int], ramps: dict[int, int], D: int) -> tuple:
+    """``psi`` over the qudits ``dense`` times each ramp ``exp(2*pi*i*m*k/D)/sqrt(d)``
+    in ``ramps`` (qudit -> m) as trailing axes, and its qudits: the one place a
+    ramp becomes a vector, sized before any array, its d levels too, is built."""
+    _check_size(d, len(dense) + len(ramps))
+    levels = np.arange(d)
+    vectors = [np.exp(2j * math.pi * (m % D / D) * levels) / math.sqrt(d) for m in ramps.values()]
+    outer = functools.reduce(np.multiply.outer, vectors)
+    return np.multiply.outer(psi, outer).reshape(-1), [*dense, *ramps]
 
 
 def _view(psi: np.ndarray, d: int, m: int, axes: Sequence[int]) -> np.ndarray:
@@ -484,7 +490,7 @@ _BLOCK_HADAMARD_MAX = 64
 def _check_square(d: int, name: str) -> None:
     """Raise ValueError if the d x d matrix ``name`` exceeds MAX_AMPLITUDES entries."""
     if d * d > MAX_AMPLITUDES:
-        limit = f"over the limit of {MAX_AMPLITUDES}"
+        d, limit = _show(d), f"over the limit of {MAX_AMPLITUDES}"
         raise ValueError(f"the {d} x {d} {name} needs {d}**2 entries, {limit}")
 
 
@@ -611,11 +617,11 @@ def _uniform(rng: np.random.Generator, high: int, size: int) -> np.ndarray:
 def _check_shots(shots: int, width: int) -> None:
     """Raise ValueError unless 1 <= shots and shots * width <= MAX_SHOT_DIGITS."""
     if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+        raise ValueError(f"shots must be >= 1, got {_show(shots)}")
     if shots * width > MAX_SHOT_DIGITS:
         raise ValueError(
-            f"{shots} shots of {width} digit(s) need {shots * width} digits, "
-            f"over the limit of {MAX_SHOT_DIGITS}"
+            f"{_show(shots)} shots of {_show(width)} digit(s) need {_show(shots * width)} "
+            f"digits, over the limit of {MAX_SHOT_DIGITS}"
         )
 
 
@@ -661,10 +667,10 @@ def measure(
         raise ValueError("must measure at least one qudit")
     distinct = set(qudits)
     if len(distinct) != len(qudits):
-        raise ValueError(f"measured qudits must be distinct, got {qudits}")
+        raise ValueError(f"measured qudits must be distinct, got {_show(qudits)}")
     for qi in qudits:
         if not 0 <= qi < state.num_qudits:
-            raise IndexError(f"qudit {qi} out of range for {state.num_qudits}")
+            raise IndexError(f"qudit {_show(qi)} out of range for {_show(state.num_qudits)}")
     shots, width = operator.index(shots), len(qudits)
     _check_shots(shots, width)
     if noise is None:

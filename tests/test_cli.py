@@ -181,11 +181,15 @@ def test_validation_failures_name_the_flag(capsys):
         # a bound past Python's 4,300-digit limit on int text, as base**digits
         (["add", "--base", "10", "--digits", "5000", "--inputs=-1"], "--base/--digits/--inputs",
          "input 0 is -1, must be in [0, 10**5000) for 5000 base-10 digits"),
+        # and an input past it, which int() reads in a power-of-two radix, as its size
+        (["add", "--base", "10", "--digits", "3", "--inputs", "1" * 20000, "--inputs-base", "2"],
+         "--base/--digits/--inputs", "input 0 is <20000-bit int>, must be in [0, 10**3)"),
     ]
     for args, flag, reason in cases:
         code, _, err = run_cli(args, capsys)
         assert code == 2, args
         assert flag in err and reason in err, (args, err)
+        assert "Exceeds the limit" not in err, (args, err)
 
 
 def test_parser_is_built_once_and_a_failed_call_leaves_it_as_new(capsys):

@@ -108,6 +108,41 @@ def test_from_integer_overflow():
         from_integer(3**40, 3, 40)
 
 
+_HUGE = 10**5000  # 5,001 decimal digits, past Python's 4,300-digit limit on int text
+
+
+@pytest.mark.parametrize(
+    "call, cause",
+    [
+        (lambda: from_integer(_HUGE, 10, 5000), "value <16610-bit int> does not fit in 5000 base-10"),
+        (lambda: AdderSpec(10, 3, 1, Mode.ADD, (_HUGE,)), r"is <16610-bit int>, must be in [0, 10**3)"),
+        (lambda: Histogram(10, 3, {_HUGE: 1}), "outcome <16610-bit int> out of range [0, 10**3)"),
+        (lambda: DigitString(10, (_HUGE,)), "digit <16610-bit int> out of range for base 10"),
+        (lambda: StateVector(2, 1, np.array([1, 0j]), {0: _HUGE}), "digit <16610-bit int> out of range"),
+        (lambda: NoiseConfig(0.0, _HUGE), "seed must fit in 64 unsigned bits, got <16610-bit int>"),
+        (lambda: NoiseConfig(_HUGE), "must be in [0,1], got <16610-bit int>"),
+        (lambda: RegisterLayout(2, (("a", -_HUGE),)), "'a' has negative size -<16610-bit int>"),
+        (lambda: GateOp(GateKind.SHIFT, (0,), k=-_HUGE), "non-negative, got -<16610-bit int>"),
+        (lambda: GateOp(GateKind.SWAP, (_HUGE, _HUGE)), "distinct, got (<16610-bit int>, <16610-bit int>)"),
+        (lambda: measure(_PAIR, [_HUGE], 1), "qudit <16610-bit int> out of range for 2"),
+        (lambda: measure(_PAIR, [0], _HUGE), "<16610-bit int> shots of 1 digit(s) need <16610-bit int>"),
+        (lambda: sweep([2], -_HUGE), "max_capacity must be >= 1, got -<16610-bit int>"),
+        (lambda: sweep([2], _HUGE), "the sweep has <16609-bit int> rows"),
+        (lambda: required_ancillas(-_HUGE, 2), "num_inputs must be >= 1, got -<16610-bit int>"),
+        (lambda: capacity(-_HUGE, 1, 2), "invalid sizes n=-<16610-bit int>, t=1, d=2"),
+        (lambda: gate_count_formula(-_HUGE, 1, 1), "digits_per_input must be >= 1, got -<16610-bit int>"),
+        (lambda: StateVector(_HUGE, 1, np.ones(3)), "expected <16610-bit int>**1 amplitudes"),
+    ],
+)
+def test_a_message_names_its_cause_past_the_limit_on_int_text(call, cause):
+    # an int past the limit is written as its size, not left to str(),
+    # whose own ValueError would hide the cause
+    with pytest.raises((ValueError, IndexError)) as raised:
+        call()
+    message = str(raised.value)
+    assert cause in message and "Exceeds the limit" not in message, message
+
+
 @pytest.mark.parametrize("base", [2, 3, 4, 7, 8, 10, 16, 255, 256, 257, 2**64 + 13])
 def test_below_is_value_under_the_power(base):
     for width in range(7):
@@ -288,6 +323,12 @@ def test_state_vector_from_read_only_amplitudes_runs():
     phased = execute(Circuit(2, layout, (GateOp(GateKind.CPHASE, (0, 1), theta=0.5),)), state)
     assert phased.dense.flags.writeable
     assert np.array_equal(phased.dense, [1, 0, 0, 0])
+    # and one without digits, whose full vector is a view of its dense part:
+    # a write through it would change the state behind its norm check
+    plain = StateVector(2, 1, np.array([1, 0j]))
+    with pytest.raises(ValueError, match="read-only"):
+        plain.amplitudes[0] = 5
+    assert np.array_equal(plain.dense, [1, 0]) and plain.norm_error() == 0.0
 
 
 def test_state_vector_shares_no_buffer_with_its_source():

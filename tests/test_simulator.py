@@ -764,6 +764,26 @@ def test_size_limits_fail_before_allocating():
         assert peak < 2**24, (name, peak)
 
 
+@pytest.mark.parametrize("site", ["ramp left at the end", "ramp under a kernel op"])
+def test_a_ramp_is_sized_before_its_vector_is_built(site):
+    # one qudit at d = 2**40: its ramp's d levels alone would take 8 TiB,
+    # so each widening site must refuse the size before building any of it
+    d = 2**40
+    layout = RegisterLayout(d, (("r", 1),))
+    if site == "ramp left at the end":
+        circuit = build_qft(layout, [0])
+    else:
+        circuit = Circuit(d, layout, (GateOp(GateKind.HADAMARD, (0,)), GateOp(GateKind.SHIFT, (0,), k=1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"1 base-{d} qudits need {d}\*\*1 amplitudes"):
+            execute(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+
+
 def _traced_peak(call):
     """``call()`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
