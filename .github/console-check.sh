@@ -14,7 +14,9 @@
 # texts are kept must match the plain writer on the first and on a
 # repeated export.  A base-16 SUB export, whose op list is written without
 # the json module's indent encoder, must be the text json.dumps(indent=2)
-# makes of its own parse, an oracle apart from the writer.  Last, an empty
+# makes of its own parse, an oracle apart from the writer.  One adder is
+# exported as QASM and as text, and an unknown --format exits 2, so every
+# entry of the CLI's format table runs on each CI leg.  Last, an empty
 # token in --inputs exits 2 naming the flag, a 100-million-digit add
 # exits 2 naming --shots within 10 s: its input check builds no 3**10**8,
 # which alone takes minutes, and an input of 20,000 binary ones exits 2
@@ -53,6 +55,13 @@ import json, sys
 text = sys.stdin.read()
 assert text == json.dumps(json.loads(text), indent=2) + '\\n'
 "
+qasm=$(qftadd export-circuit --base 2 --digits 3 --inputs 1,2,3 --format qasm)
+test "${qasm%%$'\n'*}" = "OPENQASM 2.0;"
+text=$(qftadd export-circuit --base 2 --digits 3 --inputs 1,2,3 --format text)
+test "${text%%$'\n'*}" = "base 2"
+status=0; err=$(qftadd export-circuit --base 2 --digits 3 --inputs 1,2,3 --format xml 2>&1 >/dev/null) || status=$?
+test "$status" -eq 2
+grep -q -e --format <<< "$err"
 status=0; err=$(qftadd add --base 2 --digits 2 --inputs 1,,2 2>&1 >/dev/null) || status=$?
 test "$status" -eq 2
 grep -q -e --inputs <<< "$err"

@@ -75,8 +75,12 @@ class GateOp:
         if (self.theta is not None) != (kind is _CPHASE):
             raise ValueError("theta is required for CPHASE and forbidden otherwise")
         if self.theta is not None:
-            if not math.isfinite(self.theta):
-                raise ValueError(f"theta must be finite, got {self.theta}")
+            try:
+                finite = math.isfinite(self.theta)
+            except OverflowError:  # an int past the range of a float
+                finite = False
+            if not finite:
+                raise ValueError(f"theta must be finite, got {_show(self.theta)}")
             object.__setattr__(self, "theta", float(self.theta))
         if (self.k is not None) != (kind is _SHIFT):
             raise ValueError("k is required for SHIFT and forbidden otherwise")

@@ -23,7 +23,7 @@ import sys
 from typing import Iterator, Sequence
 
 from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
-from .circuit import circuit_to_json, circuit_to_qasm, circuit_to_text
+from .circuit import Circuit, circuit_to_json, circuit_to_qasm, circuit_to_text
 from .core import _show
 from .resources import _sweep_csv, gate_count_formula, resource_report
 
@@ -34,6 +34,9 @@ from .resources import _sweep_csv, gate_count_formula, resource_report
 # a fresh process in 0.32 to 0.34 s and 44 MB of peak RSS (2-core VM,
 # Python 3.11).  The largest benchmarked export has about 15,600.
 MAX_OPS = 2**17
+
+# ``export-circuit --format``: its choices, and the writer each one calls
+_FORMATS = {"json": circuit_to_json, "qasm": circuit_to_qasm, "text": circuit_to_text}
 
 
 class CliError(Exception):
@@ -77,27 +80,30 @@ def _check_ops(base: int, digits: int, num_inputs: int) -> None:
         raise ValueError(f"the circuit may need {_show(ops)} ops, over the limit of {MAX_OPS}")
 
 
-def _build_spec(args: argparse.Namespace, mode: Mode) -> AdderSpec:
+def _build_spec(args: argparse.Namespace) -> AdderSpec:
     inputs = _parse_inputs(args)
     with _flag("--base/--digits/--inputs"):
-        return AdderSpec(args.base, args.digits, len(inputs), mode, inputs)
+        return AdderSpec(args.base, args.digits, len(inputs), Mode(args.mode), inputs)
+
+
+def _build(spec: AdderSpec) -> Circuit:
+    # the op count first: building takes time that grows as digits squared
+    with _flag("--digits/--inputs"):
+        _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
+    with _flag("--base/--digits"):
+        return build_full_adder(spec)
 
 
 def _run_add_sub(args: argparse.Namespace) -> int:
     # the only command that simulates, and so the only one that loads numpy
     from .simulator import NoiseConfig, _check_shots, execute, histogram_to_json, measure
 
-    mode = Mode.ADD if args.command == "add" else Mode.SUB
-    spec = _build_spec(args, mode)
+    spec = _build_spec(args)
     with _flag("--shots"):
         _check_shots(args.shots, spec.result_width)
     with _flag("--noise/--seed"):
         noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
-    # before building, whose op count grows as digits squared
-    with _flag("--digits/--inputs"):
-        _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
-    with _flag("--base/--digits"):
-        circuit = build_full_adder(spec)
+    circuit = _build(spec)
     # from digits, the adder ends all digits: no widening, and a noisy
     # readout past the amplitude cap draws each digit on its own
     histogram = measure(execute(circuit), range(spec.result_width), args.shots, noise)
@@ -135,19 +141,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_export_circuit(args: argparse.Namespace) -> int:
-    mode = Mode.ADD if args.mode == "add" else Mode.SUB
-    spec = _build_spec(args, mode)
-    with _flag("--digits/--inputs"):
-        _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
-    with _flag("--base/--digits"):
-        circuit = build_full_adder(spec)
-    if args.format == "json":
-        text = circuit_to_json(circuit)
-    elif args.format == "qasm":
-        with _flag("--format"):
-            text = circuit_to_qasm(circuit)
-    else:
-        text = circuit_to_text(circuit)
+    circuit = _build(_build_spec(args))
+    with _flag("--format"):  # only the QASM writer raises: it takes base 2 alone
+        text = _FORMATS[args.format](circuit)
     _write_artifact(text, args.output)
     return 0
 
@@ -190,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--output", default="-", help="histogram JSON path, - for stdout"
         )
-        sub.set_defaults(handler=_run_add_sub)
+        sub.set_defaults(handler=_run_add_sub, mode=name)
 
     sub = commands.add_parser("gate-count", help="closed-form gate count")
     _add_common_spec_flags(sub)
@@ -213,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_spec_flags(sub)
     _add_inputs_flags(sub)
     sub.add_argument("--mode", choices=("add", "sub"), default="add")
-    sub.add_argument("--format", choices=("json", "qasm", "text"), default="json")
+    sub.add_argument("--format", choices=_FORMATS, default="json")
     sub.add_argument("--output", default="-", help="artifact path, - for stdout")
     sub.set_defaults(handler=_run_export_circuit)
 

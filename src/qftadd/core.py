@@ -187,8 +187,12 @@ class RegisterLayout:
         object.__setattr__(self, "base", operator.index(self.base))
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {_show(self.base)}")
-        regs = tuple((str(name), operator.index(size)) for name, size in self.registers)
-        object.__setattr__(self, "registers", regs)
+        regs = []
+        for name, size in self.registers:
+            if not isinstance(name, str):
+                raise TypeError(f"register name must be a str, got {_show(name)}")
+            regs.append((str(name), operator.index(size)))
+        object.__setattr__(self, "registers", tuple(regs))
         names = [name for name, _ in regs]
         if len(set(names)) != len(names):
             raise ValueError(f"register names must be unique, got {names}")

@@ -25,7 +25,8 @@ as the draw would.  With noise, its marginal is the outer product of one
 flip column per digit, or, past the amplitude cap, each digit of each shot
 is drawn on its own.  The d x d channel and its per-axis passes exist only
 when a measured qudit is in the dense part; the channel and the Hadamard
-are sized against ``core.MAX_AMPLITUDES`` before they are built.
+are sized against ``core.MAX_AMPLITUDES`` before they are built, once per
+call, and no matrix outlives the call that built it.
 
 A full vector placed around digits, as ``probabilities()`` and
 ``amplitudes`` return, comes from a private anonymous map once it is
@@ -494,15 +495,12 @@ def _check_square(d: int, name: str) -> None:
         raise ValueError(f"the {d} x {d} {name} needs {d}**2 entries, {limit}")
 
 
-@functools.lru_cache(maxsize=64)
 def _dft(d: int, dagger: bool) -> np.ndarray:
-    """d-level Hadamard: entry (m, j) = exp(2*pi*i*j*m/d) / sqrt(d); cached, read-only."""
+    """d-level Hadamard: entry (m, j) = exp(2*pi*i*j*m/d) / sqrt(d); built per call."""
     _check_square(d, "Hadamard")
     levels = np.arange(d)
     sign = -1.0 if dagger else 1.0
-    dft = np.exp(sign * 2j * np.pi * np.outer(levels, levels) / d) / np.sqrt(d)
-    dft.flags.writeable = False
-    return dft
+    return np.exp(sign * 2j * np.pi * np.outer(levels, levels) / d) / np.sqrt(d)
 
 
 def _hadamard(view: np.ndarray, d: int, dagger: bool) -> np.ndarray:

@@ -122,7 +122,10 @@ _HUGE = 10**5000  # 5,001 decimal digits, past Python's 4,300-digit limit on int
         (lambda: NoiseConfig(0.0, _HUGE), "seed must fit in 64 unsigned bits, got <16610-bit int>"),
         (lambda: NoiseConfig(_HUGE), "must be in [0,1], got <16610-bit int>"),
         (lambda: RegisterLayout(2, (("a", -_HUGE),)), "'a' has negative size -<16610-bit int>"),
+        (lambda: RegisterLayout(2, ((_HUGE, 1),)), "register name must be a str, got <16610-bit int>"),
+        (lambda: RegisterLayout(2, ((5, 1),)), "register name must be a str, got 5"),
         (lambda: GateOp(GateKind.SHIFT, (0,), k=-_HUGE), "non-negative, got -<16610-bit int>"),
+        (lambda: GateOp(GateKind.CPHASE, (0, 1), theta=_HUGE), "theta must be finite, got <16610-bit int>"),
         (lambda: GateOp(GateKind.SWAP, (_HUGE, _HUGE)), "distinct, got (<16610-bit int>, <16610-bit int>)"),
         (lambda: measure(_PAIR, [_HUGE], 1), "qudit <16610-bit int> out of range for 2"),
         (lambda: measure(_PAIR, [0], _HUGE), "<16610-bit int> shots of 1 digit(s) need <16610-bit int>"),
@@ -137,7 +140,7 @@ _HUGE = 10**5000  # 5,001 decimal digits, past Python's 4,300-digit limit on int
 def test_a_message_names_its_cause_past_the_limit_on_int_text(call, cause):
     # an int past the limit is written as its size, not left to str(),
     # whose own ValueError would hide the cause
-    with pytest.raises((ValueError, IndexError)) as raised:
+    with pytest.raises((ValueError, IndexError, TypeError)) as raised:
         call()
     message = str(raised.value)
     assert cause in message and "Exceeds the limit" not in message, message

@@ -764,6 +764,21 @@ def test_size_limits_fail_before_allocating():
         assert peak < 2**24, (name, peak)
 
 
+def test_a_hadamard_keeps_no_matrix_past_its_call():
+    # a HADAMARD on the dense part builds its d x d DFT, 4 MB at d = 512,
+    # for that call alone: once each state is gone, none of them is held
+    tracemalloc.start()
+    try:
+        for d in (512, 513, 514):
+            state = StateVector(d, 1, np.full(d, d**-0.5))
+            state = execute(build_qft(RegisterLayout(d, (("r", 1),)), [0]), state)
+            del state
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 2**20, current
+
+
 @pytest.mark.parametrize("site", ["ramp left at the end", "ramp under a kernel op"])
 def test_a_ramp_is_sized_before_its_vector_is_built(site):
     # one qudit at d = 2**40: its ramp's d levels alone would take 8 TiB,
