@@ -23,7 +23,11 @@
 # naming its range: int() reads it, since its limit on decimal digits
 # spares power-of-two radices, and the message writes it as its size, not
 # as text past that limit (each status is captured, as the script runs
-# under bash -e).
+# under bash -e).  Last, a gate-count --verify of 43,000 base-100000
+# inputs, inside the CLI's op limit, must print MATCH within 10 s: a
+# layout sums its register offsets once, where summing them again per
+# register took 33 s.  Its status is captured too, so that a run cut by
+# timeout (status 124) fails at its own test, with the status named.
 set -euo pipefail
 
 qftadd gate-count --base 4 --digits 3 --num-inputs 5 --verify
@@ -71,3 +75,6 @@ grep -q -e --shots <<< "$err"
 status=0; err=$(qftadd add --base 10 --digits 3 --inputs "$(python -c "print('1' * 20000)")" --inputs-base 2 2>&1 >/dev/null) || status=$?
 test "$status" -eq 2
 grep -q -F -e "input 0 is <20000-bit int>, must be in [0, 10**3)" <<< "$err"
+status=0; out=$(timeout 10 qftadd gate-count --base 100000 --digits 1 --num-inputs 43000 --verify) || status=$?
+test "$status" -eq 0
+test "${out##* }" = MATCH

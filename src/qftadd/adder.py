@@ -132,9 +132,9 @@ def _fan(d: int, q_f: int, source: range, sign: int) -> list[GateOp]:
 # (2,16,64) are 14,616 ops, about 3.0 MB traced.  Once the design is
 # exported the entry also holds the JSON text of its body, about 120 B per
 # op (1.9 MB for (2,16,64)), and of its header, about 50 B per register.
-# 256 entries, because perfbench's batch-small deals its 300 specs over up
-# to 135 designs, and a 128-entry cache, missing on every one of them in
-# turn, doubled their build.
+# 256 entries, because perfbench's batch-small builds 151 and 157 bodies
+# (a design and sign each) from its 300 specs at seeds 1 and 7919, and a
+# 128-entry cache, missing on every one of them in turn, doubled their build.
 @functools.lru_cache(maxsize=256)
 def _design_body(d: int, n: int, num_inputs: int, sign: int) -> _Body:
     """Every op of one adder design after its encoding shifts, their labels

@@ -19,7 +19,7 @@ neither does building, costing or exporting a circuit.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -123,6 +123,7 @@ def _digit_text(base: int, width: int) -> Callable[[int], str]:
 
 def from_integer(value: int, base: int, width: int) -> DigitString:
     """Expand ``value`` into ``width`` base-``base`` digits, MSB first."""
+    value, base, width = map(operator.index, (value, base, width))
     if base < 2:
         raise ValueError(f"base must be >= 2, got {_show(base)}")
     if width < 0:
@@ -199,16 +200,16 @@ class RegisterLayout:
         for name, size in regs:
             if size < 0:
                 raise ValueError(f"register {name!r} has negative size {_show(size)}")
-
-    @functools.cached_property
-    def total_qudits(self) -> int:
-        """Summed once per layout: ``zero_state``, ``execute`` and ``Circuit``
-        each read it, and adder layouts are shared per design."""
-        return sum(size for _, size in self.registers)
+        # plain attributes, not fields: each register's first qudit, then the width
+        starts = tuple(itertools.accumulate((size for _, size in regs), initial=0))
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "total_qudits", starts[-1])
 
     def register_start(self, index: int) -> int:
-        """Global index of the first qudit of register ``index``."""
-        return sum(size for _, size in self.registers[:index])
+        """Global index of the first qudit of register ``index``: for any int
+        index, the sizes of ``registers[:index]`` summed, read from offsets
+        the layout sums once when it is built."""
+        return self._starts[len(range(len(self.registers))[:index])]
 
     def register_range(self, index: int) -> range:
         start = self.register_start(index)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .adder import AdderSpec, Mode, _design_body, required_ancillas
+from .adder import _design_body, required_ancillas
 from .circuit import GateKind
 from .core import _show
 
@@ -80,27 +80,23 @@ class ResourceReport:
 def resource_report(base: int, digits_per_input: int, num_inputs: int) -> ResourceReport:
     """Compare the formula with the tally of the all-zero-input adder.
 
-    That adder has no encoding shifts, so its tally is the one its design's
-    cached body counted once from the built ops; the first report of a
-    design builds the body, and the report holds a copy of the tally.
+    t is ``required_ancillas(num_inputs, base)``, and the formula checks n,
+    N and t before anything is built.  That adder has no encoding shifts, so
+    its tally is the one its design's cached body counted once from the
+    built ops; the first report of a design builds the body, and the report
+    holds a copy of the tally.
     """
-    spec = AdderSpec(
-        base=base,
-        digits_per_input=digits_per_input,
-        num_inputs=num_inputs,
-        mode=Mode.ADD,
-        inputs=(0,) * num_inputs,
-    )
-    body = _design_body(spec.base, spec.digits_per_input, spec.num_inputs, 1)
-    t = spec.ancillas
+    # plain ints, so a numpy int never builds the cached body
+    d, n, N = map(operator.index, (base, digits_per_input, num_inputs))
+    t = required_ancillas(N, d)
     return ResourceReport(
         base=base,
         digits_per_input=digits_per_input,
         num_inputs=num_inputs,
         ancillas=t,
-        formula_count=gate_count_formula(digits_per_input, num_inputs, t),
-        tally=body.tally,
-        capacity=capacity(digits_per_input, t, base),
+        formula_count=gate_count_formula(n, N, t),  # its checks, before the body is built
+        tally=_design_body(d, n, N, 1).tally,
+        capacity=capacity(n, t, d),
     )
 
 

@@ -350,7 +350,8 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     other op first widens its ramps into trailing axes of the dense part
     and runs its kernel.  A CPHASE kernel reads a digit end as its level
     and builds the d levels only for a dense end, so one between two
-    nonzero digits multiplies the dense part by one phase, at any base.
+    nonzero digits multiplies the dense part by one phase, at any base
+    where that phase is a finite float.
     Ramps left at the end are widened the same way, and the dense axes
     are put in increasing qudit order.  So an adder run from digits ends
     all digits, at any base and width, and one without digits runs every
@@ -362,6 +363,9 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     if no op had reached its dense part, a CPHASE between two nonzero
     digits among them; otherwise its ``digits`` are as given and its
     ``dense`` is the dense part at the refused op: no longer one state.
+    Raises ValueError, before any ramp is widened, if a CPHASE on the kernel
+    has ``|theta|*x*y`` past a float's range, with x and y its ends' digit
+    levels, or d - 1 for a ramp or dense end; ``initial`` is then as above.
     Raises RuntimeError if the final norm drifts from 1 by more than 1e-9:
     an ``initial`` that was not normalized, or a broken gate.
     """
@@ -412,6 +416,8 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
             digits[t] = (j if op.dagger else -j) % d
             continue
         # the kernel, on the dense part widened by this op's ramps
+        if kind is CPHASE:  # a ramp or dense end reaches level d - 1
+            _check_phase(op, d - 1 if x is None else x, d - 1 if y is None else y)
         if ramps := {qi: factors.pop(qi) for qi in qs if qi in factors}:
             # the state always holds the current vector, so a gate holds two at most
             psi, dense = _widen(psi, d, dense, ramps, D)
@@ -433,6 +439,22 @@ def execute(circuit: Circuit, initial: StateVector | None = None) -> StateVector
     if not drift <= FINAL_NORM_ATOL:
         raise RuntimeError(f"final state norm off by {drift:.3e}")
     return state
+
+
+def _check_phase(op: GateOp, x: int, y: int) -> None:
+    """Raise ValueError unless a CPHASE's largest phase ``|theta|*x*y``, at
+    top levels ``x`` and ``y``, is a finite float; an int past a float's
+    range is not."""
+    try:
+        finite = math.isfinite(abs(op.theta) * x * y)
+    except OverflowError:
+        finite = False
+    if not finite:
+        qudits, theta = _show(op.qudits), _show(op.theta)
+        raise ValueError(
+            f"CPHASE on qudits {qudits} with theta {theta}:"
+            " its largest phase is past a float's range"
+        )
 
 
 def _widen(psi: np.ndarray, d: int, dense: list[int], ramps: dict[int, int], D: int) -> tuple:

@@ -420,6 +420,19 @@ def test_an_unwritable_output_names_the_flag(args, capsys, tmp_path):
     assert not missing.parent.exists()
 
 
+def test_a_failed_stdout_write_exits_1(capsys):
+    # an OSError that names no flag, such as a closed pipe, is no internal error
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with contextlib.redirect_stdout(ClosedPipe()):
+        code = main(["gate-count", "--base", "4", "--digits", "1", "--num-inputs", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: [Errno 32] Broken pipe\n", err
+
+
 def test_gate_count_plain(capsys):
     code, out, _ = run_cli(
         ["gate-count", "--base", "4", "--digits", "1", "--num-inputs", "4"], capsys

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,9 @@ _INTEGER_ARGUMENTS = {
     "capacity d": lambda x: capacity(1, 0, x + 1),
     "sweep bases": lambda x: sweep([x + 1], 16),
     "sweep max_capacity": lambda x: sweep([2], 16 * x),
+    "from_integer value": lambda x: from_integer(x, 2, 2),
+    "from_integer base": lambda x: from_integer(3, x + 1, 2),
+    "from_integer width": lambda x: from_integer(3, 2, 3 - x),  # 3 fits in 2 digits, not in 1.5
     "DigitString base": lambda x: DigitString(x + 1, (1, 0)),
     "DigitString digits": lambda x: DigitString(2, (x, 0)),
     "Histogram base": lambda x: Histogram(x + 1, 1, {1: 3}),
@@ -248,6 +252,27 @@ def test_register_layout_zero_width_register():
     assert layout.total_qudits == 2
     assert list(layout.register_range(0)) == []
     assert layout.register_start(1) == 0
+
+
+def test_register_start_sums_the_sizes_before_any_index():
+    sizes = [0, 3, 0, 0, 2, 5, 0, 1]
+    layout = RegisterLayout(2, tuple((f"r{i}", size) for i, size in enumerate(sizes)))
+    R = len(sizes)
+    for i in range(-R - 2, R + 3):  # negative and past-the-end, as a slice reads them
+        assert layout.register_start(i) == sum(sizes[:i]), i
+
+
+def test_register_offsets_are_summed_once():
+    # summed per call, the offsets of 20,001 registers took seconds to read
+    registers = (("anc", 0), *((f"a{i}", 3) for i in range(20000)))
+    start = time.perf_counter()
+    layout = RegisterLayout(2, registers)
+    starts = [layout.register_start(i) for i in range(len(registers))]
+    ranges = [layout.register_range(i) for i in range(len(registers))]
+    elapsed = time.perf_counter() - start
+    assert starts == [0, *range(0, 60000, 3)] and ranges[-1] == range(59997, 60000)
+    assert layout.total_qudits == 60000
+    assert elapsed < 1, elapsed
 
 
 def test_register_layout_width_is_cached_without_changing_the_dataclass():

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,30 @@ def test_zero_states_share_no_amplitude():
     state = execute(Circuit(d, layout, (*shifts, GateOp(GateKind.CPHASE, (0, 1), theta=0.7))))
     assert state.digits == {0: d - 1, 1: 2**63} and state.dense.size == 1
     assert abs(state.dense[0] - cmath.exp(1j * 0.7 * (d - 1) * 2**63)) < 1e-12
+
+
+@pytest.mark.parametrize("d, levels, theta, dense", [
+    (4, (3, 3), 1e308, False),
+    (4, (3, 3), 1e308, True),
+    (10**200, (10**200 - 1, 10**200 - 1), 0.1, False),
+    (10**400, (10**400 - 1, 10**400 - 1), 0.1, False),
+], ids=["digits", "dense", "product past a float", "ints past a float"])
+def test_a_phase_past_a_float_is_refused_before_the_state_changes(d, levels, theta, dense):
+    # theta*x*y overflows a float: numpy's exp would warn and leave a nan
+    # norm, or the int would not convert; the op is refused by name first
+    if dense:
+        psi = np.zeros(d * d, complex)
+        psi[levels[0] * d + levels[1]] = 1
+        initial = StateVector(d, 2, psi)
+    else:
+        initial = StateVector(d, 2, [1], dict(enumerate(levels)))
+    before = (initial.dense.copy(), dict(initial.digits))
+    circuit = Circuit(d, RegisterLayout(d, (("r", 2),)), (GateOp(GateKind.CPHASE, (0, 1), theta=theta),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"CPHASE on qudits \(0, 1\) with theta .*past a float"):
+            execute(circuit, initial)
+    assert initial.dense.tolist() == before[0].tolist() and initial.digits == before[1]
 
 
 def test_measure_validates_selection():
