@@ -24,10 +24,15 @@
 # spares power-of-two radices, and the message writes it as its size, not
 # as text past that limit (each status is captured, as the script runs
 # under bash -e).  Last, a gate-count --verify of 43,000 base-100000
-# inputs, inside the CLI's op limit, must print MATCH within 10 s: a
+# inputs, inside the op limit, must print MATCH within 10 s: a
 # layout sums its register offsets once, where summing them again per
 # register took 33 s.  Its status is captured too, so that a run cut by
-# timeout (status 124) fails at its own test, with the status named.
+# timeout (status 124) fails at its own test, with the status named.  One
+# more input, 43,689, may need 131,073 ops: over the library's op limit,
+# so it exits 2 naming --base/--digits/--num-inputs and the limit, with no
+# op built.  And resource_report(2, 20, 10**6), whose body alone would be
+# 610,001,070 ops (about 120 GB), must raise the limit's ValueError within
+# 10 s: the adder checks its op count before it builds anything.
 set -euo pipefail
 
 qftadd gate-count --base 4 --digits 3 --num-inputs 5 --verify
@@ -78,3 +83,17 @@ grep -q -F -e "input 0 is <20000-bit int>, must be in [0, 10**3)" <<< "$err"
 status=0; out=$(timeout 10 qftadd gate-count --base 100000 --digits 1 --num-inputs 43000 --verify) || status=$?
 test "$status" -eq 0
 test "${out##* }" = MATCH
+status=0; err=$(timeout 10 qftadd gate-count --base 100000 --digits 1 --num-inputs 43689 --verify 2>&1 >/dev/null) || status=$?
+test "$status" -eq 2
+grep -q -F -e "--base/--digits/--num-inputs" <<< "$err"
+grep -q -F -e "limit of 131072" <<< "$err"
+status=0; timeout 10 python -c "
+from qftadd import resource_report
+try:
+    resource_report(2, 20, 10**6)
+except ValueError as err:
+    assert 'over the limit of 131072' in str(err), err
+else:
+    raise AssertionError('resource_report(2, 20, 10**6) returned')
+" || status=$?
+test "$status" -eq 0

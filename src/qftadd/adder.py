@@ -127,6 +127,19 @@ def _fan(d: int, q_f: int, source: range, sign: int) -> list[GateOp]:
     return ops
 
 
+# Most ops one adder may hold.  The op count grows as digits squared and
+# linearly in the inputs: two 200-digit qubit inputs make 61,102 ops, which
+# ``qftadd export-circuit`` writes as JSON in a fresh process in 0.32 to
+# 0.34 s and 44 MB of peak RSS (2-core VM, Python 3.11).  The largest
+# benchmarked export has about 15,600.
+MAX_OPS = 2**17
+
+
+def _gate_count(n: int, N: int, t: int) -> int:
+    """``resources.gate_count_formula`` on arguments already checked."""
+    return (N + 1) * (n * (n + 1) // 2 + n * t) + t * t + 2 * t + n - (t + n) % 2
+
+
 # One entry holds the design's fans, about 200 B per op, and a reference to
 # each op of its QFT and IQFT, which ``_qft_ladder`` keeps: the fans of
 # (2,16,64) are 14,616 ops, about 3.0 MB traced.  Once the design is
@@ -143,9 +156,15 @@ def _design_body(d: int, n: int, num_inputs: int, sign: int) -> _Body:
     The ops are the QFT on the span, the fan of each of registers
     2..num_inputs (``n*t + n*(n+1)//2`` ops each) and the IQFT; the labels
     ``qft``, ``component a1``.. and ``iqft`` count from the body's first op.
-    Cached per design, so every adder of one design holds the same
-    ``GateOp`` objects; at most 256 designs' bodies are kept.
+    Raises ValueError before anything is built, its layout included, if an
+    adder of the design may hold over ``MAX_OPS`` ops: the closed-form
+    count plus one SHIFT per input digit.  Cached per design, so every
+    adder of one design holds the same ``GateOp`` objects; at most 256
+    designs' bodies are kept.
     """
+    count = _gate_count(n, num_inputs, required_ancillas(num_inputs, d)) + num_inputs * n
+    if count > MAX_OPS:
+        raise ValueError(f"the circuit may need {_show(count)} ops, over the limit of {MAX_OPS}")
     layout = adder_layout(d, n, num_inputs)
     w = layout.register_start(2)
     parts = [("qft", _qft_ladder(d, 0, w, 1))]
@@ -215,10 +234,12 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
     after the encoding shifts is one body cached per design, and the
     shifts are cached per (qudit, level), so two adders of one design
     share every op, their shifts wherever their input digits agree.
+    Raises ValueError before any op is built if the adder may hold over
+    ``MAX_OPS`` ops, or if ``d**(t+n)`` exceeds 2**1022.
     """
+    body = _design_body(spec.base, spec.digits_per_input, spec.num_inputs, spec.mode.sign)
     layout = spec.layout  # read once: each read is an ``adder_layout`` call
     encode = _encoding_ops(spec, layout.registers[0][1])
-    body = _design_body(spec.base, spec.digits_per_input, spec.num_inputs, spec.mode.sign)
     k = len(encode)
     labels = (("encode", 0, k), *[(name, lo + k, hi + k) for name, lo, hi in body.labels])
     return _circuit(layout, tuple(encode) + body.ops, labels, body)

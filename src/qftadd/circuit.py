@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -394,8 +395,16 @@ def _write_ops(ops: Sequence[GateOp], parts: list[str]) -> None:
     parts[-1] = parts[-1][:-2]  # the last op ends the list, with no ",\n"
 
 
+# An OpenQASM 2 identifier (Cross et al., arXiv:1707.03429)
+_QASM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
 def circuit_to_qasm(circuit: Circuit) -> str:
-    """OpenQASM-2-style text for base-2 circuits only."""
+    """OpenQASM-2-style text for base-2 circuits only.
+
+    Raises ValueError if a register it writes, one of nonzero width, has a
+    name that is no OpenQASM 2 identifier, ``[a-z][A-Za-z0-9_]*``.
+    """
     if circuit.base != 2:
         raise ValueError(f"QASM export supports base 2 only, got base {_show(circuit.base)}")
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
@@ -403,6 +412,8 @@ def circuit_to_qasm(circuit: Circuit) -> str:
     for i, (name, size) in enumerate(circuit.layout.registers):
         if size == 0:
             continue
+        if not _QASM_NAME.fullmatch(name):
+            raise ValueError(f"register name {_show(name)} is not an OpenQASM 2 identifier")
         lines.append(f"qreg {name}[{size}];")
         span = circuit.layout.register_range(i)
         names.update((qi, f"{name}[{off}]") for off, qi in enumerate(span))

@@ -7,8 +7,8 @@ plain function calls.  Exit codes: 0 success, 2 flag validation error
 The library owns its checks.  The CLI re-raises a ValueError from a
 library call, or from ``int()`` on a token, as an error naming the flag
 or flags fed to that call.  It checks only what the library cannot: the
-``--inputs-base`` radix and, before building, ``--shots`` and the op
-count, since building alone takes time that grows as digits squared.
+``--inputs-base`` radix, and ``--shots`` before building, which
+``measure`` would check only once the adder is built and run.
 
 Only ``add`` and ``sub`` simulate.  They import ``simulator`` when they
 run, so ``gate-count``, ``sweep`` and ``export-circuit`` load no numpy.
@@ -24,16 +24,8 @@ from typing import Iterator, Sequence
 
 from .adder import AdderSpec, Mode, build_full_adder, required_ancillas
 from .circuit import Circuit, circuit_to_json, circuit_to_qasm, circuit_to_text
-from .core import _show
 from .resources import _sweep_csv, gate_count_formula, resource_report
 
-
-# Most ops ``add``, ``sub``, ``export-circuit`` and ``gate-count --verify``
-# may build.  The op count grows as digits squared: two 200-digit qubit
-# inputs make 61,102 ops, which ``qftadd export-circuit`` writes as JSON in
-# a fresh process in 0.32 to 0.34 s and 44 MB of peak RSS (2-core VM,
-# Python 3.11).  The largest benchmarked export has about 15,600.
-MAX_OPS = 2**17
 
 # ``export-circuit --format``: its choices, and the writer each one calls
 _FORMATS = {"json": circuit_to_json, "qasm": circuit_to_qasm, "text": circuit_to_text}
@@ -71,15 +63,6 @@ def _parse_inputs(args: argparse.Namespace) -> tuple[int, ...]:
         return tuple(int(tok, radix) for tok in args.inputs.split(","))
 
 
-def _check_ops(base: int, digits: int, num_inputs: int) -> None:
-    """Raise ValueError, before building, if the circuit may hold over MAX_OPS ops."""
-    ops = gate_count_formula(digits, num_inputs, required_ancillas(num_inputs, base))
-    # the formula leaves out SHIFTs, at most one per input digit
-    ops += num_inputs * digits
-    if ops > MAX_OPS:
-        raise ValueError(f"the circuit may need {_show(ops)} ops, over the limit of {MAX_OPS}")
-
-
 def _build_spec(args: argparse.Namespace) -> AdderSpec:
     inputs = _parse_inputs(args)
     with _flag("--base/--digits/--inputs"):
@@ -87,10 +70,8 @@ def _build_spec(args: argparse.Namespace) -> AdderSpec:
 
 
 def _build(spec: AdderSpec) -> Circuit:
-    # the op count first: building takes time that grows as digits squared
-    with _flag("--digits/--inputs"):
-        _check_ops(spec.base, spec.digits_per_input, spec.num_inputs)
-    with _flag("--base/--digits"):
+    # the op count and the span depend on all three: t = required_ancillas(N, d)
+    with _flag("--base/--digits/--inputs"):
         return build_full_adder(spec)
 
 
@@ -120,8 +101,6 @@ def _run_gate_count(args: argparse.Namespace) -> int:
     with _flag("--digits"):
         formula = gate_count_formula(args.digits, args.num_inputs, t)
     if args.verify:
-        with _flag("--digits/--num-inputs"):
-            _check_ops(args.base, args.digits, args.num_inputs)
         with _flag("--base/--digits/--num-inputs"):
             report = resource_report(args.base, args.digits, args.num_inputs)
         verdict = "MATCH" if report.reconciled else "MISMATCH"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .adder import _design_body, required_ancillas
+from .adder import _design_body, _gate_count, required_ancillas
 from .circuit import GateKind
 from .core import _show
 
@@ -37,11 +37,6 @@ def gate_count_formula(n: int, N: int, t: int) -> int:
     if t < 0:
         raise ValueError(f"ancillas must be >= 0, got {_show(t)}")
     return _gate_count(n, N, t)
-
-
-def _gate_count(n: int, N: int, t: int) -> int:
-    """:func:`gate_count_formula` on arguments already checked."""
-    return (N + 1) * (n * (n + 1) // 2 + n * t) + t * t + 2 * t + n - (t + n) % 2
 
 
 def capacity(n: int, t: int, d: int) -> int:
@@ -84,15 +79,17 @@ def resource_report(base: int, digits_per_input: int, num_inputs: int) -> Resour
     N and t before anything is built.  That adder has no encoding shifts, so
     its tally is the one its design's cached body counted once from the
     built ops; the first report of a design builds the body, and the report
-    holds a copy of the tally.
+    holds a copy of the tally and the arguments as plain ints.  Raises
+    ValueError before the body is built if the adder may hold over
+    ``adder.MAX_OPS`` ops.
     """
-    # plain ints, so a numpy int never builds the cached body
+    # plain ints, so a numpy int never builds the cached body or is reported
     d, n, N = map(operator.index, (base, digits_per_input, num_inputs))
     t = required_ancillas(N, d)
     return ResourceReport(
-        base=base,
-        digits_per_input=digits_per_input,
-        num_inputs=num_inputs,
+        base=d,
+        digits_per_input=n,
+        num_inputs=N,
         ancillas=t,
         formula_count=gate_count_formula(n, N, t),  # its checks, before the body is built
         tally=_design_body(d, n, N, 1).tally,

@@ -27,9 +27,11 @@ from qftadd import (
     measure,
     parse_digit_text,
     required_ancillas,
+    resource_report,
     to_integer,
     zero_state,
 )
+from qftadd import adder
 from qftadd.adder import _design_body
 from qftadd.circuit import _shift
 
@@ -281,6 +283,43 @@ def test_fans_are_built_once_per_design():
     ops = body.ops
     assert ops == build_qft(layout, range(n)).ops + build_iqft(layout, range(n)).ops
     assert body.labels == (("qft", 0, len(ops) // 2), ("iqft", len(ops) // 2, len(ops)))
+
+
+def refuse_building(monkeypatch):
+    """Make building an adder's layout or any of its ops fail at once."""
+
+    def refuse(*args):
+        raise AssertionError("the adder was built")
+
+    for name in ("adder_layout", "_fan", "_qft_ladder", "_shift"):
+        monkeypatch.setattr(adder, name, refuse)
+
+
+def test_an_adder_over_the_op_limit_is_refused_before_anything_is_built(monkeypatch):
+    # (2, 20, 10**6) would be a 610,001,070-op body, about 120 GB
+    refuse_building(monkeypatch)
+    limit = f"ops, over the limit of {adder.MAX_OPS}"
+    # the closed form's 610,001,070 and one shift for each of 20,000,000 digits
+    with pytest.raises(ValueError, match=f"the circuit may need 630001070 {limit}"):
+        resource_report(2, 20, 10**6)
+    for mode in Mode:
+        with pytest.raises(ValueError, match=limit):
+            build_full_adder(AdderSpec(2, 600, 2, mode, (1, 1)))
+
+
+def test_the_op_limit_counts_the_closed_form_and_one_shift_per_digit(monkeypatch):
+    # (2, 293, 2): 130,388 ops and at most 586 shifts, 130,974 <= 2**17
+    report = resource_report(2, 293, 2)
+    assert report.reconciled and report.tally_count == 130_388
+    circuit = build_full_adder(AdderSpec(2, 293, 2, Mode.ADD, (2**293 - 1,) * 2))
+    assert len(circuit.ops) == 130_388 + 2 * 293 <= adder.MAX_OPS
+    # (2, 294, 2): 131,273 ops and at most 588 shifts, 131,861 > 2**17
+    refuse_building(monkeypatch)
+    message = f"the circuit may need 131861 ops, over the limit of {adder.MAX_OPS}"
+    with pytest.raises(ValueError, match=message):
+        resource_report(2, 294, 2)
+    with pytest.raises(ValueError, match=message):
+        build_full_adder(AdderSpec(2, 294, 2, Mode.SUB, (0, 0)))
 
 
 def _ladder_and_fan_adder(spec):

@@ -556,6 +556,18 @@ def test_qasm_export_contents():
     assert "swap a0[0],a0[1];" in lines
 
 
+@pytest.mark.parametrize("name", ["a b", "", "A", "1a"])
+def test_qasm_export_refuses_a_register_name_that_is_no_identifier(name):
+    layout = RegisterLayout(2, (("anc", 0), ("a0", 1), (name, 1)))
+    circ = Circuit(2, layout, (GateOp(GateKind.HADAMARD, (0,)),))
+    with pytest.raises(ValueError, match=re.escape(f"register name {name!r} is not")):
+        circuit_to_qasm(circ)
+    # a zero-width register is not written, so its name is not checked
+    layout = RegisterLayout(2, ((name, 0), ("b_2X", 1)))
+    text = circuit_to_qasm(Circuit(2, layout, (GateOp(GateKind.HADAMARD, (0,)),)))
+    assert text.endswith("qreg b_2X[1];\nh b_2X[0];\n")
+
+
 def test_text_export_mentions_labels():
     layout = qft_layout(2, 2)
     ops = build_qft(layout, range(2)).ops

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qftadd
 from qftadd import (
     AdderSpec,
+    adder,
     Mode,
     classical_oracle,
     cli,
@@ -266,9 +267,9 @@ def test_add_sub_at_a_large_base_and_many_inputs_print_the_oracle(capsys, comman
 @pytest.mark.parametrize(
     "args, flags",
     [
-        (["add", "--inputs", "1,2"], "--base/--digits"),
-        (["sub", "--inputs", "1,2"], "--base/--digits"),
-        (["export-circuit", "--inputs", "1,2"], "--base/--digits"),
+        (["add", "--inputs", "1,2"], "--base/--digits/--inputs"),
+        (["sub", "--inputs", "1,2"], "--base/--digits/--inputs"),
+        (["export-circuit", "--inputs", "1,2"], "--base/--digits/--inputs"),
         (["gate-count", "--num-inputs", "2", "--verify"], "--base/--digits/--num-inputs"),
     ],
 )
@@ -294,19 +295,27 @@ def test_sweep_size_checked_before_any_row(capsys, monkeypatch):
     assert "--max-capacity" in err and f"limit of {resources.MAX_SWEEP_ROWS}" in err
 
 
-def test_size_checked_before_building(capsys, monkeypatch):
-    # building 2 inputs of 600 digits takes seconds; the guards must not wait
-    def refuse(spec):
+def refuse_building(monkeypatch):
+    """Make building any op of an adder fail at once."""
+
+    def refuse(*args):
         raise AssertionError("the circuit was built")
 
-    monkeypatch.setattr(cli, "build_full_adder", refuse)
+    for name in ("_fan", "_qft_ladder", "_shift"):
+        monkeypatch.setattr(adder, name, refuse)
+
+
+def test_size_checked_before_building(capsys, monkeypatch):
+    # building 2 inputs of 600 digits takes seconds; the guards must not wait
+    refuse_building(monkeypatch)
     for command in ("add", "sub"):
         args = [command, "--base", "2", "--digits", "600", "--inputs", "1,1"]
         # with noise or without, the op count holds
         for extra in (["--noise", "0.1"], []):
             code, _, err = run_cli([*args, *extra], capsys)
             assert code == 2
-            assert "--digits/--inputs" in err and f"{cli.MAX_OPS}" in err, err
+            assert err.startswith("error: --base/--digits/--inputs: the circuit may need"), err
+            assert f"limit of {adder.MAX_OPS}" in err, err
 
 
 def test_add_reads_a_noisy_span_past_the_cap(capsys):
@@ -335,19 +344,18 @@ def test_add_reads_a_noisy_span_past_the_cap(capsys):
 
 
 def test_op_count_checked_before_building(capsys, monkeypatch):
-    # 2 inputs of 300 digits make about 137k ops, over cli.MAX_OPS
-    def refuse(*args):
-        raise AssertionError("the circuit was built")
-
-    monkeypatch.setattr(cli, "build_full_adder", refuse)
-    monkeypatch.setattr(cli, "resource_report", refuse)
-    for args in (
-        ["export-circuit", "--base", "2", "--digits", "300", "--inputs", "1,1"],
-        ["gate-count", "--base", "2", "--digits", "300", "--num-inputs", "2", "--verify"],
+    # 2 inputs of 300 digits make about 137k ops, over adder.MAX_OPS
+    refuse_building(monkeypatch)
+    for args, flags in (
+        (["export-circuit", "--base", "2", "--digits", "300", "--inputs", "1,1"],
+         "--base/--digits/--inputs"),
+        (["gate-count", "--base", "2", "--digits", "300", "--num-inputs", "2", "--verify"],
+         "--base/--digits/--num-inputs"),
     ):
         code, _, err = run_cli(args, capsys)
         assert code == 2, args
-        assert "--digits" in err and f"limit of {cli.MAX_OPS}" in err, err
+        assert err.startswith(f"error: {flags}: the circuit may need"), err
+        assert f"limit of {adder.MAX_OPS}" in err, err
     # without --verify the closed form alone runs, at any size
     code, out, _ = run_cli(
         ["gate-count", "--base", "2", "--digits", "300", "--num-inputs", "2"], capsys
@@ -357,17 +365,28 @@ def test_op_count_checked_before_building(capsys, monkeypatch):
 
 def test_add_sub_check_the_op_count_before_building(capsys, monkeypatch):
     # 2**14 one-digit inputs: a 2**15 span, but about 262k ops
-    def refuse(spec):
-        raise AssertionError("the circuit was built")
-
-    monkeypatch.setattr(cli, "build_full_adder", refuse)
+    refuse_building(monkeypatch)
     inputs = ",".join(["1"] * 2**14)
     for command in ("add", "sub"):
         code, _, err = run_cli(
             [command, "--base", "2", "--digits", "1", "--inputs", inputs], capsys
         )
         assert code == 2
-        assert "--digits/--inputs" in err and f"limit of {cli.MAX_OPS}" in err, err
+        assert err.startswith("error: --base/--digits/--inputs: the circuit may need"), err
+        assert f"limit of {adder.MAX_OPS}" in err, err
+
+
+def test_export_refuses_the_first_design_over_the_op_limit(capsys, monkeypatch):
+    # (2, 294, 2) may need 131,861 ops: 294 is the fewest digits over the limit
+    refuse_building(monkeypatch)
+    code, out, err = run_cli(
+        ["export-circuit", "--base", "2", "--digits", "294", "--inputs", "1,1"], capsys
+    )
+    assert code == 2 and not out
+    assert err == (
+        "error: --base/--digits/--inputs: the circuit may need 131861 ops, "
+        f"over the limit of {adder.MAX_OPS}\n"
+    )
 
 
 @st.composite

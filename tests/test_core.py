@@ -29,6 +29,7 @@ from qftadd import (
     measure,
     parse_digit_text,
     required_ancillas,
+    resource_report,
     sweep,
     to_integer,
     zero_state,
@@ -51,6 +52,9 @@ _INTEGER_ARGUMENTS = {
     "capacity n": lambda x: capacity(x, 0, 2),
     "capacity t": lambda x: capacity(1, x, 2),
     "capacity d": lambda x: capacity(1, 0, x + 1),
+    "resource_report base": lambda x: resource_report(x + 1, 2, 2),
+    "resource_report digits_per_input": lambda x: resource_report(2, x, 2),
+    "resource_report num_inputs": lambda x: resource_report(2, 2, x + 1),
     "sweep bases": lambda x: sweep([x + 1], 16),
     "sweep max_capacity": lambda x: sweep([2], 16 * x),
     "from_integer value": lambda x: from_integer(x, 2, 2),

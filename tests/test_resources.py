@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,6 +112,14 @@ def test_a_report_owns_its_tally():
     del first.tally[GateKind.SWAP]
     assert resource_report(3, 2, 4).tally == want
     assert resource_report(3, 2, 4).reconciled
+
+
+def test_a_report_holds_plain_ints():
+    report = resource_report(np.int64(2), np.int64(3), np.int64(4))
+    fields = (report.base, report.digits_per_input, report.num_inputs, report.ancillas)
+    assert fields == (2, 3, 4, 2)
+    assert all(type(value) is int for value in fields)
+    assert report == resource_report(2, 3, 4)
 
 
 def test_sweep_sorted_and_bounded():
