@@ -10,7 +10,10 @@
 # 100000**3 span, past the dense limit, draws each digit on its own and
 # exits 0, and one of a 100000**2 span builds one flip column per digit,
 # not the 100000 x 100000 channel.  Then the sweep the CLI writes a block
-# at a time must be the library's CSV, and an export whose header and body
+# at a time must be the library's CSV: for five bases at 4096, and at
+# base 2 and 2**18 within 20 s, whose 65,536-row block is the largest the
+# row limit allows (its status is captured, so that a run cut by timeout
+# fails at its own test).  An export whose header and body
 # texts are kept must match the plain writer on the first and on a
 # repeated export.  A base-16 SUB export, whose op list is written without
 # the json module's indent encoder, must be the text json.dumps(indent=2)
@@ -46,6 +49,9 @@ qftadd add --base 1000 --digits 2 --inputs "$(python -c "print(','.join(['999999
 qftadd add --base 100000 --digits 2 --inputs 1,2 --noise 0.1 | grep value=3
 qftadd add --base 100000 --digits 1 --inputs 7 --noise 0.1 | grep value=7
 cmp <(qftadd sweep --bases 2,3,4,5,8 --max-capacity 4096) <(python -c "from qftadd import sweep, sweep_to_csv; print(sweep_to_csv(sweep([2, 3, 4, 5, 8], 4096)), end='')")
+status=0; csv=$(timeout 20 qftadd sweep --bases 2 --max-capacity 262144) || status=$?
+test "$status" -eq 0
+cmp <(printf '%s\n' "$csv") <(python -c "from qftadd import sweep, sweep_to_csv; print(sweep_to_csv(sweep([2], 2**18)), end='')")
 python -c "
 import contextlib, io
 from qftadd import AdderSpec, Circuit, Mode, build_full_adder, circuit_to_json, cli

@@ -395,15 +395,20 @@ def _write_ops(ops: Sequence[GateOp], parts: list[str]) -> None:
     parts[-1] = parts[-1][:-2]  # the last op ends the list, with no ",\n"
 
 
-# An OpenQASM 2 identifier (Cross et al., arXiv:1707.03429)
+# An OpenQASM 2 identifier, and the grammar's lowercase keywords, which no
+# identifier may be (Cross et al., arXiv:1707.03429)
 _QASM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*")
+_QASM_KEYWORDS = frozenset(
+    "include qreg creg gate opaque barrier measure reset if pi sin cos tan exp ln sqrt".split()
+)
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
     """OpenQASM-2-style text for base-2 circuits only.
 
     Raises ValueError if a register it writes, one of nonzero width, has a
-    name that is no OpenQASM 2 identifier, ``[a-z][A-Za-z0-9_]*``.
+    name that is no OpenQASM 2 identifier, ``[a-z][A-Za-z0-9_]*``, or is
+    one of the language's keywords, such as ``pi`` or ``measure``.
     """
     if circuit.base != 2:
         raise ValueError(f"QASM export supports base 2 only, got base {_show(circuit.base)}")
@@ -414,6 +419,8 @@ def circuit_to_qasm(circuit: Circuit) -> str:
             continue
         if not _QASM_NAME.fullmatch(name):
             raise ValueError(f"register name {_show(name)} is not an OpenQASM 2 identifier")
+        if name in _QASM_KEYWORDS:
+            raise ValueError(f"register name {_show(name)} is an OpenQASM 2 keyword")
         lines.append(f"qreg {name}[{size}];")
         span = circuit.layout.register_range(i)
         names.update((qi, f"{name}[{off}]") for off, qi in enumerate(span))

@@ -80,14 +80,17 @@ def _run_add_sub(args: argparse.Namespace) -> int:
     from .simulator import NoiseConfig, _check_shots, execute, histogram_to_json, measure
 
     spec = _build_spec(args)
+    # spec.result_width without its layout, so that an adder over the op
+    # limit is refused before a layout of its inputs is built
+    width = required_ancillas(spec.num_inputs, spec.base) + spec.digits_per_input
     with _flag("--shots"):
-        _check_shots(args.shots, spec.result_width)
+        _check_shots(args.shots, width)
     with _flag("--noise/--seed"):
         noise = NoiseConfig(readout_flip_probability=args.noise, seed=args.seed)
     circuit = _build(spec)
     # from digits, the adder ends all digits: no widening, and a noisy
     # readout past the amplitude cap draws each digit on its own
-    histogram = measure(execute(circuit), range(spec.result_width), args.shots, noise)
+    histogram = measure(execute(circuit), range(width), args.shots, noise)
     _write_artifact(histogram_to_json(histogram), args.output)
     tallies = histogram.tallies
     value = max(tallies, key=tallies.__getitem__)  # top_outcome's key, as an integer

@@ -109,9 +109,10 @@ class SweepRow(NamedTuple):
 # Most rows ``sweep`` may build.  At base 2 the rows grow about as fast as
 # the capacity cap: caps of 2**16, 2**18 and 2**20 give 65,519, 262,125 and
 # 1,048,555 rows; ``sweep`` builds the first two in 0.02 s and 0.09 s.
-# ``qftadd sweep``, which builds no row and writes the CSV a block at a
-# time, takes 0.31 s and 45 MB of peak RSS at 2**18 in a fresh process
-# (0.63 s and 93 MB through ``SweepRow``s; 2-core VM, Python 3.11).
+# ``qftadd sweep``, which builds no row and writes the CSV with one ``%``
+# per block, takes 0.17-0.21 s and 33 MB of peak RSS at 2**18 in a fresh
+# process (0.21-0.25 s and 45 MB with one string per row, 0.41-0.59 s and
+# 93 MB through ``SweepRow``s; 2-core VM, Python 3.11).
 MAX_SWEEP_ROWS = 2**18
 
 
@@ -180,8 +181,11 @@ def sweep_to_csv(rows: Iterable[SweepRow]) -> str:
 
 def _sweep_csv(d_values: Sequence[int], max_capacity: int) -> str:
     """``sweep_to_csv(sweep(d_values, max_capacity))``, written a block at a
-    time: one template per block, filled with each N and gate count."""
-    lines = [_CSV_HEADER]
+    time: the block's two-field row template, repeated once per row, is
+    filled with one ``%`` from its N and gate counts, interleaved."""
+    blocks = [_CSV_HEADER]
     for d, n, t, cap, inputs, counts in _sweep_blocks(d_values, max_capacity):
-        lines += map(f"{d},{n},%d,{t},{cap},%d\n".__mod__, zip(inputs, counts))
-    return "".join(lines)
+        vals = [0] * (2 * len(inputs))
+        vals[::2], vals[1::2] = inputs, counts
+        blocks.append(f"{d},{n},%d,{t},{cap},%d\n" * len(inputs) % tuple(vals))
+    return "".join(blocks)

@@ -568,6 +568,29 @@ def test_qasm_export_refuses_a_register_name_that_is_no_identifier(name):
     assert text.endswith("qreg b_2X[1];\nh b_2X[0];\n")
 
 
+_QASM_KEYWORDS = (
+    "include qreg creg gate opaque barrier measure reset if pi sin cos tan exp ln sqrt".split()
+)
+
+
+@pytest.mark.parametrize("name", _QASM_KEYWORDS)
+def test_qasm_export_refuses_a_keyword_as_a_register_name(name):
+    layout = RegisterLayout(2, (("a0", 1), (name, 1)))
+    circ = Circuit(2, layout, (GateOp(GateKind.SWAP, (0, 1)),))
+    message = f"register name {name!r} is an OpenQASM 2 keyword"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        circuit_to_qasm(circ)
+    # a zero-width register is not written, so it may take a keyword
+    layout = RegisterLayout(2, ((name, 0), ("b_2X", 1)))
+    text = circuit_to_qasm(Circuit(2, layout, (GateOp(GateKind.HADAMARD, (0,)),)))
+    assert name + "[" not in text
+    assert text.endswith("qreg b_2X[1];\nh b_2X[0];\n")
+    # a keyword is a name only as a whole: one that starts with it is written
+    layout = RegisterLayout(2, ((name + "_1", 1),))
+    text = circuit_to_qasm(Circuit(2, layout, (GateOp(GateKind.HADAMARD, (0,)),)))
+    assert text.endswith(f"qreg {name}_1[1];\nh {name}_1[0];\n")
+
+
 def test_text_export_mentions_labels():
     layout = qft_layout(2, 2)
     ops = build_qft(layout, range(2)).ops

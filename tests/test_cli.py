@@ -366,6 +366,12 @@ def test_op_count_checked_before_building(capsys, monkeypatch):
 def test_add_sub_check_the_op_count_before_building(capsys, monkeypatch):
     # 2**14 one-digit inputs: a 2**15 span, but about 262k ops
     refuse_building(monkeypatch)
+
+    # nor the layout: the --shots check reads the result width from t and n
+    def refuse(*args):
+        raise AssertionError("the layout was built")
+
+    monkeypatch.setattr(adder, "adder_layout", refuse)
     inputs = ",".join(["1"] * 2**14)
     for command in ("add", "sub"):
         code, _, err = run_cli(

@@ -240,6 +240,18 @@ def test_sweep_and_csv_match_the_reference(bases, capsys):
         assert capsys.readouterr().out == sweep_to_csv(rows), (bases, cap)
 
 
+@pytest.mark.parametrize(
+    "bases, cap",
+    [(b, c) for c in (2**12, 2**16) for b in ([2], [2, 3], [4, 8])] + [([2], 2**18)],
+)
+def test_cli_sweep_writes_large_blocks_as_the_library(bases, cap, capsys):
+    # SWEEP_CAPS stops at 4096, where a block has at most 1,024 rows; the
+    # largest block under the row limit, at base 2 and 2**18, has 65,536
+    argv = ["sweep", "--bases", ",".join(map(str, bases)), "--max-capacity", str(cap)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == sweep_to_csv(sweep(bases, cap))
+
+
 def test_sweep_row_is_an_immutable_tuple_of_its_fields():
     row = resources.SweepRow(2, 2, 4, 2, 16, 45)
     assert row == (2, 2, 4, 2, 16, 45)
